@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .boundary import HookTarget, redistribute, redistribute_inverse
 from .configurations import (HookTableau, OneLegRPP, OneLegSPP, PlanePartition,
-                             TwoLegRPP, TwoLegSPP, transpose)
+                             TwoLegRPP, TwoLegSPP, diagonal, leg_reach,
+                             transpose, two_leg_ceiling, two_leg_floor)
 from .errors import DomainError, NonConvergenceError, ScheduleError
 from .partitions import (Cell, Partition, as_partition, contains, interlaces,
                          part)
@@ -396,31 +398,20 @@ def _spp_word_ops(width: int) -> list:
 
 
 def _rpp_from_chain(legs, chain: list[Partition], width: int) -> TwoLegRPP:
-    lam, mu = legs  # lam indexes columns, mu rows
-
-    def ceiling(i, j):
-        top = part(lam, j) if j >= 1 else None
-        side = part(mu, i) if i >= 1 else None
-        if top is None:
-            return side
-        if side is None:
-            return top
-        return min(top, side)
-
     def val(i, j):
         d = j - i
         if abs(d) > width:
-            return ceiling(i, j)
+            return two_leg_ceiling(legs, i, j)
         nu = chain[width + d]
         return part(nu, j) if d >= 0 else part(nu, i)
 
     deficit = {}
-    reach = width + max(len(lam), len(mu), part(lam, 1), part(mu, 1)) + 2
+    reach = width + leg_reach(legs) + 2
     for i in range(1 - reach, reach + 1):
         for j in range(1 - reach, reach + 1):
             if i < 1 and j < 1:
                 continue
-            c = ceiling(i, j)
+            c = two_leg_ceiling(legs, i, j)
             if not c:
                 continue
             gap = c - val(i, j)
@@ -428,23 +419,20 @@ def _rpp_from_chain(legs, chain: list[Partition], width: int) -> TwoLegRPP:
                 raise AssertionError(f"chain exceeds the ceiling at {(i, j)}")
             if gap:
                 deficit[(i, j)] = gap
-    return TwoLegRPP((lam, mu), deficit)
+    return TwoLegRPP(legs, deficit)
 
 
-def _chain_from_rpp(rho: TwoLegRPP, width: int) -> list[Partition]:
-    chain = []
-    for d in range(-width, width + 1):
-        vals = []
-        k = 1
-        while True:
-            i, j = (k - d, k) if d >= 0 else (k, k + d)
-            v = rho.at(i, j)
-            if v == 0:
-                break
-            vals.append(v)
-            k += 1
-        chain.append(tuple(vals))
-    return chain
+def _settle(at, width: int, what: str):
+    """at(width) once the output stops changing: compare at width and
+    width + 3, doubling the width between tries."""
+    prev = at(width)
+    for _ in range(4):
+        cur = at(width + 3)
+        if cur == prev:
+            return cur
+        width *= 2
+        prev = at(width)
+    raise NonConvergenceError(f"{what} did not stabilise")
 
 
 def _two_leg_forward_at(sigma: TwoLegSPP, width: int
@@ -467,22 +455,15 @@ def two_leg_forward(sigma: TwoLegSPP) -> tuple[TwoLegRPP, PlanePartition]:
     operator order palindromically on the eventually-constant diagonals, and
     transposes. The window is grown until the output stops changing.
     """
-    width = stabilization_index(sigma) + 1
-    prev = _two_leg_forward_at(sigma, width)
-    for _ in range(4):
-        cur = _two_leg_forward_at(sigma, width + 3)
-        if cur == prev:
-            return cur
-        width *= 2
-        prev = _two_leg_forward_at(sigma, width)
-    raise NonConvergenceError("two-leg decomposition did not stabilise")
+    return _settle(partial(_two_leg_forward_at, sigma),
+                   stabilization_index(sigma) + 1, "two-leg decomposition")
 
 
 def _two_leg_inverse_at(rho: TwoLegRPP, pi: PlanePartition, width: int
                         ) -> TwoLegSPP:
     lam, mu = rho.legs
     swapped = transpose(rho)  # legs (mu, lam), as produced by the forward map
-    chain = _chain_from_rpp(swapped, width)
+    chain = [diagonal(swapped, d) for d in range(-width, width + 1)]
     ops = ([(1, 2 * (width - 1 - k) + 1) for k in range(width)]
            + [(-1, 2 * k + 1) for k in range(width)])
     _palindromic_passes_inverse(chain, ops, width)
@@ -504,10 +485,10 @@ def _two_leg_inverse_at(rho: TwoLegRPP, pi: PlanePartition, width: int
     for cell in reversed(DEFAULT_SCHEDULE.order((), width)):
         grid.push(*cell, t.values.get(cell, 0))
     excess = {}
-    reach = width + max(len(lam), len(mu), part(lam, 1), part(mu, 1)) + 2
+    reach = width + leg_reach(rho.legs) + 2
     for i in range(1, reach + 1):
         for j in range(1, reach + 1):
-            gap = grid.value(i, j) - max(part(lam, j), part(mu, i))
+            gap = grid.value(i, j) - two_leg_floor(rho.legs, i, j)
             if gap < 0:
                 raise AssertionError(f"filling under the floor at {(i, j)}")
             if gap:
@@ -516,15 +497,8 @@ def _two_leg_inverse_at(rho: TwoLegRPP, pi: PlanePartition, width: int
 
 
 def two_leg_inverse(rho: TwoLegRPP, pi: PlanePartition) -> TwoLegSPP:
-    lam, mu = rho.legs
-    width = max([len(lam), len(mu), part(lam, 1), part(mu, 1), 1]
+    width = max([leg_reach(rho.legs), 1]
                 + [abs(i) + abs(j) for (i, j) in rho.deficit]
                 + [max(c) for c in pi.entries]) + 1
-    prev = _two_leg_inverse_at(rho, pi, width)
-    for _ in range(4):
-        cur = _two_leg_inverse_at(rho, pi, width + 3)
-        if cur == prev:
-            return cur
-        width *= 2
-        prev = _two_leg_inverse_at(rho, pi, width)
-    raise NonConvergenceError("two-leg inverse did not stabilise")
+    return _settle(partial(_two_leg_inverse_at, rho, pi), width,
+                   "two-leg inverse")

@@ -132,9 +132,6 @@ class HookTarget:
     region: str  # "in-lambda" | "in-plane"
     cell: Cell
 
-    def to_json(self):
-        return {"region": self.region, "cell": list(self.cell)}
-
 
 def _last_corner_verticals(lam: Partition, n: int) -> list[int]:
     """Per residue class mod n, the largest vertical edge label."""

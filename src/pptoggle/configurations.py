@@ -10,13 +10,36 @@ leg mu, far-negative ones the column leg lam.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import DomainError
 from .halfint import HalfInt
 from .partitions import (Cell, Partition, as_partition, contains,
                          hook_length, part)
 
-INF = None  # stands for an unbounded ceiling in min() computations
+
+def two_leg_floor(legs, i: int, j: int) -> int:
+    """The SPP floor max(lam_j, mu_i): lam indexes columns, mu rows."""
+    lam, mu = legs
+    return max(part(lam, j), part(mu, i))
+
+
+def two_leg_ceiling(legs, i: int, j: int) -> int | None:
+    """The RPP ceiling min(lam_j, mu_i), where a leg index <= 0 leaves that
+    leg unbounded; None (no ceiling) where both indices are <= 0."""
+    lam, mu = legs
+    if j < 1:
+        return part(mu, i) if i >= 1 else None
+    if i < 1:
+        return part(lam, j)
+    return min(part(lam, j), part(mu, i))
+
+
+def leg_reach(legs) -> int:
+    """max(len(lam), len(mu), lam_1, mu_1): the legs' extent, from which
+    every two-leg window is sized."""
+    lam, mu = legs
+    return max(len(lam), len(mu), part(lam, 1), part(mu, 1))
 
 
 def _check_support(entries: dict, what: str):
@@ -120,9 +143,8 @@ class TwoLegSPP:
 
     def __post_init__(self):
         _check_support(self.excess, "excess")
-        lam, mu = self.legs
-        span = 2 + max([len(lam), len(mu), part(lam, 1), part(mu, 1)]
-                       + [max(i, j) for (i, j) in self.excess] or [0])
+        span = 2 + max([leg_reach(self.legs)]
+                       + [max(i, j) for (i, j) in self.excess])
         for i in range(1, span + 1):
             for j in range(1, span + 1):
                 v = self.at(i, j)
@@ -131,14 +153,10 @@ class TwoLegSPP:
                 if j > 1 and self.at(i, j - 1) < v:
                     raise DomainError(f"row increases at {(i, j)}")
 
-    def floor(self, i: int, j: int) -> int:
-        lam, mu = self.legs
-        return max(part(lam, j), part(mu, i))
-
     def at(self, i: int, j: int) -> int:
         if i < 1 or j < 1:
             return 1 << 60
-        return self.floor(i, j) + self.excess.get((i, j), 0)
+        return two_leg_floor(self.legs, i, j) + self.excess.get((i, j), 0)
 
     def excess_weight(self) -> int:
         return sum(self.excess.values())
@@ -163,7 +181,7 @@ class TwoLegRPP:
         for (i, j) in self.deficit:
             if i < 1 and j < 1:
                 raise DomainError(f"cell outside the bent domain: {(i, j)}")
-            if self.ceiling(i, j) is INF:
+            if two_leg_ceiling(self.legs, i, j) is None:
                 raise DomainError(f"no ceiling to remove from at {(i, j)}")
             if self.at(i, j) < 0:
                 raise DomainError(f"deficit exceeds the ceiling at {(i, j)}")
@@ -177,19 +195,9 @@ class TwoLegRPP:
                         raise DomainError(f"rows/columns must weakly decrease "
                                           f"at {(i, j)}")
 
-    def ceiling(self, i: int, j: int):
-        lam, mu = self.legs
-        top = part(lam, j) if j >= 1 else None
-        side = part(mu, i) if i >= 1 else None
-        if top is None:
-            return side
-        if side is None:
-            return top
-        return min(top, side)
-
     def at(self, i: int, j: int) -> int:
-        c = self.ceiling(i, j)
-        if c is INF:
+        c = two_leg_ceiling(self.legs, i, j)
+        if c is None:
             return 1 << 60
         return c - self.deficit.get((i, j), 0)
 
@@ -294,39 +302,6 @@ def _ray(val, n: int, start_above: bool, skip_none: bool = False) -> list[int]:
     return out
 
 
-def _spp_floor_diag(legs, d: int) -> Partition:
-    lam, mu = legs
-    vals = []
-    k = 1
-    while True:
-        v = (max(part(lam, k + d), part(mu, k)) if d >= 0
-             else max(part(lam, k), part(mu, k - d)))
-        if v == 0:
-            break
-        vals.append(v)
-        k += 1
-    return tuple(vals)
-
-
-def _rpp_ceiling_diag(legs, d: int) -> Partition:
-    lam, mu = legs
-    vals = []
-    k = 1
-    while True:
-        if d >= 0:
-            i, j = k - d, k
-        else:
-            i, j = k, k + d
-        top = part(lam, j) if j >= 1 else None
-        side = part(mu, i) if i >= 1 else None
-        v = side if top is None else top if side is None else min(top, side)
-        if v == 0:
-            break
-        vals.append(v)
-        k += 1
-    return tuple(vals)
-
-
 def minimal_weight(kind: str, legs) -> HalfInt:
     """Weight of the zero-excess (zero-deficit) configuration.
 
@@ -334,20 +309,20 @@ def minimal_weight(kind: str, legs) -> HalfInt:
     between consecutive diagonals n and n+1 costs (2n+1)/2 per unit of size
     difference, outward from the centre on both sides.
     """
-    lam, mu = legs
     if kind == "spp":
-        diag = lambda d: _spp_floor_diag(legs, d)
-        sign = 1
+        level, start_above, sign = two_leg_floor, False, 1
     elif kind == "rpp":
-        diag = lambda d: _rpp_ceiling_diag(legs, d)
-        sign = -1
+        level, start_above, sign = two_leg_ceiling, True, -1
     else:
         raise DomainError(f"kind must be 'spp' or 'rpp': {kind!r}")
-    reach = max(len(lam), len(mu), part(lam, 1), part(mu, 1)) + 2
+    val = partial(level, legs)
+    reach = leg_reach(legs) + 2
+    size = {d: sum(_ray(val, d, start_above))
+            for d in range(-reach, reach + 1)}
     doubled = 0
     for n in range(reach):
-        doubled += (2 * n + 1) * (sum(diag(n)) - sum(diag(n + 1)))
-        doubled += (2 * n + 1) * (sum(diag(-n)) - sum(diag(-n - 1)))
+        doubled += (2 * n + 1) * (size[n] - size[n + 1])
+        doubled += (2 * n + 1) * (size[-n] - size[-n - 1])
     return HalfInt(sign * doubled)
 
 

@@ -10,9 +10,11 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .configurations import (OneLegRPP, OneLegSPP, PlanePartition, TwoLegRPP,
-                             TwoLegSPP, cfg_weight, minimal_weight)
+                             TwoLegSPP, cfg_weight, minimal_weight,
+                             two_leg_ceiling, two_leg_floor)
 from .errors import DomainError
 from .halfint import HalfInt
 from .partitions import Partition, as_partition, conjugate, contains, part
@@ -161,10 +163,7 @@ def enum_two_leg_spp(legs, max_excess: int) -> list[TwoLegSPP]:
     lam, mu = (as_partition(legs[0]), as_partition(legs[1]))
     rows = len(mu) + max_excess
     cols = len(lam) + max_excess
-
-    def floor(i, j):
-        return max(part(lam, j), part(mu, i))
-
+    floor = partial(two_leg_floor, (lam, mu))
     cells = [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]
     out: list[TwoLegSPP] = []
 
@@ -196,27 +195,11 @@ def enum_two_leg_rpp(legs, max_deficit: int) -> list[TwoLegRPP]:
     lam, mu = (as_partition(legs[0]), as_partition(legs[1]))
     lo_i, hi_i = 1 - max_deficit, len(mu)
     lo_j, hi_j = 1 - max_deficit, len(lam)
-
-    def ceiling(i, j):
-        top = part(lam, j) if j >= 1 else None
-        side = part(mu, i) if i >= 1 else None
-        if top is None:
-            return side
-        if side is None:
-            return top
-        return min(top, side)
-
+    ceiling = partial(two_leg_ceiling, (lam, mu))
     cells = [(i, j) for i in range(lo_i, hi_i + 1) for j in range(lo_j, hi_j + 1)
-             if (i >= 1 or j >= 1) and ceiling(i, j)]
+             if ceiling(i, j)]
     cellset = set(cells)
     out: list[TwoLegRPP] = []
-
-    def fixed_value(i, j):
-        """Value of an in-domain cell outside the search box: zero deficit."""
-        if i < 1 and j < 1:
-            return None  # virtual corner, unbounded
-        c = ceiling(i, j)
-        return 0 if c is None else c
 
     def rec(idx: int, budget: int, vals: dict, deficit: dict):
         if idx == len(cells):
@@ -228,16 +211,14 @@ def enum_two_leg_rpp(legs, max_deficit: int) -> list[TwoLegRPP]:
         for (ni, nj) in ((i - 1, j), (i, j - 1)):
             if (ni, nj) in cellset:
                 hi = min(hi, vals[(ni, nj)])
-            else:
-                fv = fixed_value(ni, nj)
+            else:  # outside the search box: zero deficit
+                fv = ceiling(ni, nj)
                 if fv is not None:
                     hi = min(hi, fv)
         lo = c - budget
         for (ni, nj) in ((i + 1, j), (i, j + 1)):
             if (ni, nj) not in cellset:
-                fv = fixed_value(ni, nj)
-                if fv is not None:
-                    lo = max(lo, fv)
+                lo = max(lo, ceiling(ni, nj))
         for v in range(hi, max(lo, 0) - 1, -1):
             vals[(i, j)] = v
             if v < c:
@@ -276,14 +257,19 @@ class WeightCensus:
 
     @staticmethod
     def take(kind: str, legs, bound) -> "WeightCensus":
-        configs = enum_configs(kind, legs, _budget_for(kind, legs, bound))
-        bound = HalfInt.of(bound)
         counts: dict[HalfInt, int] = {}
-        for cfg in configs:
-            w = cfg_weight(cfg)
-            if w <= bound:
-                counts[w] = counts.get(w, 0) + 1
-        return WeightCensus(kind, legs, counts, bound)
+        for w, _ in weighed_members(kind, legs, bound):
+            counts[w] = counts.get(w, 0) + 1
+        return WeightCensus(kind, legs, counts, HalfInt.of(bound))
+
+
+def weighed_members(kind: str, legs, bound) -> list[tuple[HalfInt, object]]:
+    """(weight, configuration) for each member of a family with weight <=
+    bound, in enumeration order."""
+    bound = HalfInt.of(bound)
+    weighed = ((cfg_weight(cfg), cfg)
+               for cfg in enum_configs(kind, legs, _budget_for(kind, legs, bound)))
+    return [(w, cfg) for w, cfg in weighed if w <= bound]
 
 
 def _budget_for(kind: str, legs, bound) -> int:

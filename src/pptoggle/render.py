@@ -8,7 +8,7 @@ quadrant. SVG output is a static diagram (boxes plus entry labels).
 from __future__ import annotations
 
 from .configurations import (HookTableau, OneLegRPP, OneLegSPP, PlanePartition,
-                             TwoLegRPP, TwoLegSPP)
+                             TwoLegRPP, TwoLegSPP, leg_reach, two_leg_ceiling)
 from .errors import DomainError
 from .partitions import contains, part
 
@@ -47,8 +47,7 @@ def render_ascii(cfg, span: int | None = None) -> str:
                             for i in range(1, len(cfg.shape) + 1)
                             for j in range(1, cfg.shape[i - 1] + 1)})
     if isinstance(cfg, TwoLegSPP):
-        lam, mu = cfg.legs
-        reach = span or (2 + max([len(lam), len(mu), part(lam, 1), part(mu, 1)]
+        reach = span or (2 + max([leg_reach(cfg.legs)]
                                  + [max(c) for c in cfg.excess or [(1, 1)]]))
         return _grid_lines({(i, j): cfg.at(i, j)
                             for i in range(1, reach + 1)
@@ -60,7 +59,7 @@ def render_ascii(cfg, span: int | None = None) -> str:
         cells = {}
         for i in range(1 - reach, reach + 1):
             for j in range(1 - reach, reach + 1):
-                if (i >= 1 or j >= 1) and cfg.ceiling(i, j) is not None:
+                if two_leg_ceiling(cfg.legs, i, j) is not None:
                     cells[(i, j)] = cfg.at(i, j)
         return _grid_lines(cells)
     if isinstance(cfg, HookTableau):

@@ -1,44 +1,40 @@
 """JSON encodings of the package's value types.
 
-Partitions are arrays of ints, cells [row, col], half-integers objects with a
-"doubled" field, series sorted [doubled_exponent, coefficient] pairs, and
-configurations tagged objects with row-major sorted support triples.
+Configurations are tagged objects whose legs are arrays of ints and whose
+support is a row-major sorted list of [row, col, value] triples.
 """
 
 from __future__ import annotations
 
-from .boundary import HookTarget
 from .configurations import (HookTableau, OneLegRPP, OneLegSPP, PlanePartition,
                              TwoLegRPP, TwoLegSPP)
 from .errors import DomainError
-from .halfint import HalfInt
 from .partitions import as_partition
-from .series import TruncatedSeries
+
+_LEG_COUNT = {"one-leg-spp": 1, "one-leg-rpp": 1,
+              "two-leg-spp": 2, "two-leg-rpp": 2}
 
 
 def _triples(entries: dict) -> list[list[int]]:
     return [[i, j, v] for (i, j), v in sorted(entries.items())]
 
 
+def _ints(seq, what: str) -> list[int]:
+    if not isinstance(seq, list) or any(type(x) is not int for x in seq):
+        raise DomainError(f"{what} must be an array of integers: {seq!r}")
+    return seq
+
+
 def _from_triples(rows) -> dict:
-    return {(int(i), int(j)): int(v) for i, j, v in rows}
-
-
-def halfint_to_json(h: HalfInt) -> dict:
-    return {"doubled": h.doubled}
-
-
-def halfint_from_json(obj) -> HalfInt:
-    return HalfInt(int(obj["doubled"]))
-
-
-def series_to_json(s: TruncatedSeries) -> dict:
-    return {"bound": {"doubled": s.bound2}, "terms": s.pairs()}
-
-
-def series_from_json(obj) -> TruncatedSeries:
-    return TruncatedSeries(int(obj["bound"]["doubled"]),
-                           {int(e): int(c) for e, c in obj["terms"]})
+    if not isinstance(rows, list):
+        raise DomainError(f"support must be an array of triples: {rows!r}")
+    entries = {}
+    for row in rows:
+        if len(_ints(row, "a support triple")) != 3:
+            raise DomainError(f"support triples are [row, col, value]: {row!r}")
+        i, j, v = row
+        entries[(i, j)] = v
+    return entries
 
 
 def config_to_json(cfg) -> dict:
@@ -66,8 +62,16 @@ def config_to_json(cfg) -> dict:
 
 
 def config_from_json(obj):
+    """Decode a tagged configuration; malformed input raises DomainError."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"a configuration must be a JSON object: {obj!r}")
     kind = obj.get("type")
-    legs = [as_partition(p) for p in obj.get("legs", [])]
+    legs = obj.get("legs", [])
+    if not isinstance(legs, list):
+        raise DomainError(f"legs must be an array: {legs!r}")
+    legs = [as_partition(_ints(p, "a leg")) for p in legs]
+    if len(legs) < _LEG_COUNT.get(kind, 0):
+        raise DomainError(f"{kind} needs {_LEG_COUNT[kind]} legs: {legs!r}")
     if kind == "plane-partition":
         return PlanePartition(_from_triples(obj.get("entries", [])))
     if kind == "one-leg-spp":
@@ -82,11 +86,3 @@ def config_from_json(obj):
         return HookTableau(obj["region"], legs[0] if legs else (),
                            _from_triples(obj.get("values", [])))
     raise DomainError(f"unknown configuration type {kind!r}")
-
-
-def target_to_json(t: HookTarget) -> dict:
-    return t.to_json()
-
-
-def target_from_json(obj) -> HookTarget:
-    return HookTarget(obj["region"], tuple(obj["cell"]))

@@ -343,20 +343,25 @@ def minimal_exponent(kind: str, legs) -> HalfInt:
 def hook_product(region: str, lam: Partition, bound) -> TruncatedSeries:
     """Product of geometric(h(box)) over the region's boxes with h <= bound.
 
-    region "plane" ignores lam; region "outside" uses the complement of lam.
-    Boxes with larger hooks contribute 1 at this truncation.
+    region "plane" ignores lam; region "outside" uses the complement of lam
+    and region "inside" the boxes of lam itself. Boxes with larger hooks
+    contribute 1 at this truncation.
     """
+    from .boundary import hook_pivots_inside, hook_pivots_outside
     bound = HalfInt.of(bound)
     degree = bound.doubled // 2
     out = TruncatedSeries.one(bound)
+    pivots = hook_pivots_outside
     if region == "plane":
         lam = ()
+    elif region == "inside":
+        pivots = hook_pivots_inside
     elif region != "outside":
-        raise DomainError(f"region must be 'plane' or 'outside': {region!r}")
-    from .boundary import hook_pivots_outside
+        raise DomainError(
+            f"region must be 'plane', 'outside' or 'inside': {region!r}")
     for h in range(1, degree + 1):
         g = geometric(h, bound)
-        for _ in hook_pivots_outside(lam, h):
+        for _ in pivots(lam, h):
             out = out * g
     return out
 

@@ -7,9 +7,7 @@ both drive these.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import bijections as bj
@@ -608,8 +606,8 @@ SUITES = {
 
 
 def run_suites(names, **overrides) -> list[CheckResult]:
-    """Run the named suites (or all); independent checks may run on a small
-    thread pool, results merged in deterministic name order."""
+    """Run the named suites (or all), one after another; rows come back in
+    suite-name order."""
     if names in (None, "all"):
         names = sorted(SUITES)
     if isinstance(names, str):
@@ -624,14 +622,7 @@ def run_suites(names, **overrides) -> list[CheckResult]:
         kwargs = {k: v for k, v in overrides.items()
                   if k in fn.__code__.co_varnames[:fn.__code__.co_argcount]}
         jobs.append((name, fn, kwargs))
-    workers = int(os.environ.get("PPTOGGLE_WORKERS", "1"))
-    results: list[tuple[str, list[CheckResult]]] = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(name, pool.submit(fn, **kw)) for name, fn, kw in jobs]
-            results = [(name, f.result()) for name, f in futures]
-    else:
-        results = [(name, fn(**kw)) for name, fn, kw in jobs]
+    results = [(name, fn(**kw)) for name, fn, kw in jobs]
     merged = []
     for name, rows in sorted(results, key=lambda r: r[0]):
         for row in rows:

@@ -1,5 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import pptoggle
 from pptoggle.cli import main
 from pptoggle.serialize import config_to_json
 from pptoggle.configurations import OneLegSPP, PlanePartition, TwoLegSPP
@@ -111,9 +119,50 @@ def test_report_determinism(capsys):
     assert out1 == out2
 
 
+def test_report_determinism_across_processes():
+    src = Path(pptoggle.__file__).resolve().parents[1]
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pptoggle.cli", "series", "--macmahon",
+             "--degree", "3", "--json"],
+            capture_output=True, env=env, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_usage_exit_code(capsys):
     assert main(["series", "--degree", "nonsense"]) == 2
     assert main(["biject", "sideways"]) == 2
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["series", "--one-leg", "a,b"], None),
+    (["series", "--two-leg", "2,x/1"], None),
+    (["render"], {"type": "plane-partition", "legs": [],
+                  "entries": [[1, 1, "x"]]}),
+    (["render"], {"type": "one-leg-rpp", "legs": [[1]],
+                  "entries": [[1, 1]]}),
+    (["biject", "one-leg"], {"type": "one-leg-spp", "legs": [["a"]],
+                             "entries": []}),
+    (["render"], {"type": "two-leg-spp", "excess": []}),
+    (["biject", "two-leg"], {"type": "two-leg-spp", "legs": [[1]],
+                             "excess": []}),
+    (["render"], [1, 2]),
+    (["render"], {"type": "plane-partition", "entries": 5}),
+    (["biject", "two-leg", "--direction", "inverse"], [1]),
+    (["biject", "two-leg", "--direction", "inverse"], {"rho": "x", "pi": {}}),
+], ids=["letter-parts", "letter-leg", "string-value", "short-triple",
+        "string-leg-part", "no-legs", "one-leg-of-two", "array-payload",
+        "support-not-array", "array-pair", "rho-not-object"])
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, payload):
+    if payload is not None:
+        src = tmp_path / "payload.json"
+        src.write_text(json.dumps(payload))
+        argv = argv + ["--input", str(src)]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_render_ascii_and_svg(tmp_path, capsys):
@@ -124,3 +173,24 @@ def test_render_ascii_and_svg(tmp_path, capsys):
     assert code == 0 and out.splitlines()[0].split() == ["2", "1"]
     code, out = run(capsys, "render", "--input", str(src), "--format", "svg")
     assert code == 0 and out.startswith("<svg")
+
+
+TWO_LEG_RPP_PAYLOAD = {"type": "two-leg-rpp", "legs": [[2, 1], [1, 1]],
+                       "deficit": [[-1, 1, 1], [0, 1, 1]]}
+
+
+@pytest.mark.parametrize("argv, payload, digest", [
+    (["enumerate", "--family", "two-leg-spp", "--legs", "2,1/1,1",
+      "--bound", "9/2"], None, "5b3888315c19f3a4"),
+    (["enumerate", "--family", "two-leg-rpp", "--legs", "2,1/1,1",
+      "--bound", "9/2"], None, "f491f519b2d16cca"),
+    (["render"], TWO_LEG_RPP_PAYLOAD, "498517e7e0880056"),
+])
+def test_two_leg_golden_output(tmp_path, capsys, argv, payload, digest):
+    if payload is not None:
+        src = tmp_path / "cfg.json"
+        src.write_text(json.dumps(payload))
+        argv = argv + ["--input", str(src)]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

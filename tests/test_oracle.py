@@ -66,6 +66,9 @@ def test_one_leg_rpp_census_matches_shape_hooks():
     census = census_series(WeightCensus.take("one-leg-rpp", (2, 1), 6))
     product = geometric(1, 6) * geometric(1, 6) * geometric(3, 6)
     assert census == product
+    for lam in ((2, 1), (3, 1), (2, 2), (3, 2, 1)):
+        census = census_series(WeightCensus.take("one-leg-rpp", lam, 6))
+        assert census == hook_product("inside", lam, 6)
 
 
 def test_two_leg_minimal_only_config():
