@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -155,3 +157,13 @@ def test_divergent_word_is_reported():
     word2 = OperatorWord((step_op(-1, HalfInt(-1)), step_op(1, HalfInt(1))))
     with pytest.raises(NonConvergenceError):
         evaluate(word2, 2)
+
+
+@pytest.mark.parametrize("kind, legs, bound, digest", [
+    ("two-leg-spp", ((2, 1), (1, 1)), H(9), "f1ca00dc5e5b3996"),
+    ("two-leg-rpp", ((2, 1), (1, 1)), H(9), "c8e2136a87a8212f"),
+    ("one-leg", (3, 1), HalfInt.of(6), "376c6756ab85cd94"),
+])
+def test_evaluate_stable_golden_coefficients(kind, legs, bound, digest):
+    pairs = evaluate_stable(kind, legs, bound).pairs()
+    assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest()[:16] == digest
