@@ -279,16 +279,15 @@ def cmd_verify(args) -> int:
 def _verify_census(args, report) -> int:
     with open(args.census) as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
+    if not lines or not isinstance(lines[0], dict):
+        raise DomainError("a census file starts with a header object")
     head, body = lines[0], lines[1:]
-    configs = [sz.config_from_json(obj) for obj in body]
-    bound = HalfInt(head["bound"]["doubled"])
-    counts: dict[HalfInt, int] = {}
-    for cfg in configs:
-        w = cf.cfg_weight(cfg)
-        counts[w] = counts.get(w, 0) + 1
-    got = sr.TruncatedSeries.from_terms(bound, list(counts.items()))
-    family = head["family"]
-    legs = [as_partition(p) for p in head.get("legs", [])]
+    bound, family = head.get("bound"), head.get("family")
+    if not (isinstance(bound, dict) and type(bound.get("doubled")) is int):
+        raise DomainError(
+            f'census bound must look like {{"doubled": 9}}: {bound!r}')
+    bound = HalfInt(bound["doubled"])
+    legs = sz.legs_from_json(head, family)
     if family == "plane":
         want = sr.macmahon_series(bound)
     elif family == "one-leg-spp":
@@ -300,8 +299,13 @@ def _verify_census(args, report) -> int:
     elif family == "two-leg-rpp":
         want = sr.evaluate_stable("two-leg-rpp", (legs[0], legs[1]), bound)
     else:
-        print(f"verify: unknown census family {family}", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError(f"unknown census family {family!r}")
+    configs = [sz.config_from_json(obj) for obj in body]
+    counts: dict[HalfInt, int] = {}
+    for cfg in configs:
+        w = cf.cfg_weight(cfg)
+        counts[w] = counts.get(w, 0) + 1
+    got = sr.TruncatedSeries.from_terms(bound, list(counts.items()))
     report.check(f"census-{family}", got == want,
                  f"{len(configs)} configurations vs series")
     return report.finish()

@@ -10,7 +10,7 @@ leg mu, far-negative ones the column leg lam.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 from .errors import DomainError
 from .halfint import HalfInt
@@ -307,8 +307,15 @@ def minimal_weight(kind: str, legs) -> HalfInt:
 
     Telescopes the operator weights over the stabilised diagonals: the step
     between consecutive diagonals n and n+1 costs (2n+1)/2 per unit of size
-    difference, outward from the centre on both sides.
+    difference, outward from the centre on both sides. The value depends
+    only on (kind, legs), so it is memoised on the normalised legs.
     """
+    lam, mu = legs
+    return _minimal_weight(kind, (as_partition(lam), as_partition(mu)))
+
+
+@lru_cache(maxsize=1 << 10)
+def _minimal_weight(kind: str, legs: tuple[Partition, Partition]) -> HalfInt:
     if kind == "spp":
         level, start_above, sign = two_leg_floor, False, 1
     elif kind == "rpp":

@@ -139,20 +139,26 @@ def remove_corner(lam: Partition, cell: Cell) -> Partition:
     return as_partition(parts)
 
 
-def interlacers_below(lam: Partition) -> Iterator[Partition]:
-    """All mu with lam >- mu (each mu_i ranges over an interval)."""
+def interlacers_below(lam: Partition, max_loss: int | None = None
+                      ) -> Iterator[Partition]:
+    """All mu with lam >- mu and weight(lam) - weight(mu) <= max_loss (no
+    limit when max_loss is None); each mu_i ranges over an interval."""
+    if max_loss is None:
+        max_loss = weight(lam)
+    if max_loss < 0:
+        return
 
-    def rec(i: int, prefix: list[int]) -> Iterator[Partition]:
+    def rec(i: int, budget: int, prefix: list[int]) -> Iterator[Partition]:
         if i > len(lam):
             yield as_partition(prefix)
             return
         lo, hi = part(lam, i + 1), part(lam, i)
-        for v in range(hi, lo - 1, -1):
+        for v in range(hi, max(lo, hi - budget) - 1, -1):
             prefix.append(v)
-            yield from rec(i + 1, prefix)
+            yield from rec(i + 1, budget - (hi - v), prefix)
             prefix.pop()
 
-    yield from rec(1, [])
+    yield from rec(1, max_loss, [])
 
 
 def interlacers_above(lam: Partition, max_gain: int) -> Iterator[Partition]:

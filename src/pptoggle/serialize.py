@@ -61,17 +61,25 @@ def config_to_json(cfg) -> dict:
     raise DomainError(f"cannot serialise {type(cfg).__name__}")
 
 
+def legs_from_json(obj: dict, kind) -> list:
+    """The partitions in obj's "legs" array, at least as many as kind needs;
+    malformed legs raise DomainError."""
+    legs = obj.get("legs", [])
+    if not isinstance(legs, list):
+        raise DomainError(f"legs must be an array: {legs!r}")
+    legs = [as_partition(_ints(p, "a leg")) for p in legs]
+    need = _LEG_COUNT.get(kind, 0) if isinstance(kind, str) else 0
+    if len(legs) < need:
+        raise DomainError(f"{kind} needs {_LEG_COUNT[kind]} legs: {legs!r}")
+    return legs
+
+
 def config_from_json(obj):
     """Decode a tagged configuration; malformed input raises DomainError."""
     if not isinstance(obj, dict):
         raise DomainError(f"a configuration must be a JSON object: {obj!r}")
     kind = obj.get("type")
-    legs = obj.get("legs", [])
-    if not isinstance(legs, list):
-        raise DomainError(f"legs must be an array: {legs!r}")
-    legs = [as_partition(_ints(p, "a leg")) for p in legs]
-    if len(legs) < _LEG_COUNT.get(kind, 0):
-        raise DomainError(f"{kind} needs {_LEG_COUNT[kind]} legs: {legs!r}")
+    legs = legs_from_json(obj, kind)
     if kind == "plane-partition":
         return PlanePartition(_from_triples(obj.get("entries", [])))
     if kind == "one-leg-spp":

@@ -3,13 +3,16 @@ evaluator for words of raising/lowering vertex operators.
 
 Coefficients are plain Python ints throughout; exponents are stored doubled.
 A word is evaluated by folding its operators from the ket side over a state
-map (partition -> series), pruning states that can no longer contribute below
-the degree bound.
+map (partition -> series). Raising and lowering steps alike take a size budget
+from each state's lowest exponent, so successors that could only contribute
+beyond the degree bound are never generated, and the successor lists of a
+(partition, sign, budget) query come from a size-bounded memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import DomainError, NonConvergenceError
@@ -149,6 +152,18 @@ def weigh_op(scale) -> tuple:
     return ("weigh", HalfInt.of(scale))
 
 
+@lru_cache(maxsize=1 << 12)
+def _successors(kappa: Partition, sign: int, budget: int
+                ) -> tuple[tuple[Partition, int], ...]:
+    """(mu, size change) for each mu interlacing kappa on the sign's side
+    whose size moves by at most budget, in the generator's order."""
+    w = weight(kappa)
+    if sign == RAISE:
+        return tuple((mu, weight(mu) - w)
+                     for mu in interlacers_above(kappa, budget))
+    return tuple((mu, w - weight(mu)) for mu in interlacers_below(kappa, budget))
+
+
 def apply_vertex_op(state: dict[Partition, TruncatedSeries], sign: int,
                     exponent, bound, size_cap: int | None = None
                     ) -> dict[Partition, TruncatedSeries]:
@@ -156,7 +171,11 @@ def apply_vertex_op(state: dict[Partition, TruncatedSeries], sign: int,
 
     sign +1 sums over mu >- kappa with factor q^(e*(|mu|-|kappa|)), sign -1
     over mu -< kappa with q^(e*(|kappa|-|mu|)). Terms beyond the bound are
-    dropped, which keeps the step total.
+    dropped, which keeps the step total. For e > 0 a state's lowest term
+    caps how far its size may move, so successors that would only produce
+    dropped terms are never generated; with e <= 0 raising is capped by
+    size_cap alone and lowering is not capped. Successor lists come from a
+    bounded memo keyed by (kappa, sign, cap).
     """
     e2 = HalfInt.of(exponent).doubled
     bound2 = HalfInt.of(bound).doubled
@@ -166,21 +185,16 @@ def apply_vertex_op(state: dict[Partition, TruncatedSeries], sign: int,
     for kappa, ser in state.items():
         if ser.is_zero():
             continue
-        w = weight(kappa)
-        if sign == RAISE:
-            gain_cap = size_cap - w
-            if e2 > 0:
-                lo = min(ser.coeffs)
-                gain_cap = min(gain_cap, (bound2 - lo) // e2)
-            if gain_cap < 0:
-                continue
-            succ = interlacers_above(kappa, gain_cap)
-        else:
-            succ = interlacers_below(kappa)
-        for mu in succ:
-            delta = (weight(mu) - w) if sign == RAISE else (w - weight(mu))
-            shifted = {x + e2 * delta: c for x, c in ser.coeffs.items()
-                       if x + e2 * delta <= bound2}
+        # lowering can lose at most |kappa|, so clipping there shares keys
+        budget = size_cap - weight(kappa) if sign == RAISE else weight(kappa)
+        if e2 > 0:
+            budget = min(budget, (bound2 - min(ser.coeffs)) // e2)
+        if budget < 0:
+            continue
+        for mu, delta in _successors(kappa, sign, budget):
+            d = e2 * delta
+            shifted = {x + d: c for x, c in ser.coeffs.items()
+                       if x + d <= bound2}
             if not shifted:
                 continue
             if mu in out:

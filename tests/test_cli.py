@@ -153,14 +153,31 @@ def test_usage_exit_code(capsys):
     (["render"], {"type": "plane-partition", "entries": 5}),
     (["biject", "two-leg", "--direction", "inverse"], [1]),
     (["biject", "two-leg", "--direction", "inverse"], {"rho": "x", "pi": {}}),
+    (["render"], {"type": ["plane-partition"], "legs": []}),
+    (["verify", "--census"], ""),
+    (["verify", "--census"], [1]),
+    (["verify", "--census"], {"family": "plane", "legs": [],
+                              "bound": {"doubled": "x"}}),
+    (["verify", "--census"], {"legs": [], "bound": {"doubled": 4}}),
+    (["verify", "--census"], {"family": "plane", "legs": []}),
+    (["verify", "--census"], {"family": "one-leg-spp", "legs": [],
+                              "bound": {"doubled": 4}}),
+    (["verify", "--census"], {"family": [], "legs": [],
+                              "bound": {"doubled": 4}}),
 ], ids=["letter-parts", "letter-leg", "string-value", "short-triple",
         "string-leg-part", "no-legs", "one-leg-of-two", "array-payload",
-        "support-not-array", "array-pair", "rho-not-object"])
+        "support-not-array", "array-pair", "rho-not-object", "array-type",
+        "census-empty", "census-array-header", "census-string-bound",
+        "census-no-family", "census-no-bound", "census-no-leg",
+        "census-array-family"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, payload):
     if payload is not None:
+        # a string is the file's text; anything else is one JSON line
         src = tmp_path / "payload.json"
-        src.write_text(json.dumps(payload))
-        argv = argv + ["--input", str(src)]
+        src.write_text(payload if isinstance(payload, str)
+                       else json.dumps(payload))
+        flag = [] if argv[-1] == "--census" else ["--input"]
+        argv = argv + flag + [str(src)]
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
 

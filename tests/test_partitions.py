@@ -112,6 +112,15 @@ def test_interlacer_enumerations(lam):
         assert weight(mu) - weight(lam) <= 3
 
 
+@given(partitions, st.integers(min_value=-3, max_value=12))
+def test_interlacers_below_budget_filters_in_order(lam, k):
+    budgeted = list(interlacers_below(lam, k))
+    assert budgeted == [mu for mu in interlacers_below(lam)
+                        if weight(lam) - weight(mu) <= k]
+    if k < 0:
+        assert budgeted == []
+
+
 def test_as_partition_validation():
     assert as_partition([3, 2, 0, 0]) == (3, 2)
     with pytest.raises(DomainError):

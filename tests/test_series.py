@@ -3,14 +3,17 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pptoggle.errors import DomainError, NonConvergenceError
 from pptoggle.halfint import HalfInt
-from pptoggle.series import (OperatorWord, TruncatedSeries, apply_vertex_op,
-                             evaluate, evaluate_stable, geometric,
-                             hook_product, macmahon_series, macmahon_word,
-                             one_leg_word, series_mul, shape_word, step_op,
-                             two_leg_spp_word)
+from pptoggle.partitions import (as_partition, interlacers_above,
+                                 interlacers_below, weight)
+from pptoggle.series import (OperatorWord, TruncatedSeries, _successors,
+                             apply_vertex_op, evaluate, evaluate_stable,
+                             geometric, hook_product, macmahon_series,
+                             macmahon_word, one_leg_word, series_mul,
+                             shape_word, step_op, two_leg_spp_word)
 
 H = HalfInt.halves
 
@@ -52,6 +55,46 @@ def test_apply_vertex_op_examples():
     out = apply_vertex_op(state, -1, H(1), 1)
     assert out[(1,)].pairs() == [[0, 1]]
     assert out[()].pairs() == [[1, 1]]
+
+
+def unpruned_step(state, sign, e2, bound2, size_cap):
+    """apply_vertex_op without budgets or memo: every successor the plain
+    generators give (raising capped by size_cap only), truncated afterwards."""
+    out = {}
+    for kappa, ser in state.items():
+        w = weight(kappa)
+        succ = (interlacers_above(kappa, size_cap - w) if sign == 1
+                else interlacers_below(kappa))
+        for mu in succ:
+            delta = weight(mu) - w if sign == 1 else w - weight(mu)
+            terms = out.setdefault(mu, {})
+            for x, c in ser.coeffs.items():
+                if x + e2 * delta <= bound2:
+                    terms[x + e2 * delta] = terms.get(x + e2 * delta, 0) + c
+    return {mu: TruncatedSeries(bound2, t) for mu, t in out.items()
+            if any(t.values())}
+
+
+small_partitions = st.builds(
+    lambda xs: as_partition(sorted(xs, reverse=True)),
+    st.lists(st.integers(min_value=1, max_value=4), max_size=4))
+
+
+@given(st.dictionaries(small_partitions,
+                       st.dictionaries(st.integers(-6, 20),
+                                       st.integers(1, 3), max_size=4),
+                       max_size=4),
+       st.sampled_from([1, -1]), st.integers(-4, 5), st.integers(0, 14),
+       st.integers(0, 6), st.integers(0, 6))
+def test_apply_vertex_op_matches_unpruned_fold(terms, sign, e2, bound2,
+                                               slack, size_cap):
+    # states may carry terms past this step's bound, as they do mid-fold
+    state = {k: TruncatedSeries(bound2 + slack, t) for k, t in terms.items()}
+    got = apply_vertex_op(state, sign, HalfInt(e2), HalfInt(bound2), size_cap)
+    want = unpruned_step(state, sign, e2, bound2, size_cap)
+    assert ({k: (s.bound2, s.pairs()) for k, s in got.items()}
+            == {k: (s.bound2, s.pairs()) for k, s in want.items()})
+    assert _successors.cache_info().maxsize is not None
 
 
 def brute_valley_series(exponent, bound):
