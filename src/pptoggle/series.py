@@ -6,7 +6,9 @@ A word is evaluated by folding its operators from the ket side over a state
 map (partition -> series). Raising and lowering steps alike take a size budget
 from each state's lowest exponent, so successors that could only contribute
 beyond the degree bound are never generated, and the successor lists of a
-(partition, sign, budget) query come from a size-bounded memo.
+(partition, sign, budget) query come from a size-bounded memo. While negative
+exponents are still to come, a state keeps terms past the bound only by as
+much degree as those operators could take off from its size.
 """
 
 from __future__ import annotations
@@ -210,8 +212,8 @@ def evaluate(word: OperatorWord, bound) -> TruncatedSeries:
     """Bra-ket coefficient of the word as a series truncated at the bound.
 
     Operators with negative exponents can lower accumulated degrees later in
-    the fold, so intermediate truncation uses a loosened bound: each remaining
-    negative exponent can recover at most |exponent| * size_cap of degree.
+    the fold, so intermediate truncation is loosened, for each state size, by
+    the most degree the remaining operators could take off (`_step_bounds`).
     Words whose coefficients are genuinely infinite (weight-free loops) are
     detected by re-running with a larger state cap and reported.
     """
@@ -225,18 +227,53 @@ def evaluate(word: OperatorWord, bound) -> TruncatedSeries:
     return result
 
 
+def _step_bounds(word: OperatorWord, bound2: int, cap: int
+                 ) -> list[tuple[int, list[int] | None]]:
+    """For each i, the truncation of the fold's states while ops[:i] are
+    still to come: (inner2, limits), limits[s] being the bound for a state
+    of size s and inner2 the largest; limits is None if all are inner2.
+
+    A state's terms are kept up to bound2 plus the most degree the remaining
+    ops could still take off on the way to the bra. That is found over size
+    paths: a raise moves a size s to any s' in [s, cap], a lower to any s'
+    in [0, s], and a weigh adds scale * s, so every path of states up to the
+    cap is one of these, and the least degree a size path adds bounds the
+    degree of theirs from below. A word with no negative exponent or scale
+    can take nothing off.
+    """
+    if all(op[-1].doubled >= 0 for op in word.ops):
+        return [(bound2, None)] * (len(word.ops) + 1)
+    f = [float("inf")] * (cap + 1)  # least degree from size s to the bra
+    f[weight(word.bra)] = 0
+    floors = [f]
+    for op in word.ops:
+        if op[0] == "weigh":
+            f = [op[1].doubled * s + v for s, v in enumerate(f)]
+        else:
+            _, sign, exponent = op
+            e2, f = exponent.doubled, list(f)
+            sizes = range(cap - 1, -1, -1) if sign == RAISE else range(1, cap + 1)
+            for s in sizes:
+                f[s] = min(f[s], e2 + f[s + sign])
+        floors.append(f)
+    out = []
+    for f in floors:
+        limits = [bound2 - min(0, v) for v in f]
+        top = max(limits)
+        out.append((top, None if min(limits) == top else limits))
+    return out
+
+
 def _evaluate_capped(word: OperatorWord, bound2: int, cap: int
                      ) -> TruncatedSeries:
-    allowance = [0] * (len(word.ops) + 1)  # allowance[i]: ops[:i] still to come
-    for i, op in enumerate(word.ops):
-        neg = -op[2].doubled if op[0] == "step" and op[2].doubled < 0 else 0
-        allowance[i + 1] = allowance[i] + neg * cap
-
+    """Fold the word from its ket over states of size <= cap, truncating
+    each step as `_step_bounds` allows."""
+    bounds = _step_bounds(word, bound2, cap)
     state: dict[Partition, TruncatedSeries] = {
-        word.ket: TruncatedSeries(bound2 + allowance[len(word.ops)], {0: 1})}
+        word.ket: TruncatedSeries(bounds[-1][0], {0: 1})}
     for idx in range(len(word.ops) - 1, -1, -1):
         op = word.ops[idx]
-        inner2 = bound2 + allowance[idx]
+        inner2, limits = bounds[idx]
         if op[0] == "weigh":
             t2 = op[1].doubled
             state = {k: TruncatedSeries(
@@ -248,6 +285,11 @@ def _evaluate_capped(word: OperatorWord, bound2: int, cap: int
         else:
             _, sign, exponent = op
             state = apply_vertex_op(state, sign, exponent, HalfInt(inner2), cap)
+        if limits is not None:
+            trimmed = ((k, TruncatedSeries(inner2, {x: c for x, c in s.coeffs.items()
+                                                    if x <= limits[weight(k)]}))
+                       for k, s in state.items())
+            state = {k: s for k, s in trimmed if not s.is_zero()}
     result = state.get(word.bra, TruncatedSeries(bound2, {}))
     return result.truncate(bound2)
 

@@ -9,11 +9,12 @@ from pptoggle.errors import DomainError, NonConvergenceError
 from pptoggle.halfint import HalfInt
 from pptoggle.partitions import (as_partition, interlacers_above,
                                  interlacers_below, weight)
-from pptoggle.series import (OperatorWord, TruncatedSeries, _successors,
-                             apply_vertex_op, evaluate, evaluate_stable,
-                             geometric, hook_product, macmahon_series,
-                             macmahon_word, one_leg_word, series_mul,
-                             shape_word, step_op, two_leg_spp_word)
+from pptoggle.series import (OperatorWord, TruncatedSeries, _evaluate_capped,
+                             _successors, apply_vertex_op, evaluate,
+                             evaluate_stable, geometric, hook_product,
+                             macmahon_series, macmahon_word, one_leg_word,
+                             series_mul, shape_word, step_op,
+                             two_leg_spp_word, weigh_op)
 
 H = HalfInt.halves
 
@@ -95,6 +96,52 @@ def test_apply_vertex_op_matches_unpruned_fold(terms, sign, e2, bound2,
     assert ({k: (s.bound2, s.pairs()) for k, s in got.items()}
             == {k: (s.bound2, s.pairs()) for k, s in want.items()})
     assert _successors.cache_info().maxsize is not None
+
+
+def untruncated_fold(word, cap):
+    """Every path of states of size <= cap from ket to bra, with no degree
+    truncation on the way."""
+    state = {word.ket: {0: 1}}
+    for op in reversed(word.ops):
+        out = {}
+        for kappa, terms in state.items():
+            w = weight(kappa)
+            if op[0] == "weigh":
+                succ = [(kappa, op[1].doubled * w)]
+            elif op[1] == 1:
+                succ = [(mu, op[2].doubled * (weight(mu) - w))
+                        for mu in interlacers_above(kappa, cap - w)]
+            else:
+                succ = [(mu, op[2].doubled * (w - weight(mu)))
+                        for mu in interlacers_below(kappa)]
+            for mu, d in succ:
+                tgt = out.setdefault(mu, {})
+                for x, c in terms.items():
+                    tgt[x + d] = tgt.get(x + d, 0) + c
+        state = out
+    return state.get(word.bra, {})
+
+
+word_ops = st.one_of(
+    st.builds(lambda sign, e2: step_op(sign, HalfInt(e2)),
+              st.sampled_from([1, -1]), st.integers(-5, 5)),
+    st.builds(lambda t2: weigh_op(HalfInt(t2)), st.integers(-2, 2)))
+
+
+tiny_partitions = st.builds(
+    lambda xs: as_partition(sorted(xs, reverse=True)),
+    st.lists(st.integers(min_value=1, max_value=2), max_size=2))
+
+
+@given(st.lists(word_ops, max_size=5), tiny_partitions, tiny_partitions,
+       st.integers(-2, 6))
+def test_capped_fold_matches_untruncated_fold(ops, bra, ket, bound2):
+    # the per-size bounds must drop only terms that end past the bound,
+    # whatever the signs of the exponents and weigh scales
+    word = OperatorWord(tuple(ops), bra=bra, ket=ket)
+    cap = word.size_cap(HalfInt(bound2))
+    want = TruncatedSeries(bound2, untruncated_fold(word, cap))
+    assert _evaluate_capped(word, bound2, cap).pairs() == want.pairs()
 
 
 def brute_valley_series(exponent, bound):
