@@ -349,7 +349,7 @@ def cfg_weight(cfg) -> HalfInt:
 def minimal_config(kind: str, legs) -> tuple[Configuration, HalfInt]:
     """The zero-excess/deficit configuration and the minimal exponent of the
     matching vertex-operator series (computed from the series itself)."""
-    from . import series  # local import; series has no configuration deps
+    from . import series  # local import: series imports this module
 
     legs = (as_partition(legs[0]), as_partition(legs[1]))
     cfg = TwoLegSPP(legs) if kind == "spp" else TwoLegRPP(legs)

@@ -9,6 +9,10 @@ beyond the degree bound are never generated, and the successor lists of a
 (partition, sign, budget) query come from a size-bounded memo. While negative
 exponents are still to come, a state keeps terms past the bound only by as
 much degree as those operators could take off from its size.
+
+Shape series are folded once, at the cutoff and state cap that follow from
+their bound; other words with a non-positive exponent are refolded at a
+larger cap to detect divergence.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .halfint import HalfInt
 from .partitions import (Partition, as_partition, interlacers_above,
                          interlacers_below, part, weight)
 from .boundary import edge_power, edge_sign
+from .configurations import minimal_weight
 
 
 class TruncatedSeries:
@@ -202,7 +207,9 @@ def apply_vertex_op(state: dict[Partition, TruncatedSeries], sign: int,
             if mu in out:
                 tgt = out[mu].coeffs
                 for x, c in shifted.items():
-                    tgt[x] = tgt.get(x, 0) + c
+                    tgt[x] = c = tgt.get(x, 0) + c
+                    if not c:  # signed inputs cancelled
+                        del tgt[x]
             else:
                 out[mu] = TruncatedSeries(bound2, shifted)
     return {k: s for k, s in out.items() if not s.is_zero()}
@@ -365,32 +372,27 @@ def initial_cutoff(kind: str, legs, bound: HalfInt) -> int:
 
 
 def evaluate_stable(kind: str, legs, bound) -> TruncatedSeries:
-    """Evaluate a shape word, doubling the cutoff until coefficients settle."""
+    """The shape series truncated at the bound, from one fold of its word.
+
+    Operators past `initial_cutoff` act trivially below the bound (checked
+    by the `cutoff-stability` suite), and every fold path of a shape word is
+    a configuration, so the word's `size_cap` holds every contributing state.
+    """
     bound = HalfInt.of(bound)
-    cutoff = initial_cutoff(kind, legs, bound)
-    prev = evaluate(shape_word(kind, legs, cutoff), bound)
-    for _ in range(4):
-        cutoff *= 2
-        cur = evaluate(shape_word(kind, legs, cutoff), bound)
-        if cur == prev:
-            return cur
-        prev = cur
-    raise NonConvergenceError(
-        f"series for {kind} {legs} did not stabilise at degree {bound}")
+    word = shape_word(kind, legs, initial_cutoff(kind, legs, bound))
+    return _evaluate_capped(word, bound.doubled, word.size_cap(bound))
 
 
 def minimal_exponent(kind: str, legs) -> HalfInt:
-    """Lowest exponent with a nonzero coefficient of a two-leg shape series."""
+    """Lowest exponent with a nonzero coefficient of a two-leg shape series,
+    read off the series truncated at the telescoped `minimal_weight`."""
     word_kind = "two-leg-spp" if kind == "spp" else "two-leg-rpp"
-    lam, mu = (as_partition(legs[0]), as_partition(legs[1]))
-    guess = weight(lam) + weight(mu) + 1
-    for _ in range(6):
-        ser = evaluate_stable(word_kind, (lam, mu), HalfInt.of(guess))
-        low = ser.min_exponent()
-        if low is not None:
-            return low
-        guess *= 2
-    raise NonConvergenceError(f"no nonzero coefficient found for {kind} {legs}")
+    low = evaluate_stable(word_kind, legs,
+                          minimal_weight(kind, legs)).min_exponent()
+    if low is None:
+        raise NonConvergenceError(
+            f"no nonzero coefficient up to the minimal weight for {kind} {legs}")
+    return low
 
 
 # ---------------------------------------------------------------------------

@@ -44,25 +44,17 @@ def _fail(name, detail, counterexample=None):
     return CheckResult(name, False, detail, counterexample)
 
 
-def _partitions_upto(n):
-    return oc.partitions_up_to(n)
-
-
-def _fits_box(lam, side):
-    return len(lam) <= side and part(lam, 1) <= side
-
-
 # ---------------------------------------------------------------------------
 
 def suite_partitions(max_weight: int = 12) -> list[CheckResult]:
     out = []
-    bad = next((lam for lam in _partitions_upto(max_weight)
+    bad = next((lam for lam in oc.partitions_up_to(max_weight)
                 if conjugate(conjugate(lam)) != lam), None)
     out.append(_ok(f"conjugate-involution(w<={max_weight})") if bad is None
                else _fail("conjugate-involution", "conjugate twice differs", bad))
 
     bad = None
-    for lam in _partitions_upto(10):
+    for lam in oc.partitions_up_to(10):
         for i in range(1, 9):
             for j in range(1, 9):
                 region = "inside" if contains(lam, (i, j)) else "outside"
@@ -73,7 +65,7 @@ def suite_partitions(max_weight: int = 12) -> list[CheckResult]:
                else _fail("hook-vs-cells", "arm+leg+1 disagrees with cell set", bad))
 
     bad = None
-    for lam in _partitions_upto(10):
+    for lam in oc.partitions_up_to(10):
         cs = outer_corners(lam)
         parts_distinct = len(set(lam)) + 1
         if len(cs) != parts_distinct or any(contains(lam, c) for c in cs):
@@ -89,7 +81,7 @@ def suite_partitions(max_weight: int = 12) -> list[CheckResult]:
                else _fail("outer-corners", "corner list malformed", bad))
 
     bad = None
-    for nu in _partitions_upto(6):
+    for nu in oc.partitions_up_to(6):
         for mu in interlacers_below(nu):
             for lam in interlacers_below(mu):
                 # side-by-side diagonals nu, mu, lam must satisfy the
@@ -104,7 +96,7 @@ def suite_partitions(max_weight: int = 12) -> list[CheckResult]:
 
 
 def suite_toggles(max_part: int = 4, max_len: int = 4) -> list[CheckResult]:
-    box = [lam for lam in _partitions_upto(max_part * max_len)
+    box = [lam for lam in oc.partitions_up_to(max_part * max_len)
            if len(lam) <= max_len and part(lam, 1) <= max_part]
     out = []
     bad_inv = bad_weight = bad_rel = None
@@ -158,7 +150,7 @@ def suite_toggles(max_part: int = 4, max_len: int = 4) -> list[CheckResult]:
 def suite_hook_edge(max_weight: int = 10) -> list[CheckResult]:
     out = []
     bad = None
-    for lam in _partitions_upto(max_weight):
+    for lam in oc.partitions_up_to(max_weight):
         for corner in removable_corners(lam):
             mu = remove_corner(lam, corner)
             # the corner's bottom/right edges carry labels k-1 and k, where
@@ -171,7 +163,7 @@ def suite_hook_edge(max_weight: int = 10) -> list[CheckResult]:
                _fail("corner-removal", "p_mu(k-1) != p_lam(k)+1", bad))
 
     bad = None
-    for lam in _partitions_upto(max_weight):
+    for lam in oc.partitions_up_to(max_weight):
         conj = conjugate(lam)
         for i in range(1, 11):
             for j in range(1, 11):
@@ -193,7 +185,7 @@ def suite_hook_edge(max_weight: int = 10) -> list[CheckResult]:
 def suite_hook_census(max_weight: int = 10, max_hook: int = 8) -> list[CheckResult]:
     out = []
     bad_count = bad_bij = bad_len = None
-    for lam in _partitions_upto(max_weight):
+    for lam in oc.partitions_up_to(max_weight):
         for n in range(1, max_hook + 1):
             outside = bd.hook_pivots_outside(lam, n)
             inside = bd.hook_pivots_inside(lam, n)
@@ -264,36 +256,33 @@ def suite_ptdt_two_leg(degree: int = 6, leg_weight: int = 3,
                        census_bound: int = 5) -> list[CheckResult]:
     out = []
     m = sr.macmahon_series(degree)
-    legs = _partitions_upto(leg_weight)
-    bad_identity = bad_spp = bad_rpp = None
+    legs = oc.partitions_up_to(leg_weight)
+    bad_identity = None
+    bad_census = {"spp": None, "rpp": None}
     for lam in legs:
         for mu in legs:
             v = sr.evaluate_stable("two-leg-spp", (lam, mu), degree)
             w = sr.evaluate_stable("two-leg-rpp", (mu, lam), degree)
             if v != m * w:
                 bad_identity = bad_identity or (lam, mu)
-            v0 = sr.minimal_exponent("spp", (lam, mu))
-            w0 = sr.minimal_exponent("rpp", (lam, mu))
-            cap_v = v0 + census_bound
-            cap_w = w0 + census_bound
-            vs = sr.evaluate_stable("two-leg-spp", (lam, mu), cap_v)
-            ws = sr.evaluate_stable("two-leg-rpp", (lam, mu), cap_w)
-            spp_counts = oc.WeightCensus.take("two-leg-spp", (lam, mu), cap_v)
-            rpp_counts = oc.WeightCensus.take("two-leg-rpp", (lam, mu), cap_w)
-            for k in range(census_bound + 1):
-                if vs.coefficient(v0 + k) != spp_counts.counts.get(v0 + k, 0):
-                    bad_spp = bad_spp or (lam, mu, k)
-                if ws.coefficient(w0 + k) != rpp_counts.counts.get(w0 + k, 0):
-                    bad_rpp = bad_rpp or (lam, mu, k)
+            for kind in bad_census:
+                # whole series, so terms below the minimum or off-grid count
+                cap = cf.minimal_weight(kind, (lam, mu)) + census_bound
+                census = oc.WeightCensus.take(f"two-leg-{kind}", (lam, mu), cap)
+                residual = (sr.evaluate_stable(f"two-leg-{kind}", (lam, mu), cap)
+                            - oc.census_series(census))
+                if not residual.is_zero():
+                    bad_census[kind] = (bad_census[kind]
+                                        or (lam, mu, residual.pairs()))
     out.append(_ok(f"two-leg-product(|legs|<={leg_weight},deg={degree})")
                if bad_identity is None else
                _fail("two-leg-product", "V != M * W", bad_identity))
     out.append(_ok(f"two-leg-spp-census(excess<={census_bound})")
-               if bad_spp is None else
-               _fail("two-leg-spp-census", "count != coefficient", bad_spp))
+               if bad_census["spp"] is None else
+               _fail("two-leg-spp-census", "series != census", bad_census["spp"]))
     out.append(_ok(f"two-leg-rpp-census(deficit<={census_bound})")
-               if bad_rpp is None else
-               _fail("two-leg-rpp-census", "count != coefficient", bad_rpp))
+               if bad_census["rpp"] is None else
+               _fail("two-leg-rpp-census", "series != census", bad_census["rpp"]))
     return out
 
 
@@ -530,6 +519,25 @@ def suite_cutoff_stability(degree: int = 8) -> list[CheckResult]:
     return out
 
 
+def suite_two_leg_width_stability(two_leg_excess: int = 4) -> list[CheckResult]:
+    legs = ((2,), (1,))
+    bad_fwd = bad_inv = None
+    for sigma in oc.enum_two_leg_spp(legs, two_leg_excess):
+        n = bj.stabilization_index(sigma)
+        rho, pi = bj._two_leg_forward_at(sigma, n + 1)
+        if bj._two_leg_forward_at(sigma, n + 4) != (rho, pi):
+            bad_fwd = bad_fwd or sigma.excess
+        width = bj._two_leg_inverse_width(rho, pi)
+        if (bj._two_leg_inverse_at(rho, pi, width)
+                != bj._two_leg_inverse_at(rho, pi, width + 3)):
+            bad_inv = bad_inv or (rho.deficit, pi.entries)
+    return [_ok(f"forward-width-stability(legs={legs},excess<={two_leg_excess})")
+            if bad_fwd is None else
+            _fail("forward-width-stability", "N+1 and N+4 differ", bad_fwd),
+            _ok("inverse-width-stability") if bad_inv is None else
+            _fail("inverse-width-stability", "width and width+3 differ", bad_inv)]
+
+
 def suite_configurations(bound: int = 8) -> list[CheckResult]:
     out = []
     legs_list = [((2,), (1,)), ((2, 2), (3, 1)), ((1,), (1,)), ((), (2, 1))]
@@ -600,6 +608,7 @@ SUITES = {
     "commutation": suite_commutation,
     "q-commutation": suite_q_commutation,
     "cutoff-stability": suite_cutoff_stability,
+    "two-leg-width-stability": suite_two_leg_width_stability,
     "configurations": suite_configurations,
     "oracle": suite_oracle,
 }

@@ -12,6 +12,7 @@ from pptoggle.errors import ScheduleError
 from pptoggle.halfint import HalfInt
 from pptoggle.oracle import (enum_one_leg_rpp, enum_one_leg_spp,
                              enum_plane_partitions, enum_two_leg_spp)
+from pptoggle.verify import run_suites
 
 FIG_SIGMA = OneLegSPP((2, 1), {(1, 3): 3, (2, 2): 4, (2, 3): 2,
                                (3, 1): 5, (3, 2): 3, (3, 3): 2})
@@ -134,6 +135,12 @@ def test_two_leg_worked_example():
     assert cfg_weight(rho) == HalfInt.of(3)
     assert cfg_weight(rho) + sum(pi.entries.values()) == cfg_weight(FIG_TWOLEG)
     assert two_leg_inverse(rho, pi) == FIG_TWOLEG
+
+
+def test_two_leg_width_stability_suite():
+    # wider windows than the stated ones give the same images
+    rows = run_suites(["two-leg-width-stability"])
+    assert rows and all(row.passed for row in rows)
 
 
 def test_two_leg_minimal_maps_to_minimal():

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import pptoggle
+from pptoggle import series
 from pptoggle.cli import main
+from pptoggle.errors import NonConvergenceError
 from pptoggle.serialize import config_to_json
 from pptoggle.configurations import OneLegSPP, PlanePartition, TwoLegSPP
 
@@ -135,6 +137,15 @@ def test_report_determinism_across_processes():
 def test_usage_exit_code(capsys):
     assert main(["series", "--degree", "nonsense"]) == 2
     assert main(["biject", "sideways"]) == 2
+
+
+def test_non_convergence_exit_code(monkeypatch, capsys):
+    def diverge(*args):
+        raise NonConvergenceError("series did not settle")
+
+    monkeypatch.setattr(series, "evaluate_stable", diverge)
+    assert main(["series", "--macmahon"]) == 3
+    assert "non-convergence:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, payload", [

@@ -3,17 +3,20 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from pptoggle.configurations import minimal_weight
 from pptoggle.errors import DomainError, NonConvergenceError
 from pptoggle.halfint import HalfInt
+from pptoggle.oracle import partitions_up_to
 from pptoggle.partitions import (as_partition, interlacers_above,
                                  interlacers_below, weight)
 from pptoggle.series import (OperatorWord, TruncatedSeries, _evaluate_capped,
                              _successors, apply_vertex_op, evaluate,
                              evaluate_stable, geometric, hook_product,
-                             macmahon_series, macmahon_word, one_leg_word,
-                             series_mul, shape_word, step_op,
+                             initial_cutoff, macmahon_series, macmahon_word,
+                             minimal_exponent, one_leg_word, series_mul,
+                             shape_word, step_op,
                              two_leg_spp_word, weigh_op)
 
 H = HalfInt.halves
@@ -56,6 +59,14 @@ def test_apply_vertex_op_examples():
     out = apply_vertex_op(state, -1, H(1), 1)
     assert out[(1,)].pairs() == [[0, 1]]
     assert out[()].pairs() == [[1, 1]]
+
+
+def test_apply_vertex_op_drops_cancelled_terms():
+    # signed inputs that cancel at () leave no () state
+    state = {(1,): TruncatedSeries(4, {0: 1}), (): TruncatedSeries(4, {0: -1})}
+    out = apply_vertex_op(state, -1, 0, HalfInt(4), size_cap=3)
+    assert set(out) == {(1,)}
+    assert out[(1,)].pairs() == [[0, 1]]
 
 
 def unpruned_step(state, sign, e2, bound2, size_cap):
@@ -257,3 +268,30 @@ def test_divergent_word_is_reported():
 def test_evaluate_stable_golden_coefficients(kind, legs, bound, digest):
     pairs = evaluate_stable(kind, legs, bound).pairs()
     assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest()[:16] == digest
+
+
+def leg_pairs(max_weight):
+    parts = partitions_up_to(max_weight)
+    return st.tuples(st.sampled_from(parts), st.sampled_from(parts))
+
+
+shape_cases = st.one_of(
+    st.tuples(st.just("one-leg"), st.sampled_from(partitions_up_to(4))),
+    st.tuples(st.sampled_from(["two-leg-spp", "two-leg-rpp"]), leg_pairs(3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape_cases, st.integers(0, 12))
+def test_evaluate_stable_matches_doubled_cutoff(case, bound2):
+    # one fold at the stated cutoff and state cap equals evaluate at twice
+    # the cutoff, which also reruns one-leg words at a larger state cap
+    kind, legs = case
+    bound = HalfInt(bound2)
+    doubled = shape_word(kind, legs, 2 * initial_cutoff(kind, legs, bound))
+    assert evaluate_stable(kind, legs, bound) == evaluate(doubled, bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["spp", "rpp"]), leg_pairs(5))
+def test_minimal_exponent_is_minimal_weight(kind, legs):
+    assert minimal_exponent(kind, legs) == minimal_weight(kind, legs)
