@@ -159,54 +159,53 @@ def _pop_region(grid: ToggleGrid, shape: Partition, size: int,
     return values
 
 
-def pp_to_tableau(pi: PlanePartition,
-                  schedule: ToggleSchedule = DEFAULT_SCHEDULE) -> HookTableau:
-    """Empty a plane partition corner by corner; the popped values, weighted
-    by hook length, carry the full weight."""
-    size = max([max(c) for c in pi.entries], default=0) + 1
-    grid = ToggleGrid((), values=pi.entries)
-    values = _pop_region(grid, (), size, schedule)
+def _pop_all(shape: Partition, entries: dict[Cell, int],
+             schedule: ToggleSchedule) -> dict[Cell, int]:
+    """Pop a decreasing filling outside `shape` until it is empty; the
+    popped values, weighted by hook length, carry the full weight."""
+    size = max([max(c) for c in entries] + [len(shape), part(shape, 1)],
+               default=0) + 1
+    grid = ToggleGrid(shape, values=entries)
+    values = _pop_region(grid, shape, size, schedule)
     if grid.nonzero():
         raise AssertionError("popping box did not exhaust the object")
-    return HookTableau("plane", (), values)
+    return values
+
+
+def _push_all(shape: Partition, t: HookTableau) -> dict[Cell, int]:
+    """Inverse of _pop_all (pushes in reverse canonical order)."""
+    size = max([max(c) for c in t.values], default=0)
+    size = max(size, t.hook_weight() + len(shape) + part(shape, 1)) + 1
+    grid = ToggleGrid(shape)
+    grid.extra = {i: size - part(shape, i) for i in range(1, size + 1)}
+    for cell in reversed(DEFAULT_SCHEDULE.order(shape, size)):
+        grid.push(*cell, t.values.get(cell, 0))
+    return grid.nonzero()
+
+
+def pp_to_tableau(pi: PlanePartition,
+                  schedule: ToggleSchedule = DEFAULT_SCHEDULE) -> HookTableau:
+    """Empty a plane partition corner by corner."""
+    return HookTableau("plane", (), _pop_all((), pi.entries, schedule))
 
 
 def tableau_to_pp(t: HookTableau) -> PlanePartition:
-    """Inverse of pp_to_tableau (pushes in reverse canonical order)."""
+    """Inverse of pp_to_tableau."""
     if t.region != "plane":
         raise DomainError("expected a tableau on the full quadrant")
-    size = max([max(c) for c in t.values], default=0)
-    size = max(size, t.hook_weight()) + 1
-    grid = ToggleGrid(())
-    grid.extra = {i: size for i in range(1, size + 1)}
-    for cell in reversed(DEFAULT_SCHEDULE.order((), size)):
-        grid.push(*cell, t.values.get(cell, 0))
-    return PlanePartition(grid.nonzero())
+    return PlanePartition(_push_all((), t))
 
 
 def spp_to_tableau(sigma: OneLegSPP,
                    schedule: ToggleSchedule = DEFAULT_SCHEDULE) -> HookTableau:
     lam = sigma.shape
-    size = max([max(c) for c in sigma.entries] + [len(lam), part(lam, 1)],
-               default=0) + 1
-    grid = ToggleGrid(lam, values=sigma.entries)
-    values = _pop_region(grid, lam, size, schedule)
-    if grid.nonzero():
-        raise AssertionError("popping box did not exhaust the object")
-    return HookTableau("outside", lam, values)
+    return HookTableau("outside", lam, _pop_all(lam, sigma.entries, schedule))
 
 
 def tableau_to_spp(t: HookTableau) -> OneLegSPP:
     if t.region != "outside":
         raise DomainError("expected a tableau outside a shape")
-    lam = t.shape
-    size = max([max(c) for c in t.values], default=0)
-    size = max(size, t.hook_weight() + len(lam) + part(lam, 1)) + 1
-    grid = ToggleGrid(lam)
-    grid.extra = {i: size - part(lam, i) for i in range(1, size + 1)}
-    for cell in reversed(DEFAULT_SCHEDULE.order(lam, size)):
-        grid.push(*cell, t.values.get(cell, 0))
-    return OneLegSPP(lam, grid.nonzero())
+    return OneLegSPP(t.shape, _push_all(t.shape, t))
 
 
 def _rect_complement(lam: Partition) -> Partition:

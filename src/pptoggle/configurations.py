@@ -48,6 +48,16 @@ def _check_support(entries: dict, what: str):
             raise DomainError(f"{what} values must be positive ints: {(i, j)}: {v}")
 
 
+def _check_decreasing(cfg, cells):
+    """Reject cells off the quadrant, and cells whose value exceeds the one
+    above or to the left (cfg.at reads a wall off the quadrant)."""
+    for (i, j) in cells:
+        if i < 1 or j < 1:
+            raise DomainError(f"cell off the quadrant: {(i, j)}")
+        if cfg.at(i, j) > min(cfg.at(i - 1, j), cfg.at(i, j - 1)):
+            raise DomainError(f"rows/columns must weakly decrease at {(i, j)}")
+
+
 @dataclass(frozen=True)
 class PlanePartition:
     """Finite-support filling of the quadrant, weakly decreasing both ways."""
@@ -56,11 +66,7 @@ class PlanePartition:
 
     def __post_init__(self):
         _check_support(self.entries, "plane partition")
-        for (i, j) in self.entries:
-            if i < 1 or j < 1:
-                raise DomainError(f"cell off the quadrant: {(i, j)}")
-            if self.at(i, j) > min(self.at(i - 1, j), self.at(i, j - 1)):
-                raise DomainError(f"rows/columns must weakly decrease at {(i, j)}")
+        _check_decreasing(self, self.entries)
 
     @staticmethod
     def from_rows(rows) -> "PlanePartition":
@@ -134,8 +140,10 @@ class OneLegRPP:
 class TwoLegSPP:
     """Filling sitting on the two-leg floor max(lam_col, mu_row).
 
-    Only the excess over the floor is stored; the reconstructed values must
-    still decrease along rows and columns.
+    Only the excess over the floor is stored, on cells of the quadrant; the
+    reconstructed values must still decrease along rows and columns. The
+    floor decreases, so a cell exceeding its upper or left neighbour has
+    more excess than that neighbour: checking the support suffices.
     """
 
     legs: tuple[Partition, Partition]  # (lam indexes columns, mu indexes rows)
@@ -143,15 +151,7 @@ class TwoLegSPP:
 
     def __post_init__(self):
         _check_support(self.excess, "excess")
-        span = 2 + max([leg_reach(self.legs)]
-                       + [max(i, j) for (i, j) in self.excess])
-        for i in range(1, span + 1):
-            for j in range(1, span + 1):
-                v = self.at(i, j)
-                if i > 1 and self.at(i - 1, j) < v:
-                    raise DomainError(f"column increases at {(i, j)}")
-                if j > 1 and self.at(i, j - 1) < v:
-                    raise DomainError(f"row increases at {(i, j)}")
+        _check_decreasing(self, self.excess)
 
     def at(self, i: int, j: int) -> int:
         if i < 1 or j < 1:
@@ -168,6 +168,8 @@ class TwoLegRPP:
 
     Lives on cells with row >= 1 or col >= 1; indices <= 0 read the other
     leg's ceiling as unbounded. Only the deficit below the ceiling is stored.
+    The ceiling decreases, so a cell below its lower or right neighbour has
+    more deficit than that neighbour: checking the support suffices.
     """
 
     legs: tuple[Partition, Partition]
@@ -175,25 +177,14 @@ class TwoLegRPP:
 
     def __post_init__(self):
         _check_support(self.deficit, "deficit")
-        lam, mu = self.legs
-        ext = max([0] + [abs(i) + abs(j) for (i, j) in self.deficit])
-        span = 2 + ext + max(len(lam), len(mu), 1)
         for (i, j) in self.deficit:
             if i < 1 and j < 1:
                 raise DomainError(f"cell outside the bent domain: {(i, j)}")
-            if two_leg_ceiling(self.legs, i, j) is None:
-                raise DomainError(f"no ceiling to remove from at {(i, j)}")
-            if self.at(i, j) < 0:
+            v = self.at(i, j)
+            if v < 0:
                 raise DomainError(f"deficit exceeds the ceiling at {(i, j)}")
-        for i in range(-span, span + 1):
-            for j in range(-span, span + 1):
-                if i < 1 and j < 1:
-                    continue
-                v = self.at(i, j)
-                for (ni, nj) in ((i + 1, j), (i, j + 1)):
-                    if (ni >= 1 or nj >= 1) and self.at(ni, nj) > v:
-                        raise DomainError(f"rows/columns must weakly decrease "
-                                          f"at {(i, j)}")
+            if v < max(self.at(i + 1, j), self.at(i, j + 1)):
+                raise DomainError(f"rows/columns must weakly decrease at {(i, j)}")
 
     def at(self, i: int, j: int) -> int:
         c = two_leg_ceiling(self.legs, i, j)

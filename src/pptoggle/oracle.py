@@ -1,10 +1,12 @@
 """Brute-force enumeration of configuration families.
 
 Everything here is deliberately independent of the series/bijection code
-paths: enumeration recurses cell by cell with monotonicity caps and a weight
-budget, inside a bounding box argument recorded with each census. These
-counts are the ground truth the generating-function identities are checked
-against.
+paths. All five families go through one recursion, `_fill`: it gives each
+cell of a bounding box a cost over the cell's level (zero, the two-leg
+floor, or the negated two-leg ceiling; a wall off the family's domain),
+capped by the neighbours that come earlier in the cell order, and emits a
+configuration as soon as the weight budget is spent. These counts are the
+ground truth the generating-function identities are checked against.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .configurations import (OneLegRPP, OneLegSPP, PlanePartition, TwoLegRPP,
                              two_leg_ceiling, two_leg_floor)
 from .errors import DomainError
 from .halfint import HalfInt
-from .partitions import Partition, as_partition, conjugate, contains, part
+from .partitions import Cell, Partition, as_partition, contains, part
 from .series import TruncatedSeries
 
 
@@ -67,18 +69,48 @@ def count_partitions_pentagonal(n: int) -> int:
     return p[n]
 
 
-def _fill_decreasing(cells: list, cap_of, budget: int, emit, chosen: dict):
-    """Recurse over cells assigning values <= caps with total <= budget."""
-    if not cells:
-        emit(dict(chosen))
-        return
-    (i, j), rest = cells[0], cells[1:]
-    cap = cap_of(i, j, chosen)
-    for v in range(min(cap, budget), -1, -1):
-        if v:
-            chosen[(i, j)] = v
-        _fill_decreasing(rest, cap_of, budget - v, emit, chosen)
-        chosen.pop((i, j), None)
+WALL = 1 << 60  # the level off a family's domain: no cap from there
+
+
+def _fill(cells: list, level, before, budget: int, emit) -> list:
+    """emit(costs) for every assignment of costs c >= 0 to `cells` with total
+    <= budget and c(x) <= level(n) + c(n) - level(x) for each n in before(x).
+
+    Each n in before(x) precedes x in `cells` or is not listed, and unlisted
+    cells cost 0; `costs` holds the nonzero ones. Levels must not fall from
+    before(x) to x, so once the budget is spent, all zeros is the only
+    completion and is emitted at once.
+    """
+    slacks = [[(n, level(n) - level(x)) for n in before(x)] for x in cells]
+    cost: dict = {}
+    out = []
+
+    def rec(idx: int, left: int):
+        if idx == len(cells) or left == 0:
+            out.append(emit(dict(cost)))
+            return
+        x = cells[idx]
+        hi = left
+        for n, s in slacks[idx]:
+            hi = min(hi, s + cost.get(n, 0))
+        rec(idx + 1, left)
+        for c in range(1, hi + 1):
+            cost[x] = c
+            rec(idx + 1, left - c)
+        cost.pop(x, None)
+
+    rec(0, budget)
+    return out
+
+
+def _up_left(x: Cell):
+    i, j = x
+    return ((i - 1, j), (i, j - 1))
+
+
+def _down_right(x: Cell):
+    i, j = x
+    return ((i + 1, j), (i, j + 1))
 
 
 def enum_plane_partitions(max_weight: int) -> list[PlanePartition]:
@@ -88,17 +120,8 @@ def enum_plane_partitions(max_weight: int) -> list[PlanePartition]:
         raise DomainError("plane-partition enumeration capped at weight 12")
     side = max_weight
     cells = [(i, j) for i in range(1, side + 1) for j in range(1, side + 1)]
-    cells.sort(key=lambda c: (c[0], c[1]))
-    out: list[PlanePartition] = []
-
-    def cap_of(i, j, chosen):
-        up = chosen.get((i - 1, j), 0) if i > 1 else max_weight
-        left = chosen.get((i, j - 1), 0) if j > 1 else max_weight
-        return min(up, left)
-
-    _fill_decreasing(cells, cap_of, max_weight,
-                     lambda entries: out.append(PlanePartition(entries)), {})
-    return out
+    return _fill(cells, lambda x: 0 if min(x) >= 1 else WALL, _up_left,
+                 max_weight, PlanePartition)
 
 
 def enum_one_leg_spp(lam: Partition, max_weight: int) -> list[OneLegSPP]:
@@ -106,129 +129,59 @@ def enum_one_leg_spp(lam: Partition, max_weight: int) -> list[OneLegSPP]:
     if max_weight > 12:
         raise DomainError("one-leg enumeration capped at weight 12")
     lam = as_partition(lam)
-    conj = conjugate(lam)
     rows = max_weight + len(lam)
     cols = max_weight + part(lam, 1)
     cells = [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)
              if j > part(lam, i)]
-    out: list[OneLegSPP] = []
 
-    def cap_of(i, j, chosen):
-        caps = []
-        if i > 1 and not contains(lam, (i - 1, j)):
-            caps.append(chosen.get((i - 1, j), 0))
-        if j > 1 and not contains(lam, (i, j - 1)):
-            caps.append(chosen.get((i, j - 1), 0))
-        return min(caps) if caps else max_weight
+    def level(x):
+        return 0 if min(x) >= 1 and not contains(lam, x) else WALL
 
-    _fill_decreasing(cells, cap_of, max_weight,
-                     lambda entries: out.append(OneLegSPP(lam, entries)), {})
-    return out
+    return _fill(cells, level, _up_left, max_weight, partial(OneLegSPP, lam))
 
 
 def enum_one_leg_rpp(lam: Partition, max_weight: int) -> list[OneLegRPP]:
     """All increasing fillings of lam with weight <= max_weight."""
+    if max_weight > 12:
+        raise DomainError("one-leg enumeration capped at weight 12")
     lam = as_partition(lam)
-    # fill bottom-right first: entries grow down and right, so the chosen
-    # lower/right neighbours cap each new value from above
-    cells = sorted(((i, j) for i in range(1, len(lam) + 1)
-                    for j in range(1, lam[i - 1] + 1)),
-                   key=lambda c: (-c[0], -c[1]))
-    out: list[OneLegRPP] = []
-
-    def rec(idx: int, budget: int, chosen: dict):
-        if idx == len(cells):
-            out.append(OneLegRPP(lam, dict(chosen)))
-            return
-        i, j = cells[idx]
-        hi = budget
-        if contains(lam, (i + 1, j)):
-            hi = min(hi, chosen.get((i + 1, j), 0))
-        if contains(lam, (i, j + 1)):
-            hi = min(hi, chosen.get((i, j + 1), 0))
-        for v in range(hi + 1):
-            if v:
-                chosen[(i, j)] = v
-            rec(idx + 1, budget - v, chosen)
-            chosen.pop((i, j), None)
-
-    rec(0, max_weight, {})
-    return out
+    # entries grow down and right, so fill from the bottom-right corner
+    cells = [(i, j) for i in range(len(lam), 0, -1)
+             for j in range(lam[i - 1], 0, -1)]
+    return _fill(cells, lambda x: 0 if contains(lam, x) else WALL, _down_right,
+                 max_weight, partial(OneLegRPP, lam))
 
 
 def enum_two_leg_spp(legs, max_excess: int) -> list[TwoLegSPP]:
-    """All two-leg SPPs with excess sum <= max_excess."""
+    """All two-leg SPPs with excess sum <= max_excess: the excess is the cost
+    over the floor."""
     if max_excess > 8:
         raise DomainError("two-leg enumeration capped at excess 8")
     lam, mu = (as_partition(legs[0]), as_partition(legs[1]))
     rows = len(mu) + max_excess
     cols = len(lam) + max_excess
-    floor = partial(two_leg_floor, (lam, mu))
     cells = [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]
-    out: list[TwoLegSPP] = []
 
-    def rec(idx: int, budget: int, vals: dict, excess: dict):
-        if idx == len(cells):
-            out.append(TwoLegSPP((lam, mu), dict(excess)))
-            return
-        i, j = cells[idx]
-        f = floor(i, j)
-        up = vals.get((i - 1, j)) if i > 1 else None
-        left = vals.get((i, j - 1)) if j > 1 else None
-        hi = min(x for x in (up, left, f + budget) if x is not None)
-        for v in range(f, hi + 1):
-            vals[(i, j)] = v
-            if v > f:
-                excess[(i, j)] = v - f
-            rec(idx + 1, budget - (v - f), vals, excess)
-            vals.pop((i, j), None)
-            excess.pop((i, j), None)
+    def level(x):
+        return two_leg_floor((lam, mu), *x) if min(x) >= 1 else WALL
 
-    rec(0, max_excess, {}, {})
-    return out
+    return _fill(cells, level, _up_left, max_excess,
+                 partial(TwoLegSPP, (lam, mu)))
 
 
 def enum_two_leg_rpp(legs, max_deficit: int) -> list[TwoLegRPP]:
-    """All two-leg RPPs with deficit sum <= max_deficit."""
+    """All two-leg RPPs with deficit sum <= max_deficit: the deficit is the
+    cost over the negated ceiling, so values fall down and right."""
     if max_deficit > 8:
         raise DomainError("two-leg enumeration capped at deficit 8")
     lam, mu = (as_partition(legs[0]), as_partition(legs[1]))
-    lo_i, hi_i = 1 - max_deficit, len(mu)
-    lo_j, hi_j = 1 - max_deficit, len(lam)
     ceiling = partial(two_leg_ceiling, (lam, mu))
-    cells = [(i, j) for i in range(lo_i, hi_i + 1) for j in range(lo_j, hi_j + 1)
-             if ceiling(i, j)]
-    cellset = set(cells)
-    out: list[TwoLegRPP] = []
-
-    def rec(idx: int, budget: int, vals: dict, deficit: dict):
-        if idx == len(cells):
-            out.append(TwoLegRPP((lam, mu), dict(deficit)))
-            return
-        i, j = cells[idx]
-        c = ceiling(i, j)
-        hi = c
-        for (ni, nj) in ((i - 1, j), (i, j - 1)):
-            if (ni, nj) in cellset:
-                hi = min(hi, vals[(ni, nj)])
-            else:  # outside the search box: zero deficit
-                fv = ceiling(ni, nj)
-                if fv is not None:
-                    hi = min(hi, fv)
-        lo = c - budget
-        for (ni, nj) in ((i + 1, j), (i, j + 1)):
-            if (ni, nj) not in cellset:
-                lo = max(lo, ceiling(ni, nj))
-        for v in range(hi, max(lo, 0) - 1, -1):
-            vals[(i, j)] = v
-            if v < c:
-                deficit[(i, j)] = c - v
-            rec(idx + 1, budget - (c - v), vals, deficit)
-            vals.pop((i, j), None)
-            deficit.pop((i, j), None)
-
-    rec(0, max_deficit, {}, {})
-    return out
+    # a deficit above row 1 - max_deficit (left of that column) repeats on
+    # every cell down to row 1 (right to column 1) and exceeds the budget
+    cells = [(i, j) for i in range(len(mu), -max_deficit, -1)
+             for j in range(len(lam), -max_deficit, -1) if ceiling(i, j)]
+    return _fill(cells, lambda x: -ceiling(*x), _down_right, max_deficit,
+                 partial(TwoLegRPP, (lam, mu)))
 
 
 def enum_configs(kind: str, legs, max_weight) -> list:

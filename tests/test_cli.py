@@ -165,6 +165,8 @@ def test_non_convergence_exit_code(monkeypatch, capsys):
     (["biject", "two-leg", "--direction", "inverse"], [1]),
     (["biject", "two-leg", "--direction", "inverse"], {"rho": "x", "pi": {}}),
     (["render"], {"type": ["plane-partition"], "legs": []}),
+    (["render"], {"type": "two-leg-spp", "legs": [[1], [1]],
+                  "excess": [[0, 1, 2]]}),
     (["verify", "--census"], ""),
     (["verify", "--census"], [1]),
     (["verify", "--census"], {"family": "plane", "legs": [],
@@ -178,6 +180,7 @@ def test_non_convergence_exit_code(monkeypatch, capsys):
 ], ids=["letter-parts", "letter-leg", "string-value", "short-triple",
         "string-leg-part", "no-legs", "one-leg-of-two", "array-payload",
         "support-not-array", "array-pair", "rho-not-object", "array-type",
+        "excess-off-quadrant",
         "census-empty", "census-array-header", "census-string-bound",
         "census-no-family", "census-no-bound", "census-no-leg",
         "census-array-family"])
@@ -213,6 +216,12 @@ TWO_LEG_RPP_PAYLOAD = {"type": "two-leg-rpp", "legs": [[2, 1], [1, 1]],
     (["enumerate", "--family", "two-leg-rpp", "--legs", "2,1/1,1",
       "--bound", "9/2"], None, "f491f519b2d16cca"),
     (["render"], TWO_LEG_RPP_PAYLOAD, "498517e7e0880056"),
+    (["enumerate", "--family", "plane", "--bound", "4"], None,
+     "2fe67c2c43d78cb5"),
+    (["enumerate", "--family", "one-leg-spp", "--legs", "2,1", "--bound", "4"],
+     None, "beb65a8034f111d1"),
+    (["enumerate", "--family", "one-leg-rpp", "--legs", "3,1", "--bound", "5"],
+     None, "198dbbb3138d1328"),
 ])
 def test_two_leg_golden_output(tmp_path, capsys, argv, payload, digest):
     if payload is not None:

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pptoggle.configurations import (HookTableau, OneLegRPP, OneLegSPP,
                                      PlanePartition, TwoLegRPP, TwoLegSPP,
-                                     cfg_weight, diagonal, minimal_config,
-                                     minimal_weight, transpose)
+                                     cfg_weight, diagonal, leg_reach,
+                                     minimal_config, minimal_weight,
+                                     transpose, two_leg_ceiling, two_leg_floor)
 from pptoggle.errors import DomainError
 from pptoggle.halfint import HalfInt
 from pptoggle.serialize import config_from_json, config_to_json
@@ -118,9 +120,67 @@ def test_validation_rejects_bad_two_leg():
         # lone bump far from the legs breaks monotonicity
         TwoLegSPP(((2,), (1,)), {(4, 4): 1})
     with pytest.raises(DomainError):
+        # reads ignore excess off the quadrant, so it would be phantom weight
+        TwoLegSPP(((1,), (1,)), {(0, 1): 2})
+    with pytest.raises(DomainError):
         TwoLegRPP(((2,), (1,)), {(1, 1): 5})  # deficit below zero
     with pytest.raises(DomainError):
         TwoLegRPP(((2,), (1,)), {(0, 0): 1})  # off the bent domain
+
+
+WALL = 1 << 60
+
+
+def window_accepts_spp(legs, excess):
+    """Monotonicity over a span x span window around the legs and support."""
+    def at(i, j):
+        if i < 1 or j < 1:
+            return WALL
+        return two_leg_floor(legs, i, j) + excess.get((i, j), 0)
+
+    span = 2 + max([leg_reach(legs)] + [max(i, j) for (i, j) in excess])
+    return all(at(i, j) <= min(at(i - 1, j), at(i, j - 1))
+               for i in range(1, span + 1) for j in range(1, span + 1))
+
+
+def window_accepts_rpp(legs, deficit):
+    """Domain checks, then monotonicity over a (2 span + 1)^2 window."""
+    def at(i, j):
+        c = two_leg_ceiling(legs, i, j)
+        return WALL if c is None else c - deficit.get((i, j), 0)
+
+    if any((i < 1 and j < 1) or at(i, j) < 0 for (i, j) in deficit):
+        return False
+    ext = max([0] + [abs(i) + abs(j) for (i, j) in deficit])
+    span = 2 + ext + max(len(legs[0]), len(legs[1]), 1)
+    window = range(-span, span + 1)
+    return all(at(ni, nj) <= at(i, j)
+               for i in window for j in window if i >= 1 or j >= 1
+               for (ni, nj) in ((i + 1, j), (i, j + 1)))
+
+
+def accepts(cls, legs, support):
+    try:
+        cls(legs, support)
+    except DomainError:
+        return False
+    return True
+
+
+small_legs = st.sampled_from([(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)])
+
+
+def supports(lo):
+    cells = st.tuples(st.integers(lo, 5), st.integers(lo, 5))
+    return st.dictionaries(cells, st.integers(1, 3), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_legs, small_legs, supports(1), supports(-3))
+def test_two_leg_checks_match_window_scan(lam, mu, excess, deficit):
+    legs = (lam, mu)
+    assert accepts(TwoLegSPP, legs, excess) == window_accepts_spp(legs, excess)
+    assert accepts(TwoLegRPP, legs, deficit) == window_accepts_rpp(legs, deficit)
 
 
 def test_tableau_weights():

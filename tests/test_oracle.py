@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from pptoggle.configurations import TwoLegSPP, cfg_weight
@@ -101,6 +104,33 @@ def test_enum_configs_dispatch():
     assert enum_configs("one-leg-rpp", (1,), 2) == enum_one_leg_rpp((1,), 2)
     with pytest.raises(DomainError):
         enum_configs("nonsense", None, 2)
+
+
+@pytest.mark.parametrize("kind, legs, cap", [
+    ("plane", None, 12), ("one-leg-spp", (1,), 12), ("one-leg-rpp", (1,), 12),
+    ("two-leg-spp", ((1,), (1,)), 8), ("two-leg-rpp", ((1,), (1,)), 8)])
+def test_enumeration_is_capped(kind, legs, cap):
+    with pytest.raises(DomainError):
+        enum_configs(kind, legs, cap + 1)
+
+
+def test_oracle_is_independent_of_series_and_bijections():
+    source = Path(__file__).resolve().parents[1] / "src/pptoggle/oracle.py"
+    imported: dict[str, set] = {}
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+            if node.module is None:  # from . import x
+                for name in names:
+                    imported.setdefault(name, set())
+            else:
+                module = node.module.removeprefix("pptoggle.")
+                imported.setdefault(module, set()).update(names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                imported.setdefault(a.name.removeprefix("pptoggle."), set())
+    assert not {"bijections", "toggles", "boundary"} & set(imported)
+    assert imported["series"] == {"TruncatedSeries"}
 
 
 def test_enumeration_is_deterministic():
