@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .boundary import HookTarget, redistribute, redistribute_inverse
 from .configurations import (HookTableau, OneLegRPP, OneLegSPP, PlanePartition,
@@ -43,24 +44,27 @@ class ToggleSchedule:
             return ToggleSchedule("seeded", seed=int(text.split(":", 1)[1]))
         raise ScheduleError(f"unknown schedule {text!r}")
 
-    def order(self, shape: Partition, size: int) -> list[Cell]:
+    def order(self, shape: Partition, size: int) -> tuple[Cell, ...]:
+        if self.kind == "explicit":
+            return tuple(self.cells or ())
+        if self.kind not in ("off-diagonal", "lexicographic", "seeded"):
+            raise ScheduleError(f"unknown schedule kind {self.kind!r}")
+        return _region_order(self.kind, self.seed, shape, size)
+
+
+@lru_cache(maxsize=1 << 8)
+def _region_order(kind: str, seed: int, shape: Partition, size: int
+                  ) -> tuple[Cell, ...]:
+    """The cells of [1,size]^2 outside shape in the kind's order; a seeded
+    order picks each next corner uniformly at random."""
+    if kind != "seeded":
         region = [(i, j) for i in range(1, size + 1)
                   for j in range(part(shape, i) + 1, size + 1)]
-        if self.kind == "off-diagonal":
-            return sorted(region, key=lambda c: (c[0] + c[1], c[0]))
-        if self.kind == "lexicographic":
-            return sorted(region)
-        if self.kind == "seeded":
-            return _random_linear_extension(shape, size, self.seed)
-        if self.kind == "explicit":
-            return list(self.cells or ())
-        raise ScheduleError(f"unknown schedule kind {self.kind!r}")
-
-
-def _random_linear_extension(shape: Partition, size: int, seed: int) -> list[Cell]:
+        key = (lambda c: (c[0] + c[1], c[0])) if kind == "off-diagonal" else None
+        return tuple(sorted(region, key=key))
     rng = random.Random(seed)
     extra = [0] * (size + 1)  # popped cells beyond the shape, per row
-    total = sum(size - part(shape, i) for i in range(1, size + 1))
+    total = sum(max(0, size - part(shape, i)) for i in range(1, size + 1))
     order = []
     while len(order) < total:
         avail = []
@@ -73,81 +77,78 @@ def _random_linear_extension(shape: Partition, size: int, seed: int) -> list[Cel
         cell = avail[rng.randrange(len(avail))]
         order.append(cell)
         extra[cell[0]] += 1
-    return order
+    return tuple(order)
 
 
 DEFAULT_SCHEDULE = ToggleSchedule()
 
 
 class ToggleGrid:
-    """Mutable decreasing filling of the region outside `shape`, with a
-    staircase of already-popped cells along the corner.
+    """Decreasing filling of the region outside `shape`, held as its chain of
+    interlacing diagonals, with a staircase of popped cells at the corner.
 
-    Values not explicitly written come from `base` (zero for finite objects,
-    the leg reconstruction for two-leg ones); writes always store explicitly,
-    including zeros, so they shadow the base.
+    `diags[d]` is the unpopped part of diagonal d = col - row, read down-right
+    from its first cell outside the shape and the popped cells; `front[i]` is
+    the first unpopped column of row i (1 where not stored). A pop or push at
+    (i, j) toggles diagonal j - i against its neighbours j - i ± 1, which
+    start at (i, j + 1) and (i + 1, j): Pak's toggles (I. Pak, "Hook length
+    formula and geometric combinatorics", Sém. Lothar. Combin. 46, 2001).
+    A diagonal not stored reads as `tails[0]` below the main diagonal and
+    `tails[1]` above it: empty for finite objects, the legs (lam, mu) for a
+    two-leg one, whose diagonals equal them far out.
     """
 
-    def __init__(self, shape: Partition = (), base=None, values=None):
+    def __init__(self, shape: Partition = (), diags=None,
+                 tails: tuple[Partition, Partition] = ((), ())):
         self.shape = shape
-        self.base = base or (lambda i, j: 0)
-        self.vals: dict[Cell, int] = dict(values or {})
-        self.extra: dict[int, int] = {}  # popped cells beyond shape, per row
+        self.diags: dict[int, Partition] = dict(diags or {})
+        self.tails = tails
+        self.front = {i: p + 1 for i, p in enumerate(shape, start=1)}
 
-    def value(self, i: int, j: int) -> int:
-        got = self.vals.get((i, j))
-        return self.base(i, j) if got is None else got
-
-    def frontier(self, i: int) -> int:
-        """First unpopped column of row i."""
-        return part(self.shape, i) + self.extra.get(i, 0) + 1
-
-    def read_diag(self, i: int, j: int) -> Partition:
-        out = []
-        while True:
-            v = self.value(i, j)
-            if v == 0:
-                break
-            out.append(v)
-            i, j = i + 1, j + 1
-        return tuple(out)
-
-    def write_diag(self, i: int, j: int, vals: Partition, pad: int):
-        for k in range(max(len(vals), pad)):
-            self.vals[(i + k, j + k)] = vals[k] if k < len(vals) else 0
+    def diag(self, d: int) -> Partition:
+        got = self.diags.get(d)
+        return self.tails[d > 0] if got is None else got
 
     def pop(self, i: int, j: int) -> int:
-        if j != self.frontier(i) or not (i == 1 or self.frontier(i - 1) > j):
+        front = self.front
+        if j != front.get(i, 1) or (i > 1 and front.get(i - 1, 1) <= j):
             raise ScheduleError(f"cell {(i, j)} is not a poppable corner")
-        above = self.read_diag(i, j + 1)
-        below = self.read_diag(i + 1, j)
-        nu = self.read_diag(i, j)
-        toggled, n = toggle_pop(above, nu, below)
-        pad = max(len(above), len(below), len(nu) - 1, len(toggled)) + 1
-        self.write_diag(i + 1, j + 1, toggled, pad)
-        self.vals.pop((i, j), None)
-        self.extra[i] = self.extra.get(i, 0) + 1
+        d = j - i
+        above, nu, below = self.diag(d + 1), self.diag(d), self.diag(d - 1)
+        n = 0
+        if not above == nu == below:  # equal ones pop 0 and stay as they are
+            self.diags[d], n = toggle_pop(above, nu, below)
+        front[i] = j + 1
         return n
 
     def push(self, i: int, j: int, n: int):
-        if j != self.frontier(i) - 1 or self.extra.get(i, 0) < 1:
+        front = self.front
+        if j != front.get(i, 1) - 1 or j <= part(self.shape, i):
             raise ScheduleError(f"cell {(i, j)} is not pushable")
-        if self.frontier(i + 1) > j:
+        if front.get(i + 1, 1) > j:
             raise ScheduleError(f"cell below {(i, j)} is still popped")
-        above = self.read_diag(i, j + 1)
-        below = self.read_diag(i + 1, j)
-        nu = self.read_diag(i + 1, j + 1)
-        toggled = toggle_push(above, nu, below, n)
-        pad = max(len(above), len(below), len(nu) + 1, len(toggled)) + 1
-        self.write_diag(i, j, toggled, pad)
-        self.extra[i] -= 1
+        d = j - i
+        above, nu, below = self.diag(d + 1), self.diag(d), self.diag(d - 1)
+        if n or not above == nu == below:  # pushing 0 onto equal ones is a no-op
+            self.diags[d] = toggle_push(above, nu, below, n)
+        front[i] = j
 
     def nonzero(self) -> dict[Cell, int]:
-        return {c: v for c, v in self.vals.items() if v}
+        out = {}
+        for d, nu in self.diags.items():
+            i = max(1, 1 - d)
+            while self.front.get(i, 1) > i + d:
+                i += 1
+            out.update(((i + k, i + k + d), v) for k, v in enumerate(nu))
+        return out
 
 
-# ---------------------------------------------------------------------------
-# plane partitions and one-leg objects
+def _two_leg_grid(sigma: TwoLegSPP) -> ToggleGrid:
+    """The filling's diagonals out to where they equal the legs."""
+    reach = max([leg_reach(sigma.legs)] + [max(c) for c in sigma.excess])
+    return ToggleGrid((), {d: diagonal(sigma, d)
+                           for d in range(-reach, reach + 1)}, sigma.legs)
+
 
 def _pop_region(grid: ToggleGrid, shape: Partition, size: int,
                 schedule: ToggleSchedule) -> dict[Cell, int]:
@@ -159,27 +160,46 @@ def _pop_region(grid: ToggleGrid, shape: Partition, size: int,
     return values
 
 
+def _push_square(grid: ToggleGrid, size: int, values: dict[Cell, int]):
+    """Take the grid's square [1,size]^2 as popped, its stored diagonals
+    read from the square's edge, and push values back in reverse canonical
+    order."""
+    cells = DEFAULT_SCHEDULE.order(grid.shape, size)
+    grid.front.update((i, max(size, part(grid.shape, i)) + 1)
+                      for i in range(1, size + 1))
+    for cell in reversed(cells):
+        grid.push(*cell, values.get(cell, 0))
+
+
+# ---------------------------------------------------------------------------
+# plane partitions and one-leg objects
+
 def _pop_all(shape: Partition, entries: dict[Cell, int],
              schedule: ToggleSchedule) -> dict[Cell, int]:
     """Pop a decreasing filling outside `shape` until it is empty; the
-    popped values, weighted by hook length, carry the full weight."""
-    size = max([max(c) for c in entries] + [len(shape), part(shape, 1)],
-               default=0) + 1
-    grid = ToggleGrid(shape, values=entries)
+    popped values, weighted by hook length, carry the full weight. The
+    support's square [1,s]^2 is enough: a pop at (i, j) leaves entry m of
+    its diagonal nonzero only if (i+m-1, j+m) and (i+m, j+m-1) are."""
+    size = max((max(c) for c in entries), default=0)
+    grid = ToggleGrid(shape)
+    for (i, j) in sorted(entries):  # no gaps from each diagonal's first cell
+        grid.diags[j - i] = grid.diag(j - i) + (entries[(i, j)],)
     values = _pop_region(grid, shape, size, schedule)
-    if grid.nonzero():
+    if any(grid.diags.values()):
         raise AssertionError("popping box did not exhaust the object")
     return values
 
 
 def _push_all(shape: Partition, t: HookTableau) -> dict[Cell, int]:
-    """Inverse of _pop_all (pushes in reverse canonical order)."""
-    size = max([max(c) for c in t.values], default=0)
-    size = max(size, t.hook_weight() + len(shape) + part(shape, 1)) + 1
+    """Inverse of _pop_all, over the smallest square [1,s]^2 that holds the
+    tableau's support, whatever its values. The square is exact: its cells
+    outside the shape form an order ideal of the pop order, so some linear
+    extension pops them first. Pushing in reverse, each cell beyond the
+    square comes first and pushes 0 onto empty diagonals, which changes
+    nothing, and by schedule independence (Pak, cited at ToggleGrid) every
+    push order gives the same result."""
     grid = ToggleGrid(shape)
-    grid.extra = {i: size - part(shape, i) for i in range(1, size + 1)}
-    for cell in reversed(DEFAULT_SCHEDULE.order(shape, size)):
-        grid.push(*cell, t.values.get(cell, 0))
+    _push_square(grid, max((max(c) for c in t.values), default=0), t.values)
     return grid.nonzero()
 
 
@@ -300,7 +320,7 @@ def stabilization_index(sigma: TwoLegSPP) -> int:
 
 
 def _pops_settle(sigma: TwoLegSPP, n: int) -> bool:
-    grid = ToggleGrid((), base=sigma.at)
+    grid = _two_leg_grid(sigma)
     for cell in DEFAULT_SCHEDULE.order((), 2 * n):
         popped = grid.pop(*cell)
         if popped and max(cell) > n:
@@ -341,13 +361,8 @@ def _palindromic_passes_inverse(states: list, ops: list, width: int):
 
 
 def _remnant_chain(grid: ToggleGrid, width: int) -> list[Partition]:
-    chain = []
-    for d in range(-width, width + 1):
-        if d >= 0:
-            chain.append(grid.read_diag(width - d + 1, width + 1))
-        else:
-            chain.append(grid.read_diag(width + 1, width + d + 1))
-    return chain
+    """Diagonals -width..width of a grid whose [1,width]^2 square is popped."""
+    return [grid.diag(d) for d in range(-width, width + 1)]
 
 
 @dataclass(frozen=True)
@@ -380,7 +395,7 @@ def two_leg_remnant(sigma: TwoLegSPP, width: int
     """Pop the width-sized square off a two-leg filling; returns the remnant
     diagonals and the popped hook tableau."""
     lam, mu = sigma.legs
-    grid = ToggleGrid((), base=sigma.at)
+    grid = _two_leg_grid(sigma)
     tab = _pop_region(grid, (), width, DEFAULT_SCHEDULE)
     chain = _remnant_chain(grid, width)
     if chain[0] != lam or chain[-1] != mu:
@@ -395,23 +410,18 @@ def _spp_word_ops(width: int) -> list:
 
 
 def _rpp_from_chain(legs, chain: list[Partition], width: int) -> TwoLegRPP:
-    def val(i, j):
-        d = j - i
-        if abs(d) > width:
-            return two_leg_ceiling(legs, i, j)
-        nu = chain[width + d]
-        return part(nu, j) if d >= 0 else part(nu, i)
-
+    """Deficit of the filling read off the chain; past the window it sits on
+    the ceiling."""
     deficit = {}
     reach = width + leg_reach(legs) + 2
     for i in range(1 - reach, reach + 1):
         for j in range(1 - reach, reach + 1):
-            if i < 1 and j < 1:
+            if (i < 1 and j < 1) or abs(j - i) > width:
                 continue
             c = two_leg_ceiling(legs, i, j)
             if not c:
                 continue
-            gap = c - val(i, j)
+            gap = c - part(chain[width + j - i], max(i, j))
             if gap < 0:
                 raise AssertionError(f"chain exceeds the ceiling at {(i, j)}")
             if gap:
@@ -454,25 +464,13 @@ def _two_leg_inverse_at(rho: TwoLegRPP, pi: PlanePartition, width: int
     if chain[0] != lam or chain[-1] != mu:
         raise NonConvergenceError("window too small for the leg tails")
 
-    def remnant(i, j):
-        d = j - i
-        if d > width:
-            return part(mu, i)
-        if d < -width:
-            return part(lam, j)
-        nu = chain[width + d]
-        return part(nu, j - width) if d >= 0 else part(nu, i - width)
-
-    grid = ToggleGrid((), base=remnant)
-    grid.extra = {i: width for i in range(1, width + 1)}
-    t = pp_to_tableau(pi)
-    for cell in reversed(DEFAULT_SCHEDULE.order((), width)):
-        grid.push(*cell, t.values.get(cell, 0))
+    grid = ToggleGrid((), dict(zip(range(-width, width + 1), chain)), (lam, mu))
+    _push_square(grid, width, pp_to_tableau(pi).values)
     excess = {}
     reach = width + leg_reach(rho.legs) + 2
     for i in range(1, reach + 1):
         for j in range(1, reach + 1):
-            gap = grid.value(i, j) - two_leg_floor(rho.legs, i, j)
+            gap = part(grid.diag(j - i), min(i, j)) - two_leg_floor(rho.legs, i, j)
             if gap < 0:
                 raise AssertionError(f"filling under the floor at {(i, j)}")
             if gap:

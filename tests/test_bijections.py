@@ -190,12 +190,13 @@ def test_split_weight_consistency():
 def test_remnant_diagonals_stay_constant():
     # after the stabilised square is popped, popping a much larger square
     # leaves the near-centre diagonals unchanged
-    from pptoggle.bijections import DEFAULT_SCHEDULE, ToggleGrid, _remnant_chain
+    from pptoggle.bijections import (DEFAULT_SCHEDULE, _remnant_chain,
+                                     _two_leg_grid)
     sigma = FIG_TWOLEG
     n = stabilization_index(sigma)
 
     def chain_at(width):
-        grid = ToggleGrid((), base=sigma.at)
+        grid = _two_leg_grid(sigma)
         for cell in DEFAULT_SCHEDULE.order((), width):
             grid.pop(*cell)
         return _remnant_chain(grid, width)
@@ -221,3 +222,25 @@ def test_two_leg_remnant_structure():
     assert remnant.center == (1, 1)
     # the popped tableau carries the plane-partition part of the weight
     assert tab.hook_weight() == 13
+
+
+def test_push_box_is_sized_by_the_support(monkeypatch):
+    # a huge value on a small support must not grow the push grid: the spy
+    # fails on the requested side before any cell list is built
+    bound = {"side": 0}
+    order = ToggleSchedule.order
+
+    def spy(self, shape, size):
+        assert size <= bound["side"], (
+            f"push box side {size} exceeds the support bound {bound['side']}")
+        return order(self, shape, size)
+
+    monkeypatch.setattr(ToggleSchedule, "order", spy)
+    big = 10 ** 6
+    bound["side"] = 1
+    pi = tableau_to_pp(HookTableau("plane", (), {(1, 1): big}))
+    assert pi.entries == {(1, 1): big}
+    bound["side"] = 3
+    t = HookTableau("outside", (2, 1), {(1, 3): big, (2, 2): 1})
+    sigma = tableau_to_spp(t)
+    assert sum(sigma.entries.values()) == t.hook_weight()

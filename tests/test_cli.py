@@ -148,6 +148,14 @@ def test_non_convergence_exit_code(monkeypatch, capsys):
     assert "non-convergence:" in capsys.readouterr().err
 
 
+def test_state_cap_exits_non_convergence(monkeypatch, capsys):
+    monkeypatch.setattr(series, "MAX_STATES", 5)
+    assert main(["series", "--macmahon", "--degree", "6"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("non-convergence: transfer step")
+    assert "states, over the cap of 5" in err
+
+
 @pytest.mark.parametrize("argv, payload", [
     (["series", "--one-leg", "a,b"], None),
     (["series", "--two-leg", "2,x/1"], None),
