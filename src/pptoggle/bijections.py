@@ -45,23 +45,24 @@ class ToggleSchedule:
         raise ScheduleError(f"unknown schedule {text!r}")
 
     def order(self, shape: Partition, size: int) -> tuple[Cell, ...]:
+        """The cells of [1,size]^2 outside shape in this schedule's order."""
         if self.kind == "explicit":
             return tuple(self.cells or ())
-        if self.kind not in ("off-diagonal", "lexicographic", "seeded"):
+        if self.kind == "seeded":
+            return _seeded_order(self.seed, tuple(shape), size)
+        if self.kind not in ("off-diagonal", "lexicographic"):
             raise ScheduleError(f"unknown schedule kind {self.kind!r}")
-        return _region_order(self.kind, self.seed, shape, size)
+        region = [(i, j) for i in range(1, size + 1)
+                  for j in range(part(shape, i) + 1, size + 1)]
+        diagonal_first = self.kind == "off-diagonal"
+        key = (lambda c: (c[0] + c[1], c[0])) if diagonal_first else None
+        return tuple(sorted(region, key=key))
 
 
 @lru_cache(maxsize=1 << 8)
-def _region_order(kind: str, seed: int, shape: Partition, size: int
-                  ) -> tuple[Cell, ...]:
-    """The cells of [1,size]^2 outside shape in the kind's order; a seeded
-    order picks each next corner uniformly at random."""
-    if kind != "seeded":
-        region = [(i, j) for i in range(1, size + 1)
-                  for j in range(part(shape, i) + 1, size + 1)]
-        key = (lambda c: (c[0] + c[1], c[0])) if kind == "off-diagonal" else None
-        return tuple(sorted(region, key=key))
+def _seeded_order(seed: int, shape: Partition, size: int) -> tuple[Cell, ...]:
+    """Each next corner picked uniformly at random. Memoised because the
+    schedule suites replay the same seeds on every object of a size."""
     rng = random.Random(seed)
     extra = [0] * (size + 1)  # popped cells beyond the shape, per row
     total = sum(max(0, size - part(shape, i)) for i in range(1, size + 1))

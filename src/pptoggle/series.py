@@ -29,9 +29,9 @@ from .boundary import edge_power, edge_sign
 from .configurations import minimal_weight
 
 
-# Most states one transfer step may hold. Memory grows with it: MacMahon's
-# word at degree 40 peaks at 7,437 states and about 110 MiB, while the
-# acceptance checks stay near 200.
+# Most states one transfer step may carry forward after its truncation.
+# Memory grows with it: MacMahon's word at degree 40 peaks at 7,437 states
+# and about 110 MiB, while the acceptance checks stay near 200.
 MAX_STATES = 1 << 14
 
 
@@ -280,8 +280,10 @@ def _step_bounds(word: OperatorWord, bound2: int, cap: int
 def _evaluate_capped(word: OperatorWord, bound2: int, cap: int
                      ) -> TruncatedSeries:
     """Fold the word from its ket over states of size <= cap, truncating
-    each step as `_step_bounds` allows. A step holding more than
-    MAX_STATES states raises NonConvergenceError."""
+    each step as `_step_bounds` allows. A step that carries more than
+    MAX_STATES states forward after its truncation raises
+    NonConvergenceError; the check runs once the step's output is built, so
+    memory is bounded by one step's growth past the cap."""
     bounds = _step_bounds(word, bound2, cap)
     state: dict[Partition, TruncatedSeries] = {
         word.ket: TruncatedSeries(bounds[-1][0], {0: 1})}
@@ -299,15 +301,15 @@ def _evaluate_capped(word: OperatorWord, bound2: int, cap: int
         else:
             _, sign, exponent = op
             state = apply_vertex_op(state, sign, exponent, HalfInt(inner2), cap)
-            if len(state) > MAX_STATES:
-                raise NonConvergenceError(
-                    f"transfer step {idx} holds {len(state)} states, over the "
-                    f"cap of {MAX_STATES}")
         if limits is not None:
             trimmed = ((k, TruncatedSeries(inner2, {x: c for x, c in s.coeffs.items()
                                                     if x <= limits[weight(k)]}))
                        for k, s in state.items())
             state = {k: s for k, s in trimmed if not s.is_zero()}
+        if len(state) > MAX_STATES:
+            raise NonConvergenceError(
+                f"transfer step {idx} holds {len(state)} states, over the "
+                f"cap of {MAX_STATES}")
     result = state.get(word.bra, TruncatedSeries(bound2, {}))
     return result.truncate(bound2)
 

@@ -109,6 +109,17 @@ def test_schedules_agree():
         assert pp_to_tableau(pi, plan).values == base
 
 
+def test_list_shape_is_accepted():
+    # shapes built in Python may be lists; the seeded order memo must not
+    # require them to be hashable
+    entries = {(1, 2): 2, (2, 1): 1, (2, 2): 1}
+    want = spp_to_tableau(OneLegSPP((1,), entries))
+    for plan in (ToggleSchedule(), ToggleSchedule("seeded", seed=3)):
+        t = spp_to_tableau(OneLegSPP([1], entries), plan)
+        assert t.values == want.values
+        assert tableau_to_spp(t).entries == entries
+
+
 def test_explicit_schedule_validation():
     pi = PlanePartition.from_rows([[2, 1], [1]])
     bad = ToggleSchedule("explicit", cells=((2, 2), (1, 1)))

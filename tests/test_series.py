@@ -260,6 +260,20 @@ def test_divergent_word_is_reported():
         evaluate(word2, 2)
 
 
+def test_state_cap_counts_the_truncated_step(monkeypatch):
+    # the raise makes 5 states, of which the truncation keeps 3: the cap
+    # bounds what a step carries forward, not its raw output
+    from pptoggle import series
+    word = OperatorWord((step_op(-1, HalfInt(-3)), step_op(1, HalfInt(7))))
+    want = evaluate(word, 5)
+    assert want.coeffs == {0: 1, 4: 1, 8: 1}
+    monkeypatch.setattr(series, "MAX_STATES", 3)
+    assert evaluate(word, 5) == want
+    monkeypatch.setattr(series, "MAX_STATES", 2)
+    with pytest.raises(NonConvergenceError, match="holds 3 states"):
+        evaluate(word, 5)
+
+
 @pytest.mark.parametrize("kind, legs, bound, digest", [
     ("two-leg-spp", ((2, 1), (1, 1)), H(9), "f1ca00dc5e5b3996"),
     ("two-leg-rpp", ((2, 1), (1, 1)), H(9), "c8e2136a87a8212f"),
