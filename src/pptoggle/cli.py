@@ -300,14 +300,27 @@ def _verify_census(args, report) -> int:
         want = sr.evaluate_stable("two-leg-rpp", (legs[0], legs[1]), bound)
     else:
         raise DomainError(f"unknown census family {family!r}")
-    configs = [sz.config_from_json(obj) for obj in body]
+    member_type = "plane-partition" if family == "plane" else family
     counts: dict[HalfInt, int] = {}
-    for cfg in configs:
+    seen, duplicate = set(), None
+    for k, obj in enumerate(body, start=1):
+        cfg = sz.config_from_json(obj)
+        kind = obj["type"]
+        if kind != member_type or sz.legs_from_json(obj, kind) != legs:
+            raise DomainError(f"census member {k} is a {kind} with legs "
+                              f"{obj.get('legs', [])}, not a {member_type} "
+                              f"with the header's legs")
+        text = json.dumps(sz.config_to_json(cfg), sort_keys=True)
+        if text in seen:
+            duplicate = duplicate or text
+        seen.add(text)
         w = cf.cfg_weight(cfg)
         counts[w] = counts.get(w, 0) + 1
     got = sr.TruncatedSeries.from_terms(bound, list(counts.items()))
-    report.check(f"census-{family}", got == want,
-                 f"{len(configs)} configurations vs series")
+    detail = f"{len(body)} configurations vs series"
+    if duplicate:
+        detail += f"; duplicate member {duplicate}"
+    report.check(f"census-{family}", got == want and not duplicate, detail)
     return report.finish()
 
 

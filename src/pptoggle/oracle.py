@@ -1,12 +1,20 @@
-"""Brute-force enumeration of configuration families.
+"""Brute-force enumeration and counting of configuration families.
 
 Everything here is deliberately independent of the series/bijection code
-paths. All five families go through one recursion, `_fill`: it gives each
-cell of a bounding box a cost over the cell's level (zero, the two-leg
-floor, or the negated two-leg ceiling; a wall off the family's domain),
-capped by the neighbours that come earlier in the cell order, and emits a
-configuration as soon as the weight budget is spent. These counts are the
-ground truth the generating-function identities are checked against.
+paths. One table, `_family`, gives each family's cells, their level (zero,
+the two-leg floor, or the negated two-leg ceiling; a wall off the family's
+domain) and the neighbours that cap each cell's cost over its level. Two
+independent walks read it:
+
+- `_count` counts the assignments by total cost, row by row, memoised on
+  the row above and the budget left. `WeightCensus.take` uses it, so a
+  census builds no configuration.
+- `_fill` builds them, cell by cell, emitting a configuration as soon as
+  the budget is spent. The `enum_*` functions and `weighed_members` use it:
+  they give the members themselves, and the cross-check of the count.
+
+These counts are the ground truth the generating-function identities are
+checked against.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from .configurations import (OneLegRPP, OneLegSPP, PlanePartition, TwoLegRPP,
                              TwoLegSPP, cfg_weight, minimal_weight,
                              two_leg_ceiling, two_leg_floor)
 from .errors import DomainError
-from .halfint import HalfInt
+from .halfint import ZERO, HalfInt
 from .partitions import Cell, Partition, as_partition, contains, part
 from .series import TruncatedSeries
 
@@ -103,6 +111,71 @@ def _fill(cells: list, level, before, budget: int, emit) -> list:
     return out
 
 
+def _count(cells: list, level, before, budget: int) -> list[int]:
+    """Entry k is the number of assignments `_fill` emits with total cost k.
+
+    A transfer over rows (Stanley, Enumerative Combinatorics I, 4.7): `cells`
+    splits into runs of equal row index, and each run's costs are chosen
+    under the same caps as `_fill`, given the costs of the run before it and
+    the budget left. Every n in before(x) must come earlier in x's run, lie in
+    the previous run, or be unlisted (cost 0).
+    """
+    runs: list[list] = []
+    for x in cells:
+        if runs and runs[-1][0][0] == x[0]:
+            runs[-1].append(x)
+        else:
+            runs.append([x])
+    where = {x: (r, p) for r, run in enumerate(runs) for p, x in enumerate(run)}
+    # per cell: the cap from unlisted neighbours, then (position, slack) of
+    # the neighbours earlier in its run and of those in the previous run
+    caps = []
+    for r, run in enumerate(runs):
+        spec = []
+        for p, x in enumerate(run):
+            fixed, here, above = WALL, [], []
+            for n in before(x):
+                s = level(n) - level(x)
+                if n not in where:
+                    fixed = min(fixed, s)
+                    continue
+                rn, pn = where[n]
+                assert rn == r - 1 or (rn == r and pn < p), (x, n)
+                (here if rn == r else above).append((pn, s))
+            spec.append((fixed, here, above))
+        caps.append(spec)
+    memo: dict = {}
+
+    def fillings(r: int, prev: tuple, left: int) -> list[tuple[tuple, int]]:
+        """(costs, their sum) for each filling of run r under prev and left."""
+        partial = [((), 0)]
+        for fixed, here, above in caps[r]:
+            hi = min([fixed] + [s + prev[pn] for pn, s in above])
+            grown = []
+            for costs, spent in partial:
+                top = left - spent if left - spent < hi else hi
+                for pn, s in here:
+                    if s + costs[pn] < top:
+                        top = s + costs[pn]
+                grown += [(costs + (c,), spent + c) for c in range(top + 1)]
+            partial = grown
+        return partial
+
+    def count(r: int, prev: tuple, left: int) -> list[int]:
+        if r == len(runs) or left == 0:
+            return [1]
+        key = (r, prev, left)
+        if key not in memo:
+            out = [0] * (left + 1)
+            for costs, spent in fillings(r, prev, left):
+                for k, n in enumerate(count(r + 1, costs, left - spent), spent):
+                    out[k] += n
+            memo[key] = out
+        return memo[key]
+
+    return count(0, (), budget)
+
+
 def _up_left(x: Cell):
     i, j = x
     return ((i - 1, j), (i, j - 1))
@@ -113,75 +186,94 @@ def _down_right(x: Cell):
     return ((i + 1, j), (i, j + 1))
 
 
+def _family(kind: str, legs, budget: int):
+    """(cells, level, before, constructor) of a family whose members cost at
+    most `budget` over their level: the table `_fill` enumerates from and
+    `_count` counts from."""
+    if kind == "plane":
+        if budget > 12:
+            raise DomainError("plane-partition enumeration capped at weight 12")
+        # each supporting row and column costs >= 1, so the support fits in a
+        # budget-sided square
+        cells = [(i, j) for i in range(1, budget + 1)
+                 for j in range(1, budget + 1)]
+        return (cells, lambda x: 0 if min(x) >= 1 else WALL, _up_left,
+                PlanePartition)
+    if kind in ("one-leg-spp", "one-leg-rpp"):
+        if budget > 12:
+            raise DomainError("one-leg enumeration capped at weight 12")
+        lam = as_partition(legs)
+        if kind == "one-leg-spp":
+            rows = budget + len(lam)
+            cols = budget + part(lam, 1)
+            cells = [(i, j) for i in range(1, rows + 1)
+                     for j in range(1, cols + 1) if j > part(lam, i)]
+
+            def level(x):
+                return 0 if min(x) >= 1 and not contains(lam, x) else WALL
+
+            return cells, level, _up_left, partial(OneLegSPP, lam)
+        # entries grow down and right, so fill from the bottom-right corner
+        cells = [(i, j) for i in range(len(lam), 0, -1)
+                 for j in range(lam[i - 1], 0, -1)]
+        return (cells, lambda x: 0 if contains(lam, x) else WALL, _down_right,
+                partial(OneLegRPP, lam))
+    if kind == "two-leg-spp":
+        if budget > 8:
+            raise DomainError("two-leg enumeration capped at excess 8")
+        lam, mu = (as_partition(legs[0]), as_partition(legs[1]))
+        cells = [(i, j) for i in range(1, len(mu) + budget + 1)
+                 for j in range(1, len(lam) + budget + 1)]
+
+        def level(x):
+            return two_leg_floor((lam, mu), *x) if min(x) >= 1 else WALL
+
+        return cells, level, _up_left, partial(TwoLegSPP, (lam, mu))
+    if kind == "two-leg-rpp":
+        if budget > 8:
+            raise DomainError("two-leg enumeration capped at deficit 8")
+        lam, mu = (as_partition(legs[0]), as_partition(legs[1]))
+        ceiling = partial(two_leg_ceiling, (lam, mu))
+        # a deficit above row 1 - budget (left of that column) repeats on
+        # every cell down to row 1 (right to column 1) and exceeds the budget;
+        # zero-ceiling cells hold no deficit and are left out
+        cells = [(i, j) for i in range(len(mu), -budget, -1)
+                 for j in range(len(lam), -budget, -1) if ceiling(i, j)]
+        return (cells, lambda x: -ceiling(*x), _down_right,
+                partial(TwoLegRPP, (lam, mu)))
+    raise DomainError(f"unknown family {kind!r}")
+
+
+def _enumerate(kind: str, legs, budget: int) -> list:
+    cells, level, before, make = _family(kind, legs, budget)
+    return _fill(cells, level, before, budget, make)
+
+
 def enum_plane_partitions(max_weight: int) -> list[PlanePartition]:
-    """All plane partitions of weight <= max_weight (support fits in a
-    max_weight-sized square since each supporting row/column costs >= 1)."""
-    if max_weight > 12:
-        raise DomainError("plane-partition enumeration capped at weight 12")
-    side = max_weight
-    cells = [(i, j) for i in range(1, side + 1) for j in range(1, side + 1)]
-    return _fill(cells, lambda x: 0 if min(x) >= 1 else WALL, _up_left,
-                 max_weight, PlanePartition)
+    """All plane partitions of weight <= max_weight."""
+    return _enumerate("plane", None, max_weight)
 
 
 def enum_one_leg_spp(lam: Partition, max_weight: int) -> list[OneLegSPP]:
     """All decreasing fillings outside lam with weight <= max_weight."""
-    if max_weight > 12:
-        raise DomainError("one-leg enumeration capped at weight 12")
-    lam = as_partition(lam)
-    rows = max_weight + len(lam)
-    cols = max_weight + part(lam, 1)
-    cells = [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)
-             if j > part(lam, i)]
-
-    def level(x):
-        return 0 if min(x) >= 1 and not contains(lam, x) else WALL
-
-    return _fill(cells, level, _up_left, max_weight, partial(OneLegSPP, lam))
+    return _enumerate("one-leg-spp", lam, max_weight)
 
 
 def enum_one_leg_rpp(lam: Partition, max_weight: int) -> list[OneLegRPP]:
     """All increasing fillings of lam with weight <= max_weight."""
-    if max_weight > 12:
-        raise DomainError("one-leg enumeration capped at weight 12")
-    lam = as_partition(lam)
-    # entries grow down and right, so fill from the bottom-right corner
-    cells = [(i, j) for i in range(len(lam), 0, -1)
-             for j in range(lam[i - 1], 0, -1)]
-    return _fill(cells, lambda x: 0 if contains(lam, x) else WALL, _down_right,
-                 max_weight, partial(OneLegRPP, lam))
+    return _enumerate("one-leg-rpp", lam, max_weight)
 
 
 def enum_two_leg_spp(legs, max_excess: int) -> list[TwoLegSPP]:
     """All two-leg SPPs with excess sum <= max_excess: the excess is the cost
     over the floor."""
-    if max_excess > 8:
-        raise DomainError("two-leg enumeration capped at excess 8")
-    lam, mu = (as_partition(legs[0]), as_partition(legs[1]))
-    rows = len(mu) + max_excess
-    cols = len(lam) + max_excess
-    cells = [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]
-
-    def level(x):
-        return two_leg_floor((lam, mu), *x) if min(x) >= 1 else WALL
-
-    return _fill(cells, level, _up_left, max_excess,
-                 partial(TwoLegSPP, (lam, mu)))
+    return _enumerate("two-leg-spp", legs, max_excess)
 
 
 def enum_two_leg_rpp(legs, max_deficit: int) -> list[TwoLegRPP]:
     """All two-leg RPPs with deficit sum <= max_deficit: the deficit is the
     cost over the negated ceiling, so values fall down and right."""
-    if max_deficit > 8:
-        raise DomainError("two-leg enumeration capped at deficit 8")
-    lam, mu = (as_partition(legs[0]), as_partition(legs[1]))
-    ceiling = partial(two_leg_ceiling, (lam, mu))
-    # a deficit above row 1 - max_deficit (left of that column) repeats on
-    # every cell down to row 1 (right to column 1) and exceeds the budget
-    cells = [(i, j) for i in range(len(mu), -max_deficit, -1)
-             for j in range(len(lam), -max_deficit, -1) if ceiling(i, j)]
-    return _fill(cells, lambda x: -ceiling(*x), _down_right, max_deficit,
-                 partial(TwoLegRPP, (lam, mu)))
+    return _enumerate("two-leg-rpp", legs, max_deficit)
 
 
 def enum_configs(kind: str, legs, max_weight) -> list:
@@ -201,7 +293,11 @@ def enum_configs(kind: str, legs, max_weight) -> list:
 
 @dataclass
 class WeightCensus:
-    """Counts of a family's members by weight, complete up to the bound."""
+    """Counts of a family's members by weight, complete up to the bound.
+
+    The counts come from `_count`, row by row, without building a member;
+    `weighed_members` lists the members themselves.
+    """
 
     family: str
     legs: tuple
@@ -210,26 +306,35 @@ class WeightCensus:
 
     @staticmethod
     def take(kind: str, legs, bound) -> "WeightCensus":
-        counts: dict[HalfInt, int] = {}
-        for w, _ in weighed_members(kind, legs, bound):
-            counts[w] = counts.get(w, 0) + 1
-        return WeightCensus(kind, legs, counts, HalfInt.of(bound))
+        bound = HalfInt.of(bound)
+        base = _base_weight(kind, legs)
+        budget = _budget(base, bound)
+        cells, level, before, _ = _family(kind, legs, budget)
+        counts = {base + k: n
+                  for k, n in enumerate(_count(cells, level, before, budget))
+                  if n and base + k <= bound}
+        return WeightCensus(kind, legs, counts, bound)
 
 
 def weighed_members(kind: str, legs, bound) -> list[tuple[HalfInt, object]]:
     """(weight, configuration) for each member of a family with weight <=
     bound, in enumeration order."""
     bound = HalfInt.of(bound)
+    budget = _budget(_base_weight(kind, legs), bound)
     weighed = ((cfg_weight(cfg), cfg)
-               for cfg in enum_configs(kind, legs, _budget_for(kind, legs, bound)))
+               for cfg in enum_configs(kind, legs, budget))
     return [(w, cfg) for w, cfg in weighed if w <= bound]
 
 
-def _budget_for(kind: str, legs, bound) -> int:
-    bound = HalfInt.of(bound)
-    if kind in ("plane", "one-leg-spp", "one-leg-rpp"):
-        return bound.doubled // 2
-    base = minimal_weight("spp" if kind == "two-leg-spp" else "rpp", legs)
+def _base_weight(kind: str, legs) -> HalfInt:
+    """The weight of a family's cost-0 member."""
+    if kind in ("two-leg-spp", "two-leg-rpp"):
+        return minimal_weight(kind.removeprefix("two-leg-"), legs)
+    return ZERO
+
+
+def _budget(base: HalfInt, bound: HalfInt) -> int:
+    """The largest cost a member of weight base + cost <= bound can have."""
     return max(0, (bound - base).doubled // 2)
 
 

@@ -256,24 +256,30 @@ def suite_ptdt_two_leg(degree: int = 6, leg_weight: int = 3,
                        census_bound: int = 5) -> list[CheckResult]:
     out = []
     m = sr.macmahon_series(degree)
-    legs = oc.partitions_up_to(leg_weight)
+    pairs = [(lam, mu) for lam in oc.partitions_up_to(leg_weight)
+             for mu in oc.partitions_up_to(leg_weight)]
+    # whole series, so terms below the minimum or off-grid count
+    caps = {(kind, pair): cf.minimal_weight(kind, pair) + census_bound
+            for kind in ("spp", "rpp") for pair in pairs}
+    # each (kind, legs) folded once, at the larger of its two bounds
+    folded = {key: sr.evaluate_stable(f"two-leg-{key[0]}", key[1],
+                                      max(cap, HalfInt.of(degree)))
+              for key, cap in caps.items()}
     bad_identity = None
     bad_census = {"spp": None, "rpp": None}
-    for lam in legs:
-        for mu in legs:
-            v = sr.evaluate_stable("two-leg-spp", (lam, mu), degree)
-            w = sr.evaluate_stable("two-leg-rpp", (mu, lam), degree)
-            if v != m * w:
-                bad_identity = bad_identity or (lam, mu)
-            for kind in bad_census:
-                # whole series, so terms below the minimum or off-grid count
-                cap = cf.minimal_weight(kind, (lam, mu)) + census_bound
-                census = oc.WeightCensus.take(f"two-leg-{kind}", (lam, mu), cap)
-                residual = (sr.evaluate_stable(f"two-leg-{kind}", (lam, mu), cap)
-                            - oc.census_series(census))
-                if not residual.is_zero():
-                    bad_census[kind] = (bad_census[kind]
-                                        or (lam, mu, residual.pairs()))
+    for lam, mu in pairs:
+        v = folded["spp", (lam, mu)].truncate(2 * degree)
+        w = folded["rpp", (mu, lam)].truncate(2 * degree)
+        if v != m * w:
+            bad_identity = bad_identity or (lam, mu)
+        for kind in bad_census:
+            cap = caps[kind, (lam, mu)]
+            census = oc.WeightCensus.take(f"two-leg-{kind}", (lam, mu), cap)
+            residual = (folded[kind, (lam, mu)].truncate(cap.doubled)
+                        - oc.census_series(census))
+            if not residual.is_zero():
+                bad_census[kind] = (bad_census[kind]
+                                    or (lam, mu, residual.pairs()))
     out.append(_ok(f"two-leg-product(|legs|<={leg_weight},deg={degree})")
                if bad_identity is None else
                _fail("two-leg-product", "V != M * W", bad_identity))

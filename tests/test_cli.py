@@ -102,6 +102,44 @@ def test_enumerate_then_verify_census(tmp_path, capsys):
     assert code == 0 and "PASS census-plane" in out
 
 
+def _census_lines(tmp_path, capsys, *argv):
+    """A census written by `enumerate`, its path, its lines, and the weight
+    of each member line."""
+    path = tmp_path / "census.jsonl"
+    assert run(capsys, "enumerate", *argv, "--output", str(path))[0] == 0
+    lines = path.read_text().splitlines()
+    weights = [None] + [sum(v for *_, v in json.loads(line)["entries"])
+                        for line in lines[1:]]
+    return path, lines, weights
+
+
+@pytest.mark.parametrize("argv, member", [
+    (["--family", "plane", "--bound", "2"],
+     {"type": "one-leg-spp", "legs": [[1]], "entries": [[1, 2, 1]]}),
+    (["--family", "one-leg-spp", "--legs", "1", "--bound", "2"],
+     {"type": "one-leg-spp", "legs": [[2]], "entries": [[1, 3, 1]]}),
+], ids=["other-type", "other-legs"])
+def test_verify_census_rejects_a_foreign_member(tmp_path, capsys, argv, member):
+    # the weight-1 member swapped for another family's: the tally by weight
+    # still matches the series, so only the member check catches it
+    path, lines, weights = _census_lines(tmp_path, capsys, *argv)
+    lines[weights.index(1)] = json.dumps(member, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--census", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_census_fails_a_duplicate_member(tmp_path, capsys):
+    path, lines, weights = _census_lines(tmp_path, capsys, "--family", "plane",
+                                         "--bound", "2")
+    first, second = [k for k, w in enumerate(weights) if w == 2][:2]
+    lines[first] = lines[second]
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run(capsys, "verify", "--census", str(path))
+    assert code == 4 and "FAIL census-plane" in out
+    assert f"duplicate member {lines[second]}" in out
+
+
 def test_verify_none_is_vacuous(capsys):
     code, out = run(capsys, "verify", "--suite", "none")
     assert code == 0

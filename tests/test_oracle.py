@@ -1,16 +1,19 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pptoggle.configurations import TwoLegSPP, cfg_weight
 from pptoggle.errors import DomainError
 from pptoggle.halfint import HalfInt
-from pptoggle.oracle import (WeightCensus, census_series,
-                             count_partitions_pentagonal, enum_configs,
-                             enum_one_leg_rpp, enum_one_leg_spp,
+from pptoggle.oracle import (WeightCensus, _base_weight, _count, _family,
+                             _fill, census_series, count_partitions_pentagonal,
+                             enum_configs, enum_one_leg_rpp, enum_one_leg_spp,
                              enum_partitions, enum_plane_partitions,
-                             enum_two_leg_rpp, enum_two_leg_spp)
+                             enum_two_leg_rpp, enum_two_leg_spp,
+                             partitions_up_to, weighed_members)
 from pptoggle.series import geometric, hook_product, macmahon_series
 
 
@@ -106,12 +109,51 @@ def test_enum_configs_dispatch():
         enum_configs("nonsense", None, 2)
 
 
+CAP_MESSAGES = {
+    "plane": "plane-partition enumeration capped at weight 12",
+    "one-leg-spp": "one-leg enumeration capped at weight 12",
+    "one-leg-rpp": "one-leg enumeration capped at weight 12",
+    "two-leg-spp": "two-leg enumeration capped at excess 8",
+    "two-leg-rpp": "two-leg enumeration capped at deficit 8"}
+
+
 @pytest.mark.parametrize("kind, legs, cap", [
     ("plane", None, 12), ("one-leg-spp", (1,), 12), ("one-leg-rpp", (1,), 12),
     ("two-leg-spp", ((1,), (1,)), 8), ("two-leg-rpp", ((1,), (1,)), 8)])
 def test_enumeration_is_capped(kind, legs, cap):
-    with pytest.raises(DomainError):
+    message = CAP_MESSAGES[kind]
+    with pytest.raises(DomainError, match=message):
         enum_configs(kind, legs, cap + 1)
+    # the census counts up to the same cost over the family's base weight
+    base = _base_weight(kind, legs)
+    with pytest.raises(DomainError, match=message):
+        WeightCensus.take(kind, legs, base + cap + 1)
+    assert WeightCensus.take(kind, legs, base + cap).counts
+
+
+SHAPES = partitions_up_to(3)
+FAMILIES = st.one_of(
+    st.just(("plane", None)),
+    st.tuples(st.sampled_from(["one-leg-spp", "one-leg-rpp"]),
+              st.sampled_from(SHAPES)),
+    st.tuples(st.sampled_from(["two-leg-spp", "two-leg-rpp"]),
+              st.tuples(st.sampled_from(SHAPES), st.sampled_from(SHAPES))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(FAMILIES, st.integers(0, 6), st.integers(-1, 13))
+def test_count_matches_the_enumeration(family, budget, doubled):
+    kind, legs = family
+    cells, level, before, _ = _family(kind, legs, budget)
+    enumerated = Counter(_fill(cells, level, before, budget,
+                               lambda costs: sum(costs.values())))
+    counted = _count(cells, level, before, budget)
+    assert {k: n for k, n in enumerate(counted) if n} == enumerated
+    # the census counts what the members' own weights tally, key for key
+    bound = _base_weight(kind, legs) + HalfInt(doubled)
+    want = Counter(w for w, _ in weighed_members(kind, legs, bound))
+    counts = WeightCensus.take(kind, legs, bound).counts
+    assert counts == want and all(counts.values())
 
 
 def test_oracle_is_independent_of_series_and_bijections():
