@@ -18,8 +18,7 @@ from .configurations import (HookTableau, OneLegRPP, OneLegSPP, PlanePartition,
                              TwoLegRPP, TwoLegSPP, diagonal, leg_reach,
                              transpose, two_leg_ceiling, two_leg_floor)
 from .errors import DomainError, NonConvergenceError, ScheduleError
-from .partitions import (Cell, Partition, as_partition, contains, interlaces,
-                         part)
+from .partitions import Cell, Partition, as_partition, contains, part
 from .toggles import toggle_between, toggle_pop, toggle_push
 
 
@@ -329,36 +328,24 @@ def _pops_settle(sigma: TwoLegSPP, n: int) -> bool:
     return True
 
 
-def _swap_same_sign(states: list, ops: list, p: int):
-    assert ops[p][0] == ops[p + 1][0], "can only commute same-sign operators"
-    left, mid, right = states[p], states[p + 1], states[p + 2]
-    if interlaces(left, mid) and interlaces(mid, right):
-        states[p + 1] = toggle_between(left, mid, right)
-    elif interlaces(right, mid) and interlaces(mid, left):
-        states[p + 1] = toggle_between(right, mid, left)
-    else:
-        raise AssertionError(f"chain not interlaced around slot {p + 1}")
-    ops[p], ops[p + 1] = ops[p + 1], ops[p]
+def _palindromic_slots(width: int) -> list[int]:
+    """The adjacent swaps that reverse each same-sign block of the emptied
+    word, lowest exponent first, as slots p (swapping operators p, p + 1).
+    Each swap is an involution that leaves its neighbours alone, so running
+    the list backwards undoes it."""
+    return ([p for tgt in range(width, 2 * width - 1)
+             for p in range(2 * width - 2, tgt - 1, -1)]
+            + [p for lim in range(width - 2, -1, -1) for p in range(lim + 1)])
 
 
-def _palindromic_passes(states: list, ops: list, width: int):
-    """Reverse each same-sign block of the emptied word by adjacent swaps,
-    lowest exponent first, toggling the slot between each swapped pair."""
-    for tgt in range(width, 2 * width - 1):
-        for p in range(2 * width - 2, tgt - 1, -1):
-            _swap_same_sign(states, ops, p)
-    for lim in range(width - 2, -1, -1):
-        for p in range(lim + 1):
-            _swap_same_sign(states, ops, p)
-
-
-def _palindromic_passes_inverse(states: list, ops: list, width: int):
-    for lim in range(width - 1):
-        for p in range(lim, -1, -1):
-            _swap_same_sign(states, ops, p)
-    for tgt in range(2 * width - 2, width - 1, -1):
-        for p in range(tgt, 2 * width - 1):
-            _swap_same_sign(states, ops, p)
+def _toggle_slots(chain: list, slots, width: int):
+    """Swap the operators at each slot in turn by toggling the diagonal
+    between them: left >- mid >- right in the raising block (p < width),
+    right >- mid >- left in the lowering one."""
+    for p in slots:
+        left, mid, right = chain[p:p + 3]
+        chain[p + 1] = (toggle_between(left, mid, right) if p < width
+                        else toggle_between(right, mid, left))
 
 
 def _remnant_chain(grid: ToggleGrid, width: int) -> list[Partition]:
@@ -405,11 +392,6 @@ def two_leg_remnant(sigma: TwoLegSPP, width: int
             HookTableau("plane", (), tab))
 
 
-def _spp_word_ops(width: int) -> list:
-    return ([(1, 2 * k + 1) for k in range(width)]
-            + [(-1, 2 * (width - 1 - k) + 1) for k in range(width)])
-
-
 def _rpp_from_chain(legs, chain: list[Partition], width: int) -> TwoLegRPP:
     """Deficit of the filling read off the chain; past the window it sits on
     the ceiling."""
@@ -436,8 +418,7 @@ def _two_leg_forward_at(sigma: TwoLegSPP, width: int
     remnant, tab = two_leg_remnant(sigma, width)
     pi = tableau_to_pp(tab)
     chain = list(remnant.window)
-    ops = _spp_word_ops(width)
-    _palindromic_passes(chain, ops, width)
+    _toggle_slots(chain, _palindromic_slots(width), width)
     swapped = _rpp_from_chain((mu, lam), chain, width)
     return transpose(swapped), pi
 
@@ -459,9 +440,7 @@ def _two_leg_inverse_at(rho: TwoLegRPP, pi: PlanePartition, width: int
     lam, mu = rho.legs
     swapped = transpose(rho)  # legs (mu, lam), as produced by the forward map
     chain = [diagonal(swapped, d) for d in range(-width, width + 1)]
-    ops = ([(1, 2 * (width - 1 - k) + 1) for k in range(width)]
-           + [(-1, 2 * k + 1) for k in range(width)])
-    _palindromic_passes_inverse(chain, ops, width)
+    _toggle_slots(chain, reversed(_palindromic_slots(width)), width)
     if chain[0] != lam or chain[-1] != mu:
         raise NonConvergenceError("window too small for the leg tails")
 

@@ -151,7 +151,10 @@ def _load_json(args) -> dict:
 
 
 def _write_json(args, obj):
-    text = json.dumps(obj, sort_keys=True)
+    _write(args, json.dumps(obj, sort_keys=True))
+
+
+def _write(args, text: str):
     if args.output and args.output != "-":
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -227,12 +230,7 @@ def cmd_enumerate(args) -> int:
                          "count": len(members)}, sort_keys=True)]
     lines += sorted(json.dumps(sz.config_to_json(cfg), sort_keys=True)
                     for _, cfg in members)
-    text = "\n".join(lines)
-    if args.output and args.output != "-":
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args, "\n".join(lines))
     return EXIT_OK
 
 
@@ -300,9 +298,12 @@ def _verify_census(args, report) -> int:
         want = sr.evaluate_stable("two-leg-rpp", (legs[0], legs[1]), bound)
     else:
         raise DomainError(f"unknown census family {family!r}")
+    count = head.get("count")
+    if type(count) is not int:
+        raise DomainError(f"census count must be an integer: {count!r}")
     member_type = "plane-partition" if family == "plane" else family
     counts: dict[HalfInt, int] = {}
-    seen, duplicate = set(), None
+    seen, duplicate, heavy = set(), None, None
     for k, obj in enumerate(body, start=1):
         cfg = sz.config_from_json(obj)
         kind = obj["type"]
@@ -315,24 +316,26 @@ def _verify_census(args, report) -> int:
             duplicate = duplicate or text
         seen.add(text)
         w = cf.cfg_weight(cfg)
+        if w > bound:
+            heavy = heavy or f"{text} of weight {w}"
         counts[w] = counts.get(w, 0) + 1
     got = sr.TruncatedSeries.from_terms(bound, list(counts.items()))
     detail = f"{len(body)} configurations vs series"
+    if count != len(body):
+        detail += f"; header count {count} for {len(body)} members"
     if duplicate:
         detail += f"; duplicate member {duplicate}"
-    report.check(f"census-{family}", got == want and not duplicate, detail)
+    if heavy:
+        detail += f"; member {heavy} over the bound {bound}"
+    report.check(f"census-{family}", got == want and count == len(body)
+                 and not duplicate and not heavy, detail)
     return report.finish()
 
 
 def cmd_render(args) -> int:
     payload = _load_json(args)
     cfg = sz.config_from_json(payload)
-    text = render_svg(cfg) if args.format == "svg" else render_ascii(cfg)
-    if args.output and args.output != "-":
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args, render_svg(cfg) if args.format == "svg" else render_ascii(cfg))
     return EXIT_OK
 
 

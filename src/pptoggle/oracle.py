@@ -278,17 +278,7 @@ def enum_two_leg_rpp(legs, max_deficit: int) -> list[TwoLegRPP]:
 
 def enum_configs(kind: str, legs, max_weight) -> list:
     """Complete list of configurations of a family, by weight/excess bound."""
-    if kind == "plane":
-        return enum_plane_partitions(int(max_weight))
-    if kind == "one-leg-spp":
-        return enum_one_leg_spp(legs, int(max_weight))
-    if kind == "one-leg-rpp":
-        return enum_one_leg_rpp(legs, int(max_weight))
-    if kind == "two-leg-spp":
-        return enum_two_leg_spp(legs, int(max_weight))
-    if kind == "two-leg-rpp":
-        return enum_two_leg_rpp(legs, int(max_weight))
-    raise DomainError(f"unknown family {kind!r}")
+    return _enumerate(kind, legs, int(max_weight))
 
 
 @dataclass

@@ -10,9 +10,9 @@ beyond the degree bound are never generated, and the successor lists of a
 exponents are still to come, a state keeps terms past the bound only by as
 much degree as those operators could take off from its size.
 
-Shape series are folded once, at the cutoff and state cap that follow from
-their bound; other words with a non-positive exponent are refolded at a
-larger cap to detect divergence.
+Every word is folded once, over states no larger than a cap stated from the
+word and the bound (`_state_cap`); the same reading of the word tells a
+divergent word, which is reported at every bound.
 """
 
 from __future__ import annotations
@@ -152,11 +152,6 @@ class OperatorWord:
     bra: Partition = ()
     ket: Partition = ()
 
-    def size_cap(self, bound: HalfInt) -> int:
-        # any contributing state is a diagonal of a configuration of weight
-        # <= bound over the legs' floor, so its size is capped by this
-        return max(0, bound.doubled // 2 + 1) + weight(self.bra) + weight(self.ket)
-
 
 def step_op(sign: int, exponent) -> tuple:
     return ("step", sign, HalfInt.of(exponent))
@@ -222,41 +217,61 @@ def apply_vertex_op(state: dict[Partition, TruncatedSeries], sign: int,
 
 
 def evaluate(word: OperatorWord, bound) -> TruncatedSeries:
-    """Bra-ket coefficient of the word as a series truncated at the bound.
+    """Bra-ket coefficient of the word as a series truncated at the bound,
+    from one fold over the states `_state_cap` allows.
 
     Operators with negative exponents can lower accumulated degrees later in
     the fold, so intermediate truncation is loosened, for each state size, by
     the most degree the remaining operators could take off (`_step_bounds`).
-    Words whose coefficients are genuinely infinite (weight-free loops) are
-    detected by re-running with a larger state cap and reported.
+    A divergent word is reported whatever the bound.
     """
-    bound = HalfInt.of(bound)
-    cap = word.size_cap(bound)
-    result = _evaluate_capped(word, bound.doubled, cap)
-    if any(op[0] == "step" and op[2].doubled <= 0 for op in word.ops):
-        if result != _evaluate_capped(word, bound.doubled, cap + 5):
-            raise NonConvergenceError(
-                "word has unboundedly many states below the degree bound")
-    return result
+    bound2 = HalfInt.of(bound).doubled
+    return _evaluate_capped(word, bound2, _state_cap(word, bound2))
 
 
-def _step_bounds(word: OperatorWord, bound2: int, cap: int
-                 ) -> list[tuple[int, list[int] | None]]:
-    """For each i, the truncation of the fold's states while ops[:i] are
-    still to come: (inner2, limits), limits[s] being the bound for a state
-    of size s and inner2 the largest; limits is None if all are inner2.
+def _state_cap(word: OperatorWord, bound2: int) -> int:
+    """The largest state size on a fold path of degree <= bound2.
 
-    A state's terms are kept up to bound2 plus the most degree the remaining
-    ops could still take off on the way to the bra. That is found over size
-    paths: a raise moves a size s to any s' in [s, cap], a lower to any s'
+    Cut a path's sizes into unit layers. Above h = max(|bra|, |ket|) each
+    layer is made of runs, each entered by a raise and left by a lower to
+    its left, and a run adds e_raise + e_lower + the weigh scales between.
+    With rho the least such sum, a path reaching size h + k has degree at
+    least L + k * rho, L being the least degree of a size path capped at h
+    (its clipping). With no such pair the cap is h. With rho <= 0 adding
+    cells to row 1 across that run gives infinitely many paths from any one,
+    and clipping each part to bra | ket keeps a path, so the word diverges
+    exactly when it has a path of states of size <= |bra| + |ket|.
+    """
+    h = max(weight(word.bra), weight(word.ket))
+    rho = best = float("inf")  # best: least raise-plus-weighs open so far
+    for op in reversed(word.ops):
+        if op[0] == "weigh":
+            best += op[1].doubled
+        elif op[1] == RAISE:
+            best = min(best, op[2].doubled)
+        else:
+            rho = min(rho, best + op[2].doubled)
+    if rho == float("inf"):
+        return h
+    if rho > 0:
+        low = _size_floors(word, h)[-1][weight(word.ket)]
+        return h if low > bound2 else h + (bound2 - low) // rho
+    paths = OperatorWord(tuple(step_op(op[1], 0) for op in word.ops
+                               if op[0] == "step"), word.bra, word.ket)
+    if _evaluate_capped(paths, 0, weight(word.bra) + weight(word.ket)).coeffs:
+        raise NonConvergenceError(
+            "word has unboundedly many states below the degree bound")
+    return h
+
+
+def _size_floors(word: OperatorWord, cap: int) -> list[list]:
+    """floors[i][s]: the least degree a size path adds from size s, with
+    ops[:i] still to come, on the way to the bra (inf if it cannot get
+    there). A raise moves a size s to any s' in [s, cap], a lower to any s'
     in [0, s], and a weigh adds scale * s, so every path of states up to the
     cap is one of these, and the least degree a size path adds bounds the
-    degree of theirs from below. A word with no negative exponent or scale
-    can take nothing off.
-    """
-    if all(op[-1].doubled >= 0 for op in word.ops):
-        return [(bound2, None)] * (len(word.ops) + 1)
-    f = [float("inf")] * (cap + 1)  # least degree from size s to the bra
+    degree of theirs from below."""
+    f = [float("inf")] * (cap + 1)
     f[weight(word.bra)] = 0
     floors = [f]
     for op in word.ops:
@@ -269,8 +284,24 @@ def _step_bounds(word: OperatorWord, bound2: int, cap: int
             for s in sizes:
                 f[s] = min(f[s], e2 + f[s + sign])
         floors.append(f)
+    return floors
+
+
+def _step_bounds(word: OperatorWord, bound2: int, cap: int
+                 ) -> list[tuple[int, list[int] | None]]:
+    """For each i, the truncation of the fold's states while ops[:i] are
+    still to come: (inner2, limits), limits[s] being the bound for a state
+    of size s and inner2 the largest; limits is None if all are inner2.
+
+    A state's terms are kept up to bound2 plus the most degree the remaining
+    ops could still take off on the way to the bra, found over size paths
+    (`_size_floors`). A word with no negative exponent or scale can take
+    nothing off.
+    """
+    if all(op[-1].doubled >= 0 for op in word.ops):
+        return [(bound2, None)] * (len(word.ops) + 1)
     out = []
-    for f in floors:
+    for f in _size_floors(word, cap):
         limits = [bound2 - min(0, v) for v in f]
         top = max(limits)
         out.append((top, None if min(limits) == top else limits))
@@ -385,15 +416,12 @@ def initial_cutoff(kind: str, legs, bound: HalfInt) -> int:
 
 
 def evaluate_stable(kind: str, legs, bound) -> TruncatedSeries:
-    """The shape series truncated at the bound, from one fold of its word.
-
-    Operators past `initial_cutoff` act trivially below the bound (checked
-    by the `cutoff-stability` suite), and every fold path of a shape word is
-    a configuration, so the word's `size_cap` holds every contributing state.
-    """
+    """The shape series truncated at the bound: `evaluate` of its word at
+    `initial_cutoff`, past which operators act trivially below the bound
+    (checked by the `cutoff-stability` suite)."""
     bound = HalfInt.of(bound)
-    word = shape_word(kind, legs, initial_cutoff(kind, legs, bound))
-    return _evaluate_capped(word, bound.doubled, word.size_cap(bound))
+    return evaluate(shape_word(kind, legs, initial_cutoff(kind, legs, bound)),
+                    bound)
 
 
 def minimal_exponent(kind: str, legs) -> HalfInt:

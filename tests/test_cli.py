@@ -140,6 +140,33 @@ def test_verify_census_fails_a_duplicate_member(tmp_path, capsys):
     assert f"duplicate member {lines[second]}" in out
 
 
+def test_verify_census_fails_a_member_over_the_bound(tmp_path, capsys):
+    # the tally is truncated at the bound, so only the weight check sees it
+    path, lines, _ = _census_lines(tmp_path, capsys, "--family", "plane",
+                                   "--bound", "2")
+    head = json.loads(lines[0])
+    head["count"] += 1
+    heavy = json.dumps({"entries": [[1, 1, 3]], "legs": [],
+                        "type": "plane-partition"}, sort_keys=True)
+    lines[0] = json.dumps(head, sort_keys=True)
+    path.write_text("\n".join(lines + [heavy]) + "\n")
+    code, out = run(capsys, "verify", "--census", str(path))
+    assert code == 4 and "FAIL census-plane" in out
+    assert f"member {heavy} of weight 3 over the bound 2" in out
+
+
+def test_verify_census_fails_a_wrong_count(tmp_path, capsys):
+    path, lines, _ = _census_lines(tmp_path, capsys, "--family", "plane",
+                                   "--bound", "2")
+    head = json.loads(lines[0])
+    head["count"] = 99
+    lines[0] = json.dumps(head, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run(capsys, "verify", "--census", str(path))
+    assert code == 4 and "FAIL census-plane" in out
+    assert "header count 99 for 5 members" in out
+
+
 def test_verify_none_is_vacuous(capsys):
     code, out = run(capsys, "verify", "--suite", "none")
     assert code == 0
@@ -223,13 +250,15 @@ def test_state_cap_exits_non_convergence(monkeypatch, capsys):
                               "bound": {"doubled": 4}}),
     (["verify", "--census"], {"family": [], "legs": [],
                               "bound": {"doubled": 4}}),
+    (["verify", "--census"], {"family": "plane", "legs": [],
+                              "bound": {"doubled": 4}, "count": "5"}),
 ], ids=["letter-parts", "letter-leg", "string-value", "short-triple",
         "string-leg-part", "no-legs", "one-leg-of-two", "array-payload",
         "support-not-array", "array-pair", "rho-not-object", "array-type",
         "excess-off-quadrant",
         "census-empty", "census-array-header", "census-string-bound",
         "census-no-family", "census-no-bound", "census-no-leg",
-        "census-array-family"])
+        "census-array-family", "census-string-count"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, payload):
     if payload is not None:
         # a string is the file's text; anything else is one JSON line

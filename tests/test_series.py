@@ -3,7 +3,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pptoggle.configurations import minimal_weight
 from pptoggle.errors import DomainError, NonConvergenceError
@@ -12,11 +12,11 @@ from pptoggle.oracle import partitions_up_to
 from pptoggle.partitions import (as_partition, interlacers_above,
                                  interlacers_below, weight)
 from pptoggle.series import (OperatorWord, TruncatedSeries, _evaluate_capped,
-                             _successors, apply_vertex_op, evaluate,
-                             evaluate_stable, geometric, hook_product,
-                             initial_cutoff, macmahon_series, macmahon_word,
-                             minimal_exponent, one_leg_word, series_mul,
-                             shape_word, step_op,
+                             _state_cap, _successors, apply_vertex_op,
+                             evaluate, evaluate_stable, geometric,
+                             hook_product, initial_cutoff, macmahon_series,
+                             macmahon_word, minimal_exponent, one_leg_word,
+                             series_mul, shape_word, step_op,
                              two_leg_spp_word, weigh_op)
 
 H = HalfInt.halves
@@ -150,9 +150,52 @@ def test_capped_fold_matches_untruncated_fold(ops, bra, ket, bound2):
     # the per-size bounds must drop only terms that end past the bound,
     # whatever the signs of the exponents and weigh scales
     word = OperatorWord(tuple(ops), bra=bra, ket=ket)
-    cap = word.size_cap(HalfInt(bound2))
+    cap = max(0, bound2 // 2 + 1) + weight(bra) + weight(ket)
     want = TruncatedSeries(bound2, untruncated_fold(word, cap))
     assert _evaluate_capped(word, bound2, cap).pairs() == want.pairs()
+
+
+# a raise, a weigh taking back half its exponent, and a lower: sum of q^(n/2)
+HALF_STEPS = (step_op(-1, H(1)), weigh_op(H(-1)), step_op(1, H(1)))
+
+
+@settings(deadline=None)
+@given(st.lists(word_ops, max_size=5), tiny_partitions, tiny_partitions,
+       st.integers(-2, 6))
+@example(list(HALF_STEPS), (), (), 4)
+@example([step_op(-1, 1), weigh_op(-1), step_op(1, 1)], (1,), (1,), 0)
+def test_state_cap_holds_every_contributing_state(ops, bra, ket, bound2):
+    # a convergent word's fold does not change with 6 more sizes; a word
+    # reported divergent has paths of every size below one degree. The
+    # second example's paths held at size 1 have degree -1, which widens
+    # its cap to 2
+    word = OperatorWord(tuple(ops), bra=bra, ket=ket)
+    try:
+        got = evaluate(word, HalfInt(bound2))
+    except NonConvergenceError as exc:
+        assert "unboundedly many" in str(exc)
+        small = weight(bra) + weight(ket)
+        top2 = small * sum(abs(op[-1].doubled) for op in ops)
+        totals = [sum(_evaluate_capped(word, top2, small + k).coeffs.values())
+                  for k in range(3)]
+        assert totals[0] < totals[1] < totals[2]
+        return
+    wider = _evaluate_capped(word, bound2, _state_cap(word, bound2) + 6)
+    assert got.pairs() == wider.pairs()
+
+
+def test_layer_word_keeps_every_term():
+    # each unit of size the raise adds costs 1/2 net, so states reach size
+    # 2 * bound; a cap of bound + 1 stopped this series at q^(bound - 1/2)
+    word = OperatorWord(HALF_STEPS)
+    for bound in (2, 3):
+        assert evaluate(word, bound) == geometric(H(1), bound)
+
+
+def test_negative_lower_with_positive_layer_converges():
+    # the lower's exponent is negative but each layer adds 3/2 - 1 > 0
+    word = OperatorWord((step_op(-1, -1), step_op(1, H(3))))
+    assert evaluate(word, 2) == geometric(H(1), 2)
 
 
 def brute_valley_series(exponent, bound):
@@ -297,8 +340,8 @@ shape_cases = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(shape_cases, st.integers(0, 12))
 def test_evaluate_stable_matches_doubled_cutoff(case, bound2):
-    # one fold at the stated cutoff and state cap equals evaluate at twice
-    # the cutoff, which also reruns one-leg words at a larger state cap
+    # one fold at the stated cutoff equals evaluate at twice the cutoff,
+    # whose state cap is stated from the longer word
     kind, legs = case
     bound = HalfInt(bound2)
     doubled = shape_word(kind, legs, 2 * initial_cutoff(kind, legs, bound))
