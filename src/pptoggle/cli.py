@@ -286,21 +286,20 @@ def _verify_census(args, report) -> int:
             f'census bound must look like {{"doubled": 9}}: {bound!r}')
     bound = HalfInt(bound["doubled"])
     legs = sz.legs_from_json(head, family)
+    if family not in ("plane", "one-leg-spp", "one-leg-rpp", "two-leg-spp",
+                      "two-leg-rpp"):
+        raise DomainError(f"unknown census family {family!r}")
+    count = head.get("count")
+    if type(count) is not int:
+        raise DomainError(f"census count must be an integer: {count!r}")
     if family == "plane":
         want = sr.macmahon_series(bound)
     elif family == "one-leg-spp":
         want = sr.hook_product("outside", legs[0], bound)
     elif family == "one-leg-rpp":
         want = sr.hook_product("inside", legs[0], bound)
-    elif family == "two-leg-spp":
-        want = sr.evaluate_stable("two-leg-spp", (legs[0], legs[1]), bound)
-    elif family == "two-leg-rpp":
-        want = sr.evaluate_stable("two-leg-rpp", (legs[0], legs[1]), bound)
     else:
-        raise DomainError(f"unknown census family {family!r}")
-    count = head.get("count")
-    if type(count) is not int:
-        raise DomainError(f"census count must be an integer: {count!r}")
+        want = sr.evaluate_stable(family, (legs[0], legs[1]), bound)
     member_type = "plane-partition" if family == "plane" else family
     counts: dict[HalfInt, int] = {}
     seen, duplicate, heavy = set(), None, None

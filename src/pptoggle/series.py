@@ -10,9 +10,10 @@ beyond the degree bound are never generated, and the successor lists of a
 exponents are still to come, a state keeps terms past the bound only by as
 much degree as those operators could take off from its size.
 
-Every word is folded once, over states no larger than a cap stated from the
-word and the bound (`_state_cap`); the same reading of the word tells a
-divergent word, which is reported at every bound.
+A word is folded once, over states no larger than a cap stated from the word
+and the bound (`_state_cap`). A word whose layers of size may cost nothing
+first gets one exponent-free fold at cap |bra| + |ket|, which decides whether
+it diverges; a divergent word is reported at every bound.
 """
 
 from __future__ import annotations

@@ -317,6 +317,19 @@ def test_state_cap_counts_the_truncated_step(monkeypatch):
         evaluate(word, 5)
 
 
+def test_state_cap_counts_after_truncation(monkeypatch):
+    # the stated cap of this word at bound 5 is 2, where the truncation has
+    # nothing to drop; at cap 6 the raise makes 5 states and keeps 3, so
+    # MAX_STATES must be checked against what the step carries forward
+    from pptoggle import series
+    word = OperatorWord((step_op(-1, HalfInt(-3)), step_op(1, HalfInt(7))))
+    monkeypatch.setattr(series, "MAX_STATES", 3)
+    assert series._evaluate_capped(word, 10, 6).coeffs == {0: 1, 4: 1, 8: 1}
+    monkeypatch.setattr(series, "MAX_STATES", 2)
+    with pytest.raises(NonConvergenceError, match="holds 3 states"):
+        series._evaluate_capped(word, 10, 6)
+
+
 @pytest.mark.parametrize("kind, legs, bound, digest", [
     ("two-leg-spp", ((2, 1), (1, 1)), H(9), "f1ca00dc5e5b3996"),
     ("two-leg-rpp", ((2, 1), (1, 1)), H(9), "c8e2136a87a8212f"),
