@@ -12,11 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 
 from .boundary import HookTarget, redistribute, redistribute_inverse
 from .configurations import (HookTableau, OneLegRPP, OneLegSPP, PlanePartition,
                              TwoLegRPP, TwoLegSPP, diagonal, leg_reach,
-                             transpose, two_leg_ceiling, two_leg_floor)
+                             transpose, two_leg_ceiling_diagonal,
+                             two_leg_floor_diagonal)
 from .errors import DomainError, NonConvergenceError, ScheduleError
 from .partitions import Cell, Partition, as_partition, contains, part
 from .toggles import toggle_between, toggle_pop, toggle_push
@@ -40,37 +42,51 @@ class ToggleSchedule:
         if text in ("off-diagonal", "lexicographic"):
             return ToggleSchedule(text)
         if text.startswith("seeded:"):
-            return ToggleSchedule("seeded", seed=int(text.split(":", 1)[1]))
+            seed = text.split(":", 1)[1]
+            try:
+                return ToggleSchedule("seeded", seed=int(seed))
+            except ValueError:
+                raise ScheduleError(f"seed must be an integer: {seed!r}") from None
         raise ScheduleError(f"unknown schedule {text!r}")
 
-    def order(self, shape: Partition, size: int) -> tuple[Cell, ...]:
-        """The cells of [1,size]^2 outside shape in this schedule's order."""
+    def order(self, shape: Partition, rows: int, cols: int
+              ) -> tuple[Cell, ...]:
+        """The cells of [1,rows]x[1,cols] outside shape in this schedule's
+        order."""
         if self.kind == "explicit":
             return tuple(self.cells or ())
         if self.kind == "seeded":
-            return _seeded_order(self.seed, tuple(shape), size)
+            return _seeded_order(self.seed, tuple(shape), rows, cols)
         if self.kind not in ("off-diagonal", "lexicographic"):
             raise ScheduleError(f"unknown schedule kind {self.kind!r}")
-        region = [(i, j) for i in range(1, size + 1)
-                  for j in range(part(shape, i) + 1, size + 1)]
-        diagonal_first = self.kind == "off-diagonal"
-        key = (lambda c: (c[0] + c[1], c[0])) if diagonal_first else None
-        return tuple(sorted(region, key=key))
+        return _fixed_order(self.kind, tuple(shape), rows, cols)
 
 
 @lru_cache(maxsize=1 << 8)
-def _seeded_order(seed: int, shape: Partition, size: int) -> tuple[Cell, ...]:
+def _fixed_order(kind: str, shape: Partition, rows: int, cols: int
+                 ) -> tuple[Cell, ...]:
+    """Off-diagonal or lexicographic order, memoised like _seeded_order:
+    every object of a size asks for the same box."""
+    region = [(i, j) for i in range(1, rows + 1)
+              for j in range(part(shape, i) + 1, cols + 1)]
+    key = (lambda c: (c[0] + c[1], c[0])) if kind == "off-diagonal" else None
+    return tuple(sorted(region, key=key))
+
+
+@lru_cache(maxsize=1 << 8)
+def _seeded_order(seed: int, shape: Partition, rows: int, cols: int
+                  ) -> tuple[Cell, ...]:
     """Each next corner picked uniformly at random. Memoised because the
     schedule suites replay the same seeds on every object of a size."""
     rng = random.Random(seed)
-    extra = [0] * (size + 1)  # popped cells beyond the shape, per row
-    total = sum(max(0, size - part(shape, i)) for i in range(1, size + 1))
+    extra = [0] * (rows + 1)  # popped cells beyond the shape, per row
+    total = sum(max(0, cols - part(shape, i)) for i in range(1, rows + 1))
     order = []
     while len(order) < total:
         avail = []
-        for i in range(1, size + 1):
+        for i in range(1, rows + 1):
             j = part(shape, i) + extra[i] + 1
-            if j > size:
+            if j > cols:
                 continue
             if i == 1 or part(shape, i - 1) + extra[i - 1] >= j:
                 avail.append((i, j))
@@ -150,25 +166,32 @@ def _two_leg_grid(sigma: TwoLegSPP) -> ToggleGrid:
                            for d in range(-reach, reach + 1)}, sigma.legs)
 
 
-def _pop_region(grid: ToggleGrid, shape: Partition, size: int,
+def _pop_region(grid: ToggleGrid, shape: Partition, rows: int, cols: int,
                 schedule: ToggleSchedule) -> dict[Cell, int]:
     values = {}
-    for cell in schedule.order(shape, size):
+    for cell in schedule.order(shape, rows, cols):
         n = grid.pop(*cell)
         if n:
             values[cell] = n
     return values
 
 
-def _push_square(grid: ToggleGrid, size: int, values: dict[Cell, int]):
-    """Take the grid's square [1,size]^2 as popped, its stored diagonals
-    read from the square's edge, and push values back in reverse canonical
+def _push_box(grid: ToggleGrid, rows: int, cols: int,
+              values: dict[Cell, int]):
+    """Take the grid's box [1,rows]x[1,cols] as popped, its stored diagonals
+    read from the box's edge, and push values back in reverse canonical
     order."""
-    cells = DEFAULT_SCHEDULE.order(grid.shape, size)
-    grid.front.update((i, max(size, part(grid.shape, i)) + 1)
-                      for i in range(1, size + 1))
+    cells = DEFAULT_SCHEDULE.order(grid.shape, rows, cols)
+    grid.front.update((i, max(cols, part(grid.shape, i)) + 1)
+                      for i in range(1, rows + 1))
     for cell in reversed(cells):
         grid.push(*cell, values.get(cell, 0))
+
+
+def _bounding_box(cells) -> tuple[int, int]:
+    """Rows and columns of the smallest [1,r]x[1,c] holding the cells."""
+    return (max((i for i, _ in cells), default=0),
+            max((j for _, j in cells), default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -178,28 +201,28 @@ def _pop_all(shape: Partition, entries: dict[Cell, int],
              schedule: ToggleSchedule) -> dict[Cell, int]:
     """Pop a decreasing filling outside `shape` until it is empty; the
     popped values, weighted by hook length, carry the full weight. The
-    support's square [1,s]^2 is enough: a pop at (i, j) leaves entry m of
-    its diagonal nonzero only if (i+m-1, j+m) and (i+m, j+m-1) are."""
-    size = max((max(c) for c in entries), default=0)
+    support's bounding box [1,r]x[1,c] is enough: a pop at (i, j) leaves
+    entry m of its diagonal, at (i+m, j+m), nonzero only if (i+m-1, j+m) and
+    (i+m, j+m-1) are, so the support never leaves the box."""
     grid = ToggleGrid(shape)
     for (i, j) in sorted(entries):  # no gaps from each diagonal's first cell
         grid.diags[j - i] = grid.diag(j - i) + (entries[(i, j)],)
-    values = _pop_region(grid, shape, size, schedule)
+    values = _pop_region(grid, shape, *_bounding_box(entries), schedule)
     if any(grid.diags.values()):
         raise AssertionError("popping box did not exhaust the object")
     return values
 
 
 def _push_all(shape: Partition, t: HookTableau) -> dict[Cell, int]:
-    """Inverse of _pop_all, over the smallest square [1,s]^2 that holds the
-    tableau's support, whatever its values. The square is exact: its cells
+    """Inverse of _pop_all, over the smallest box [1,r]x[1,c] that holds the
+    tableau's support, whatever its values. The box is exact: its cells
     outside the shape form an order ideal of the pop order, so some linear
     extension pops them first. Pushing in reverse, each cell beyond the
-    square comes first and pushes 0 onto empty diagonals, which changes
+    box comes first and pushes 0 onto empty diagonals, which changes
     nothing, and by schedule independence (Pak, cited at ToggleGrid) every
     push order gives the same result."""
     grid = ToggleGrid(shape)
-    _push_square(grid, max((max(c) for c in t.values), default=0), t.values)
+    _push_box(grid, *_bounding_box(t.values), t.values)
     return grid.nonzero()
 
 
@@ -310,22 +333,30 @@ def one_leg_inverse(rho: OneLegRPP, pi: PlanePartition) -> OneLegSPP:
 def stabilization_index(sigma: TwoLegSPP) -> int:
     """Smallest N with: N >= both leg depths/widths' row counts, the filling
     minimal outside [1,N]^2, and further pops beyond [1,N]^2 all zero."""
+    return _stabilized_pops(sigma)[0]
+
+
+def _stabilized_pops(sigma: TwoLegSPP
+                     ) -> tuple[int, list[Partition], dict[Cell, int]]:
+    """The stabilization index n, with the chain and popped values that
+    popping [1,n+1]^2 leaves, from one grid per n tried. The grid pops
+    [1,n+1]^2 and then the rest of [1,2n]^2, each in canonical order (a
+    linear extension once the square is gone), and n is settled when every
+    pop at a cell past [1,n]^2 is zero. By schedule independence (Pak, cited
+    at ToggleGrid) the values are those of one canonical pass over
+    [1,2n]^2."""
     lam, mu = sigma.legs
-    n = max(len(lam), len(mu), 1)
-    for (i, j) in sigma.excess:
-        n = max(n, i, j)
-    while not _pops_settle(sigma, n):
+    n = max([len(lam), len(mu), 1] + [max(c) for c in sigma.excess])
+    while True:
+        grid, side = _two_leg_grid(sigma), n + 1
+        values = _pop_region(grid, (), side, side, DEFAULT_SCHEDULE)
+        chain = _remnant_chain(grid, side)
+        # the cells of [1,2n]^2 outside the popped square
+        rest = DEFAULT_SCHEDULE.order((side,) * side, 2 * n, 2 * n)
+        if (all(max(c) <= n for c in values)
+                and not any(grid.pop(*c) for c in rest)):
+            return n, chain, values
         n += 1
-    return n
-
-
-def _pops_settle(sigma: TwoLegSPP, n: int) -> bool:
-    grid = _two_leg_grid(sigma)
-    for cell in DEFAULT_SCHEDULE.order((), 2 * n):
-        popped = grid.pop(*cell)
-        if popped and max(cell) > n:
-            return False
-    return True
 
 
 def _palindromic_slots(width: int) -> list[int]:
@@ -378,49 +409,55 @@ class TwoLegRemnant:
         return self.window[self.width + d]
 
 
+def _remnant(legs, chain: list[Partition]) -> TwoLegRemnant:
+    if chain[0] != legs[0] or chain[-1] != legs[1]:
+        raise NonConvergenceError("pop window too small for the leg tails")
+    return TwoLegRemnant(legs, tuple(chain))
+
+
 def two_leg_remnant(sigma: TwoLegSPP, width: int
                     ) -> tuple[TwoLegRemnant, HookTableau]:
     """Pop the width-sized square off a two-leg filling; returns the remnant
     diagonals and the popped hook tableau."""
-    lam, mu = sigma.legs
     grid = _two_leg_grid(sigma)
-    tab = _pop_region(grid, (), width, DEFAULT_SCHEDULE)
-    chain = _remnant_chain(grid, width)
-    if chain[0] != lam or chain[-1] != mu:
-        raise NonConvergenceError("pop window too small for the leg tails")
-    return (TwoLegRemnant((lam, mu), tuple(chain)),
+    tab = _pop_region(grid, (), width, width, DEFAULT_SCHEDULE)
+    return (_remnant(sigma.legs, _remnant_chain(grid, width)),
             HookTableau("plane", (), tab))
 
 
 def _rpp_from_chain(legs, chain: list[Partition], width: int) -> TwoLegRPP:
-    """Deficit of the filling read off the chain; past the window it sits on
-    the ceiling."""
+    """Deficit of the filling read off the chain, each diagonal against the
+    ceiling's; past the window it sits on the ceiling. Entry k of diagonal
+    d is the cell (k - d, k) for d >= 0 and (k, k + d) for d < 0."""
     deficit = {}
-    reach = width + leg_reach(legs) + 2
-    for i in range(1 - reach, reach + 1):
-        for j in range(1 - reach, reach + 1):
-            if (i < 1 and j < 1) or abs(j - i) > width:
-                continue
-            c = two_leg_ceiling(legs, i, j)
-            if not c:
-                continue
-            gap = c - part(chain[width + j - i], max(i, j))
-            if gap < 0:
-                raise AssertionError(f"chain exceeds the ceiling at {(i, j)}")
+    for d in range(-width, width + 1):
+        got = chain[width + d]
+        for k, c in enumerate(two_leg_ceiling_diagonal(legs, d)):
+            gap = c - (got[k] if k < len(got) else 0)
             if gap:
-                deficit[(i, j)] = gap
+                i = k + 1 - max(d, 0)
+                if gap < 0:
+                    raise AssertionError(
+                        f"chain exceeds the ceiling at {(i, i + d)}")
+                deficit[(i, i + d)] = gap
     return TwoLegRPP(legs, deficit)
+
+
+def _two_leg_image(remnant: TwoLegRemnant, tab: HookTableau
+                   ) -> tuple[TwoLegRPP, PlanePartition]:
+    """The palindromic pass on the remnant, read off and transposed, with
+    the plane partition of the popped tableau."""
+    lam, mu = remnant.legs
+    width = remnant.width
+    chain = list(remnant.window)
+    _toggle_slots(chain, _palindromic_slots(width), width)
+    swapped = _rpp_from_chain((mu, lam), chain, width)
+    return transpose(swapped), tableau_to_pp(tab)
 
 
 def _two_leg_forward_at(sigma: TwoLegSPP, width: int
                         ) -> tuple[TwoLegRPP, PlanePartition]:
-    lam, mu = sigma.legs
-    remnant, tab = two_leg_remnant(sigma, width)
-    pi = tableau_to_pp(tab)
-    chain = list(remnant.window)
-    _toggle_slots(chain, _palindromic_slots(width), width)
-    swapped = _rpp_from_chain((mu, lam), chain, width)
-    return transpose(swapped), pi
+    return _two_leg_image(*two_leg_remnant(sigma, width))
 
 
 def two_leg_forward(sigma: TwoLegSPP) -> tuple[TwoLegRPP, PlanePartition]:
@@ -429,10 +466,13 @@ def two_leg_forward(sigma: TwoLegSPP) -> tuple[TwoLegRPP, PlanePartition]:
 
     Pops the stabilised square into a tableau, reverses the remaining
     operator order palindromically on the eventually-constant diagonals, and
-    transposes. The window is one wider than the stabilisation index; the
+    transposes. The window is one wider than the stabilisation index, and
+    its pops are the first ones of the settle check; the
     `two-leg-width-stability` suite checks that a wider one agrees.
     """
-    return _two_leg_forward_at(sigma, stabilization_index(sigma) + 1)
+    _, chain, values = _stabilized_pops(sigma)
+    return _two_leg_image(_remnant(sigma.legs, chain),
+                          HookTableau("plane", (), values))
 
 
 def _two_leg_inverse_at(rho: TwoLegRPP, pi: PlanePartition, width: int
@@ -445,16 +485,20 @@ def _two_leg_inverse_at(rho: TwoLegRPP, pi: PlanePartition, width: int
         raise NonConvergenceError("window too small for the leg tails")
 
     grid = ToggleGrid((), dict(zip(range(-width, width + 1), chain)), (lam, mu))
-    _push_square(grid, width, pp_to_tableau(pi).values)
+    _push_box(grid, width, width, pp_to_tableau(pi).values)
+    # each diagonal of [1,reach]^2 against the floor's; entry k of diagonal
+    # d is the cell (k, k + d) for d >= 0 and (k - d, k) for d < 0
     excess = {}
     reach = width + leg_reach(rho.legs) + 2
-    for i in range(1, reach + 1):
-        for j in range(1, reach + 1):
-            gap = part(grid.diag(j - i), min(i, j)) - two_leg_floor(rho.legs, i, j)
-            if gap < 0:
-                raise AssertionError(f"filling under the floor at {(i, j)}")
-            if gap:
-                excess[(i, j)] = gap
+    for d in range(1 - reach, reach):
+        got, floor = grid.diag(d), two_leg_floor_diagonal(rho.legs, d)
+        for k, (v, f) in enumerate(zip_longest(got, floor, fillvalue=0)):
+            if v != f:
+                i = k + 1 + max(-d, 0)
+                if v < f:
+                    raise AssertionError(
+                        f"filling under the floor at {(i, i + d)}")
+                excess[(i, i + d)] = v - f
     return TwoLegSPP((lam, mu), excess)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import zip_longest
 
 from .errors import DomainError
 from .halfint import HalfInt
@@ -33,6 +34,28 @@ def two_leg_ceiling(legs, i: int, j: int) -> int | None:
     if i < 1:
         return part(lam, j)
     return min(part(lam, j), part(mu, i))
+
+
+def two_leg_floor_diagonal(legs, d: int) -> Partition:
+    """two_leg_floor along diagonal d = col - row, read down-right from its
+    first cell in the quadrant: entry k sits at (k, k + d) for d >= 0, where
+    it is max(lam_{k+d}, mu_k), and at (k - d, k), max(lam_k, mu_{k-d}),
+    for d < 0."""
+    lam, mu = legs
+    a, b = (mu, lam[d:]) if d >= 0 else (lam, mu[-d:])
+    return tuple(x if x > y else y
+                 for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def two_leg_ceiling_diagonal(legs, d: int) -> Partition:
+    """The nonzero run of two_leg_ceiling along diagonal d, read down-right
+    from its first cell with a column (d >= 0) or row (d < 0) index 1:
+    entry k sits at (k - d, k) for d >= 0, where it is lam_k while the row
+    index is <= 0 and min(lam_k, mu_{k-d}) after, and at (k, k + d) for
+    d < 0."""
+    lam, mu = legs
+    a, b, s = (lam, mu, d) if d >= 0 else (mu, lam, -d)
+    return (*a[:s], *(x if x < y else y for x, y in zip(a[s:], b)))
 
 
 def leg_reach(legs) -> int:

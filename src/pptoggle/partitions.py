@@ -60,11 +60,15 @@ def contains(lam: Partition, cell: Cell) -> bool:
 
 
 def interlaces(lam: Partition, mu: Partition) -> bool:
-    """True iff lam_1 >= mu_1 >= lam_2 >= mu_2 >= ..."""
-    for i in range(1, max(len(lam), len(mu)) + 1):
-        if part(lam, i) < part(mu, i):
-            return False
-        if part(mu, i) < part(lam, i + 1):
+    """True iff lam_1 >= mu_1 >= lam_2 >= mu_2 >= ...
+
+    Parts are positive, so this needs len(mu) <= len(lam) <= len(mu) + 1;
+    past mu's last part the chain then reads only zeros."""
+    n = len(mu)
+    if not n <= len(lam) <= n + 1:
+        return False
+    for a, b, c in zip(lam, mu, (*lam[1:], 0)):
+        if a < b or b < c:
             return False
     return True
 

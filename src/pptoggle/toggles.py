@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DomainError
-from .partitions import Partition, as_partition, interlaces, part, weight
+from .partitions import Partition, as_partition, interlaces, weight
 
 
 class ToggleResult(NamedTuple):
@@ -25,6 +25,23 @@ def _require(cond: bool, lam, nu, mu, pattern: str):
                           f"lam={lam} nu={nu} mu={mu}")
 
 
+def _padded(lam: Partition, nu: Partition, mu: Partition):
+    """The three partitions zero-padded to a common length one past the
+    longest. Each toggle's result interlaces with lam, which is at most as
+    long as the longest, so it has at most one part more: as far as the
+    kernel reads."""
+    size = max(len(lam), len(nu), len(mu)) + 1
+    return ((*lam, *(0,) * (size - len(lam))), (*nu, *(0,) * (size - len(nu))),
+            (*mu, *(0,) * (size - len(mu))))
+
+
+def _peak_toggle(la, ma, vn) -> list[int]:
+    """Entries min(lam_m, mu_m) + max(lam_{m+1}, mu_{m+1}) - vn_m, m >= 1
+    (min and max written out: the builtins cost more than the arithmetic)."""
+    return [(a if a < b else b) + (c if c > d else d) - v
+            for a, b, c, d, v in zip(la, ma, la[1:], ma[1:], vn)]
+
+
 def toggle_between(lam: Partition, nu: Partition, mu: Partition) -> Partition:
     """Toggle nu where lam >- nu >- mu; an involution preserving both relations.
 
@@ -33,13 +50,11 @@ def toggle_between(lam: Partition, nu: Partition, mu: Partition) -> Partition:
     """
     _require(interlaces(lam, nu) and interlaces(nu, mu), lam, nu, mu,
              "lam >- nu >- mu")
-    n = max(len(lam), len(nu), len(mu)) + 1
-    out = []
-    for i in range(1, n + 1):
-        hi = part(lam, i) if i == 1 else min(part(lam, i), part(mu, i - 1))
-        lo = max(part(lam, i + 1), part(mu, i))
-        out.append(lo + hi - part(nu, i))
-    return as_partition(out)
+    la, vn, ma = _padded(lam, nu, mu)
+    # mu_{i-1} for entry i: mu_0 is infinite, so lam_1 caps entry 1 alone
+    above = (la[0], *ma)
+    return as_partition([(c if c > d else d) + (a if a < b else b) - v
+                         for a, b, c, d, v in zip(la, above, la[1:], ma, vn)])
 
 
 def toggle_pop(lam: Partition, nu: Partition, mu: Partition) -> ToggleResult:
@@ -50,13 +65,9 @@ def toggle_pop(lam: Partition, nu: Partition, mu: Partition) -> ToggleResult:
     """
     _require(interlaces(nu, lam) and interlaces(nu, mu), lam, nu, mu,
              "lam -< nu >- mu")
-    popped = part(nu, 1) - max(part(lam, 1), part(mu, 1))
-    n = max(len(lam), len(nu), len(mu)) + 1
-    out = [min(part(lam, m), part(mu, m))
-           + max(part(lam, m + 1), part(mu, m + 1))
-           - part(nu, m + 1)
-           for m in range(1, n + 1)]
-    toggled = as_partition(out)
+    la, vn, ma = _padded(lam, nu, mu)
+    popped = vn[0] - max(la[0], ma[0])
+    toggled = as_partition(_peak_toggle(la, ma, vn[1:]))
     assert weight(toggled) == weight(lam) + weight(mu) - weight(nu) + popped
     return ToggleResult(toggled, popped)
 
@@ -68,10 +79,5 @@ def toggle_push(lam: Partition, nu: Partition, mu: Partition, n: int) -> Partiti
         raise DomainError(f"pushed value must be nonnegative: {n}")
     _require(interlaces(lam, nu) and interlaces(mu, nu), lam, nu, mu,
              "lam >- nu -< mu")
-    size = max(len(lam), len(nu), len(mu)) + 1
-    out = [n + max(part(lam, 1), part(mu, 1))]
-    for m in range(2, size + 2):
-        out.append(min(part(lam, m - 1), part(mu, m - 1))
-                   + max(part(lam, m), part(mu, m))
-                   - part(nu, m - 1))
-    return as_partition(out)
+    la, vn, ma = _padded(lam, nu, mu)
+    return as_partition([n + max(la[0], ma[0]), *_peak_toggle(la, ma, vn)])

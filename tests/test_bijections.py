@@ -208,7 +208,7 @@ def test_remnant_diagonals_stay_constant():
 
     def chain_at(width):
         grid = _two_leg_grid(sigma)
-        for cell in DEFAULT_SCHEDULE.order((), width):
+        for cell in DEFAULT_SCHEDULE.order((), width, width):
             grid.pop(*cell)
         return _remnant_chain(grid, width)
 
@@ -236,22 +236,60 @@ def test_two_leg_remnant_structure():
 
 
 def test_push_box_is_sized_by_the_support(monkeypatch):
-    # a huge value on a small support must not grow the push grid: the spy
-    # fails on the requested side before any cell list is built
-    bound = {"side": 0}
+    # a huge value on a small support must not grow the push grid, and a
+    # one-row or one-column support must not grow a push or pop box into a
+    # square: the spy fails on the requested rows or columns before any cell
+    # list is built
+    bound = {"rows": 0, "cols": 0}
     order = ToggleSchedule.order
 
-    def spy(self, shape, size):
-        assert size <= bound["side"], (
-            f"push box side {size} exceeds the support bound {bound['side']}")
-        return order(self, shape, size)
+    def spy(self, shape, rows, cols):
+        assert rows <= bound["rows"] and cols <= bound["cols"], (
+            f"push box {rows}x{cols} exceeds the support's "
+            f"{bound['rows']}x{bound['cols']}")
+        return order(self, shape, rows, cols)
 
     monkeypatch.setattr(ToggleSchedule, "order", spy)
     big = 10 ** 6
-    bound["side"] = 1
+    bound.update(rows=1, cols=1)
     pi = tableau_to_pp(HookTableau("plane", (), {(1, 1): big}))
     assert pi.entries == {(1, 1): big}
-    bound["side"] = 3
+    bound.update(rows=2, cols=3)
     t = HookTableau("outside", (2, 1), {(1, 3): big, (2, 2): 1})
     sigma = tableau_to_spp(t)
     assert sum(sigma.entries.values()) == t.hook_weight()
+    bound.update(rows=1, cols=300)
+    pi = tableau_to_pp(HookTableau("plane", (), {(1, 300): 1}))
+    assert pi.entries == {(1, j): 1 for j in range(1, 301)}
+    bound.update(rows=300, cols=1)
+    assert pp_to_tableau(PlanePartition.from_rows([[1]] * 300)).values == {
+        (300, 1): 1}
+
+
+def _old_stabilization_index(sigma):
+    # the loop the fused pass replaced: a fresh grid per n, popping [1,2n]^2
+    # in canonical order until no pop past [1,n]^2 is nonzero
+    from pptoggle.bijections import DEFAULT_SCHEDULE, _two_leg_grid
+    lam, mu = sigma.legs
+    n = max([len(lam), len(mu), 1] + [max(c) for c in sigma.excess])
+    while True:
+        grid = _two_leg_grid(sigma)
+        if not any(grid.pop(*cell) and max(cell) > n
+                   for cell in DEFAULT_SCHEDULE.order((), 2 * n, 2 * n)):
+            return n
+        n += 1
+
+
+def test_fused_pop_pass_matches_the_separate_passes():
+    from pptoggle.bijections import _two_leg_forward_at
+    from pptoggle.oracle import partitions_up_to
+    legs = partitions_up_to(2)
+    count = 0
+    for lam in legs:
+        for mu in legs:
+            for sigma in enum_two_leg_spp((lam, mu), 4):
+                n = _old_stabilization_index(sigma)
+                assert stabilization_index(sigma) == n
+                assert two_leg_forward(sigma) == _two_leg_forward_at(sigma, n + 1)
+                count += 1
+    assert count == 942  # every filling with legs of weight <= 2, excess <= 4

@@ -254,13 +254,18 @@ def test_state_cap_exits_non_convergence(monkeypatch, capsys):
                               "bound": {"doubled": 4}, "count": "5"}),
     (["verify", "--census"], {"family": "plane", "legs": [],
                               "bound": {"doubled": 4}}),
+    (["biject", "plane", "--schedule", "seeded:abc"],
+     {"type": "plane-partition", "legs": [], "entries": [[1, 1, 1]]}),
+    (["biject", "plane", "--schedule", "seeded:"],
+     {"type": "plane-partition", "legs": [], "entries": [[1, 1, 1]]}),
 ], ids=["letter-parts", "letter-leg", "string-value", "short-triple",
         "string-leg-part", "no-legs", "one-leg-of-two", "array-payload",
         "support-not-array", "array-pair", "rho-not-object", "array-type",
         "excess-off-quadrant",
         "census-empty", "census-array-header", "census-string-bound",
         "census-no-family", "census-no-bound", "census-no-leg",
-        "census-array-family", "census-string-count", "census-no-count"])
+        "census-array-family", "census-string-count", "census-no-count",
+        "schedule-letter-seed", "schedule-empty-seed"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, payload):
     if payload is not None:
         # a string is the file's text; anything else is one JSON line

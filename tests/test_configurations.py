@@ -5,7 +5,9 @@ from pptoggle.configurations import (HookTableau, OneLegRPP, OneLegSPP,
                                      PlanePartition, TwoLegRPP, TwoLegSPP,
                                      cfg_weight, diagonal, leg_reach,
                                      minimal_config, minimal_weight,
-                                     transpose, two_leg_ceiling, two_leg_floor)
+                                     transpose, two_leg_ceiling,
+                                     two_leg_ceiling_diagonal, two_leg_floor,
+                                     two_leg_floor_diagonal)
 from pptoggle.errors import DomainError
 from pptoggle.halfint import HalfInt
 from pptoggle.serialize import config_from_json, config_to_json
@@ -199,3 +201,18 @@ def test_json_round_trip_all_kinds():
                HookTableau("outside", (2, 1), {(1, 3): 4})]
     for cfg in samples:
         assert config_from_json(config_to_json(cfg)) == cfg
+
+
+def test_level_diagonals_read_the_cell_levels():
+    # the floor and ceiling read a diagonal at a time are the zero-excess
+    # and zero-deficit fillings' diagonals, which read them cell by cell
+    from pptoggle.oracle import partitions_up_to
+    legs = partitions_up_to(4)
+    for lam in legs:
+        for mu in legs:
+            reach = leg_reach((lam, mu)) + 2
+            for d in range(-reach, reach + 1):
+                assert (two_leg_floor_diagonal((lam, mu), d)
+                        == diagonal(TwoLegSPP((lam, mu)), d))
+                assert (two_leg_ceiling_diagonal((lam, mu), d)
+                        == diagonal(TwoLegRPP((lam, mu)), d))

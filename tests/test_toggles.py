@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pptoggle.errors import DomainError
 from pptoggle.oracle import partitions_up_to
-from pptoggle.partitions import interlacers_below, interlaces, part, weight
+from pptoggle.partitions import (as_partition, interlacers_below,
+                                 interlaces, part, weight)
 from pptoggle.toggles import toggle_between, toggle_pop, toggle_push
 
 
@@ -83,19 +84,107 @@ def test_exhaustive_small_triples():
                 assert toggle_push(lam, t, mu, n) == nu
 
 
-interval_choices = st.lists(st.integers(min_value=0, max_value=3),
-                            min_size=1, max_size=5)
+def _below(nu, slack):
+    """A partition interlacing below nu: entry i in [nu_{i+1}, nu_i]."""
+    return as_partition([part(nu, i + 1) + min(d, part(nu, i) - part(nu, i + 1))
+                         for i, d in enumerate(slack[:len(nu)], start=1)])
 
 
-@given(interval_choices, interval_choices, st.integers(0, 3))
-def test_random_pop_push_round_trip(drops_a, drops_b, n):
-    # build lam >- nu -< mu from random entry slacks
-    nu = tuple(sorted((d + 1 for d in drops_a), reverse=True))
-    lam = tuple(sorted((part(nu, i) + d for i, d in
-                        enumerate(drops_b, start=1)), reverse=True))
-    lam = tuple(v for v in lam if v)
-    if not (interlaces(lam, nu) and interlaces(lam, nu)):
-        return
-    mu = lam
+def _above(nu, slack):
+    """A partition interlacing above nu: entry 1 at least nu_1, entry
+    i > 1 in [nu_i, nu_{i-1}], at most one part longer."""
+    out = [part(nu, 1) + slack[0]]
+    out += [part(nu, i) + min(d, part(nu, i - 1) - part(nu, i))
+            for i, d in enumerate(slack[1:len(nu) + 1], start=2)]
+    return as_partition(out)
+
+
+nus = st.lists(st.integers(1, 4), max_size=5).map(
+    lambda ps: tuple(sorted(ps, reverse=True)))
+slacks = st.lists(st.integers(0, 3), min_size=6, max_size=6)
+
+
+@given(nus, slacks, slacks, st.integers(0, 3))
+def test_random_pop_push_round_trip(nu, slack_a, slack_b, n):
+    # lam >- nu -< mu with lam and mu drawn independently: push then pop
+    lam, mu = _above(nu, slack_a), _above(nu, slack_b)
+    assert interlaces(lam, nu) and interlaces(mu, nu)
     t = toggle_push(lam, nu, mu, n)
     assert toggle_pop(lam, t, mu) == (nu, n)
+    # lam -< nu >- mu, again independent: pop then push
+    lam, mu = _below(nu, slack_a), _below(nu, slack_b)
+    assert interlaces(nu, lam) and interlaces(nu, mu)
+    t, popped = toggle_pop(lam, nu, mu)
+    assert toggle_push(lam, t, mu, popped) == nu
+
+
+# Reference formulas for the kernel: one part() read per index, with no
+# padding and no length shortcut.
+
+def _old_interlaces(lam, mu):
+    return all(part(lam, i) >= part(mu, i) >= part(lam, i + 1)
+               for i in range(1, max(len(lam), len(mu)) + 1))
+
+
+def _old_between(lam, nu, mu):
+    out = []
+    for i in range(1, max(len(lam), len(nu), len(mu)) + 2):
+        hi = part(lam, i) if i == 1 else min(part(lam, i), part(mu, i - 1))
+        lo = max(part(lam, i + 1), part(mu, i))
+        out.append(lo + hi - part(nu, i))
+    return as_partition(out)
+
+
+def _old_pop(lam, nu, mu):
+    out = [min(part(lam, m), part(mu, m)) + max(part(lam, m + 1), part(mu, m + 1))
+           - part(nu, m + 1)
+           for m in range(1, max(len(lam), len(nu), len(mu)) + 2)]
+    return as_partition(out), part(nu, 1) - max(part(lam, 1), part(mu, 1))
+
+
+def _old_push(lam, nu, mu, n):
+    out = [n + max(part(lam, 1), part(mu, 1))]
+    out += [min(part(lam, m - 1), part(mu, m - 1)) + max(part(lam, m), part(mu, m))
+            - part(nu, m - 1)
+            for m in range(2, max(len(lam), len(nu), len(mu)) + 3)]
+    return as_partition(out)
+
+
+@st.composite
+def _triples(draw):
+    """nu, then lam and mu each above nu, below it, or any partition (mostly
+    not interlacing)."""
+    nu = draw(nus)
+
+    def neighbour():
+        how = draw(st.sampled_from((_above, _below, None)))
+        return draw(nus) if how is None else how(nu, draw(slacks))
+
+    return neighbour(), nu, neighbour()
+
+
+@given(_triples(), st.integers(0, 3))
+@example(((), (), ()), 0)
+@example(((), (4,), ()), 0)
+@example(((2,), (), ()), 1)
+@example(((3, 1), (1,), (1,)), 2)
+@example(((1, 1), (), ()), 0)
+@example(((3, 1, 1), (2,), (2,)), 0)
+def test_kernel_matches_part_formulas(triple, n):
+    # empty and unequal-length partitions, interlacing or not: the kernel
+    # agrees with the part() formulas and raises where they do not apply
+    lam, nu, mu = triple
+    for a, b in ((lam, nu), (nu, lam), (mu, nu), (nu, mu), (lam, mu), (mu, lam)):
+        assert interlaces(a, b) == _old_interlaces(a, b)
+    for new, old, args, ok in (
+            (toggle_between, _old_between, (lam, nu, mu),
+             _old_interlaces(lam, nu) and _old_interlaces(nu, mu)),
+            (toggle_pop, _old_pop, (lam, nu, mu),
+             _old_interlaces(nu, lam) and _old_interlaces(nu, mu)),
+            (toggle_push, _old_push, (lam, nu, mu, n),
+             _old_interlaces(lam, nu) and _old_interlaces(mu, nu))):
+        if ok:
+            assert new(*args) == old(*args)
+        else:
+            with pytest.raises(DomainError):
+                new(*args)
