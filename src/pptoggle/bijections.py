@@ -59,18 +59,11 @@ class ToggleSchedule:
             return _seeded_order(self.seed, tuple(shape), rows, cols)
         if self.kind not in ("off-diagonal", "lexicographic"):
             raise ScheduleError(f"unknown schedule kind {self.kind!r}")
-        return _fixed_order(self.kind, tuple(shape), rows, cols)
-
-
-@lru_cache(maxsize=1 << 8)
-def _fixed_order(kind: str, shape: Partition, rows: int, cols: int
-                 ) -> tuple[Cell, ...]:
-    """Off-diagonal or lexicographic order, memoised like _seeded_order:
-    every object of a size asks for the same box."""
-    region = [(i, j) for i in range(1, rows + 1)
-              for j in range(part(shape, i) + 1, cols + 1)]
-    key = (lambda c: (c[0] + c[1], c[0])) if kind == "off-diagonal" else None
-    return tuple(sorted(region, key=key))
+        region = [(i, j) for i in range(1, rows + 1)
+                  for j in range(part(shape, i) + 1, cols + 1)]
+        diagonal_first = self.kind == "off-diagonal"
+        key = (lambda c: (c[0] + c[1], c[0])) if diagonal_first else None
+        return tuple(sorted(region, key=key))
 
 
 @lru_cache(maxsize=1 << 8)

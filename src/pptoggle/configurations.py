@@ -10,7 +10,7 @@ leg mu, far-negative ones the column leg lam.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import zip_longest
 
 from .errors import DomainError
@@ -331,15 +331,13 @@ def minimal_weight(kind: str, legs) -> HalfInt:
 @lru_cache(maxsize=1 << 10)
 def _minimal_weight(kind: str, legs: tuple[Partition, Partition]) -> HalfInt:
     if kind == "spp":
-        level, start_above, sign = two_leg_floor, False, 1
+        level, sign = two_leg_floor_diagonal, 1
     elif kind == "rpp":
-        level, start_above, sign = two_leg_ceiling, True, -1
+        level, sign = two_leg_ceiling_diagonal, -1
     else:
         raise DomainError(f"kind must be 'spp' or 'rpp': {kind!r}")
-    val = partial(level, legs)
     reach = leg_reach(legs) + 2
-    size = {d: sum(_ray(val, d, start_above))
-            for d in range(-reach, reach + 1)}
+    size = {d: sum(level(legs, d)) for d in range(-reach, reach + 1)}
     doubled = 0
     for n in range(reach):
         doubled += (2 * n + 1) * (size[n] - size[n + 1])
