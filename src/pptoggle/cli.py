@@ -421,6 +421,9 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"invariant: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

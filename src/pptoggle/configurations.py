@@ -262,19 +262,19 @@ def diagonal(cfg, n: int) -> Partition:
     plane partitions are read the opposite way so the result is again weakly
     decreasing.
     """
-    if isinstance(cfg, PlanePartition):
-        vals = _ray(lambda i, j: cfg.at(i, j), n, start_above=False)
-    elif isinstance(cfg, OneLegSPP):
-        def val(i, j):
-            return cfg.at(i, j) if not contains(cfg.shape, (i, j)) else None
-        vals = _ray(val, n, start_above=False, skip_none=True)
+    if isinstance(cfg, (PlanePartition, OneLegSPP)):
+        # the support is an order ideal of the quadrant minus the shape, so
+        # on a diagonal it is a run from the diagonal's first cell outside
+        vals = [v for (i, j), v in sorted(cfg.entries.items()) if j - i == n]
     elif isinstance(cfg, OneLegRPP):
         cells = [(i, j) for (i, j) in _shape_diag(cfg.shape, n)]
         vals = [cfg.at(i, j) for (i, j) in reversed(cells)]
     elif isinstance(cfg, TwoLegSPP):
-        vals = _ray(lambda i, j: cfg.at(i, j), n, start_above=False)
+        vals = _level_diagonal(two_leg_floor_diagonal(cfg.legs, n),
+                               cfg.excess, n, min, 1)
     elif isinstance(cfg, TwoLegRPP):
-        vals = _ray(lambda i, j: cfg.at(i, j), n, start_above=True)
+        vals = _level_diagonal(two_leg_ceiling_diagonal(cfg.legs, n),
+                               cfg.deficit, n, max, -1)
     else:
         raise DomainError(f"no diagonal reading for {type(cfg).__name__}")
     return as_partition(vals)
@@ -292,28 +292,21 @@ def _shape_diag(shape: Partition, n: int) -> list[Cell]:
     return out
 
 
-def _ray(val, n: int, start_above: bool, skip_none: bool = False) -> list[int]:
-    # start at the first in-domain cell of the offset-n diagonal and read
-    # down-right until the values hit zero for good
-    out = []
-    if start_above:
-        i, j = (1 - n, 1) if n >= 0 else (1, 1 + n)
-    else:
-        i, j = (1, 1 + n) if n >= 0 else (1 - n, 1)
-    guard = 0
-    while True:
-        v = val(i, j)
-        if v is not None:
-            if v == 0:
-                break
-            out.append(v)
-        elif not skip_none:
-            break
-        i, j = i + 1, j + 1
-        guard += 1
-        if guard > 10000:
-            raise AssertionError("diagonal read did not terminate")
-    return out
+def _level_diagonal(level: Partition, stored: dict[Cell, int], n: int,
+                    entry, sign: int) -> list[int]:
+    """A two-leg diagonal: the level's diagonal n with the stored excess
+    added (sign 1) or deficit taken off (sign -1), cell (i, j) at entry
+    entry(i, j), counted from 1, and the trailing zeros dropped. The
+    filling decreases down the diagonal, so those are all its zeros."""
+    vals = list(level)
+    for (i, j), v in stored.items():
+        if j - i == n:
+            k = entry(i, j)
+            vals += [0] * (k - len(vals))
+            vals[k - 1] += sign * v
+    while vals and not vals[-1]:
+        vals.pop()
+    return vals
 
 
 def minimal_weight(kind: str, legs) -> HalfInt:

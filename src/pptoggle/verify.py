@@ -527,9 +527,13 @@ def suite_cutoff_stability(degree: int = 8) -> list[CheckResult]:
 
 def suite_two_leg_width_stability(two_leg_excess: int = 4) -> list[CheckResult]:
     legs = ((2,), (1,))
-    bad_fwd = bad_inv = None
+    bad_settle = bad_fwd = bad_inv = None
     for sigma in oc.enum_two_leg_spp(legs, two_leg_excess):
         n = bj.stabilization_index(sigma)
+        pops = bj._pop_region(bj._two_leg_grid(sigma), (), 2 * n, 2 * n,
+                              bj.DEFAULT_SCHEDULE)
+        if any(max(c) > n for c in pops):
+            bad_settle = bad_settle or sigma.excess
         rho, pi = bj._two_leg_forward_at(sigma, n + 1)
         if bj._two_leg_forward_at(sigma, n + 4) != (rho, pi):
             bad_fwd = bad_fwd or sigma.excess
@@ -537,7 +541,11 @@ def suite_two_leg_width_stability(two_leg_excess: int = 4) -> list[CheckResult]:
         if (bj._two_leg_inverse_at(rho, pi, width)
                 != bj._two_leg_inverse_at(rho, pi, width + 3)):
             bad_inv = bad_inv or (rho.deficit, pi.entries)
-    return [_ok(f"forward-width-stability(legs={legs},excess<={two_leg_excess})")
+    return [_ok(f"pops-settle(legs={legs},excess<={two_leg_excess})")
+            if bad_settle is None else
+            _fail("pops-settle", "nonzero pop past [1,N]^2 in [1,2N]^2",
+                  bad_settle),
+            _ok(f"forward-width-stability(legs={legs},excess<={two_leg_excess})")
             if bad_fwd is None else
             _fail("forward-width-stability", "N+1 and N+4 differ", bad_fwd),
             _ok("inverse-width-stability") if bad_inv is None else

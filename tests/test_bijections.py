@@ -150,8 +150,11 @@ def test_two_leg_worked_example():
 
 def test_two_leg_width_stability_suite():
     # wider windows than the stated ones give the same images
+    # and the pops past [1,N]^2 settle to zero
     rows = run_suites(["two-leg-width-stability"])
     assert rows and all(row.passed for row in rows)
+    assert any(row.name.startswith("two-leg-width-stability/pops-settle(")
+               for row in rows)
 
 
 def test_two_leg_minimal_maps_to_minimal():
@@ -267,8 +270,8 @@ def test_push_box_is_sized_by_the_support(monkeypatch):
 
 
 def _old_stabilization_index(sigma):
-    # the loop the fused pass replaced: a fresh grid per n, popping [1,2n]^2
-    # in canonical order until no pop past [1,n]^2 is nonzero
+    # the search the stated index replaced: a fresh grid per n, popping
+    # [1,2n]^2 in canonical order until no pop past [1,n]^2 is nonzero
     from pptoggle.bijections import DEFAULT_SCHEDULE, _two_leg_grid
     lam, mu = sigma.legs
     n = max([len(lam), len(mu), 1] + [max(c) for c in sigma.excess])
@@ -280,7 +283,7 @@ def _old_stabilization_index(sigma):
         n += 1
 
 
-def test_fused_pop_pass_matches_the_separate_passes():
+def test_stated_index_matches_the_search():
     from pptoggle.bijections import _two_leg_forward_at
     from pptoggle.oracle import partitions_up_to
     legs = partitions_up_to(2)
@@ -293,3 +296,11 @@ def test_fused_pop_pass_matches_the_separate_passes():
                 assert two_leg_forward(sigma) == _two_leg_forward_at(sigma, n + 1)
                 count += 1
     assert count == 942  # every filling with legs of weight <= 2, excess <= 4
+
+
+def test_forward_checks_its_window_edge(monkeypatch):
+    # one short of the true index 3, the window [1,3]^2 pops 1 at (3, 1)
+    from pptoggle import bijections
+    monkeypatch.setattr(bijections, "stabilization_index", lambda sigma: 2)
+    with pytest.raises(AssertionError, match="past the stabilised square"):
+        two_leg_forward(FIG_TWOLEG)

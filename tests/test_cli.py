@@ -79,6 +79,20 @@ def test_biject_two_leg_round_trip(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def test_invariant_failure_exits_4(tmp_path, capsys, monkeypatch):
+    # an index one short of the worked example's true 3 pops 1 at (3, 1),
+    # past the stabilised square: exit 4 with a message, not a traceback
+    from pptoggle import bijections
+    monkeypatch.setattr(bijections, "stabilization_index", lambda sigma: 2)
+    sigma = TwoLegSPP(((2, 2), (3, 1)),
+                      {(1, 1): 3, (1, 2): 2, (2, 1): 3, (2, 2): 1,
+                       (2, 3): 2, (3, 1): 1, (3, 2): 1, (3, 3): 2})
+    src = tmp_path / "sigma.json"
+    src.write_text(json.dumps(config_to_json(sigma)))
+    assert main(["biject", "two-leg", "--input", str(src)]) == 4
+    assert "invariant: nonzero pop past" in capsys.readouterr().err
+
+
 def test_toggle_verbs(capsys):
     code, out = run(capsys, "toggle", "--upper", "5,3,1,1",
                     "--middle", "3,2,1", "--lower", "3,2")

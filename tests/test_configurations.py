@@ -6,8 +6,7 @@ from pptoggle.configurations import (HookTableau, OneLegRPP, OneLegSPP,
                                      cfg_weight, diagonal, leg_reach,
                                      minimal_config, minimal_weight,
                                      transpose, two_leg_ceiling,
-                                     two_leg_ceiling_diagonal, two_leg_floor,
-                                     two_leg_floor_diagonal)
+                                     two_leg_floor)
 from pptoggle.errors import DomainError
 from pptoggle.halfint import HalfInt
 from pptoggle.serialize import config_from_json, config_to_json
@@ -72,6 +71,13 @@ def test_two_leg_tail_diagonals():
     assert diagonal(SPP_11, -40) == lam
     assert diagonal(RPP_7, 40) == RPP_7.legs[0]
     assert diagonal(RPP_7, -40) == RPP_7.legs[1]
+
+
+def test_one_leg_diagonals_start_outside_the_shape():
+    sigma = OneLegSPP((2, 1), {(1, 3): 3, (2, 2): 4, (2, 3): 2,
+                               (3, 1): 5, (3, 2): 3, (3, 3): 2})
+    assert [diagonal(sigma, d) for d in range(-3, 4)] == [
+        (), (5,), (3,), (4, 2), (2,), (3,), ()]
 
 
 def test_all_zero_configurations():
@@ -204,15 +210,29 @@ def test_json_round_trip_all_kinds():
 
 
 def test_level_diagonals_read_the_cell_levels():
-    # the floor and ceiling read a diagonal at a time are the zero-excess
-    # and zero-deficit fillings' diagonals, which read them cell by cell
-    from pptoggle.oracle import partitions_up_to
+    # diagonal() reads a two-leg object a diagonal at a time off its floor or
+    # ceiling; read here cell by cell, from the diagonal's first cell in the
+    # quadrant (SPP) or with a column or row index 1 (RPP) until a zero
+    from pptoggle.oracle import (enum_two_leg_rpp, enum_two_leg_spp,
+                                 partitions_up_to)
     legs = partitions_up_to(4)
+    count = 0
     for lam in legs:
         for mu in legs:
-            reach = leg_reach((lam, mu)) + 2
-            for d in range(-reach, reach + 1):
-                assert (two_leg_floor_diagonal((lam, mu), d)
-                        == diagonal(TwoLegSPP((lam, mu)), d))
-                assert (two_leg_ceiling_diagonal((lam, mu), d)
-                        == diagonal(TwoLegRPP((lam, mu)), d))
+            bound = 3 if max(sum(lam), sum(mu)) <= 3 else 0
+            for cfg in (enum_two_leg_spp((lam, mu), bound)
+                        + enum_two_leg_rpp((lam, mu), bound)):
+                for d in range(-8, 9):
+                    if isinstance(cfg, TwoLegSPP):
+                        i, j = (1, 1 + d) if d >= 0 else (1 - d, 1)
+                    else:
+                        i, j = (1 - d, 1) if d >= 0 else (1, 1 + d)
+                    cells = []
+                    while cfg.at(i, j):
+                        cells.append(cfg.at(i, j))
+                        i, j = i + 1, j + 1
+                    assert diagonal(cfg, d) == tuple(cells), (cfg, d)
+                count += 1
+    # legs of weight <= 3 with excess or deficit <= 3, and the zero-excess
+    # and zero-deficit objects of legs of weight <= 4
+    assert count == 2221
