@@ -19,7 +19,8 @@ from .configurations import (HookTableau, OneLegRPP, OneLegSPP, PlanePartition,
                              TwoLegRPP, TwoLegSPP, diagonal, leg_reach,
                              transpose, two_leg_ceiling_diagonal,
                              two_leg_floor_diagonal)
-from .errors import DomainError, NonConvergenceError, ScheduleError
+from .errors import (DomainError, InvariantError, NonConvergenceError,
+                     ScheduleError)
 from .partitions import Cell, Partition, as_partition, contains, part
 from .toggles import toggle_between, toggle_pop, toggle_push
 
@@ -202,7 +203,8 @@ def _pop_all(shape: Partition, entries: dict[Cell, int],
         grid.diags[j - i] = grid.diag(j - i) + (entries[(i, j)],)
     values = _pop_region(grid, shape, *_bounding_box(entries), schedule)
     if any(grid.diags.values()):
-        raise AssertionError("popping box did not exhaust the object")
+        raise InvariantError("popping box did not exhaust the object",
+                             (shape, entries))
     return values
 
 
@@ -275,7 +277,8 @@ def shape_tableau_to_rpp(lam: Partition, values: dict[Cell, int]) -> OneLegRPP:
     for c, v in sig.entries.items():
         cell = _rotate(c, depth, width)
         if not contains(lam, cell):
-            raise AssertionError("rotated filling escaped the shape")
+            raise InvariantError("rotated filling escaped the shape",
+                                 (lam, cell))
         entries[cell] = v
     return OneLegRPP(lam, entries)
 
@@ -415,8 +418,8 @@ def _rpp_from_chain(legs, chain: list[Partition], width: int) -> TwoLegRPP:
             if gap:
                 i = k + 1 - max(d, 0)
                 if gap < 0:
-                    raise AssertionError(
-                        f"chain exceeds the ceiling at {(i, i + d)}")
+                    raise InvariantError("chain exceeds the ceiling",
+                                         (legs, (i, i + d)))
                 deficit[(i, i + d)] = gap
     return TwoLegRPP(legs, deficit)
 
@@ -451,7 +454,8 @@ def two_leg_forward(sigma: TwoLegSPP) -> tuple[TwoLegRPP, PlanePartition]:
     n = stabilization_index(sigma)
     remnant, tab = two_leg_remnant(sigma, n + 1)
     if any(max(c) > n for c in tab.values):
-        raise AssertionError("nonzero pop past the stabilised square")
+        raise InvariantError("nonzero pop past the stabilised square",
+                             (sigma.legs, sigma.excess))
     return _two_leg_image(remnant, tab)
 
 
@@ -476,8 +480,8 @@ def _two_leg_inverse_at(rho: TwoLegRPP, pi: PlanePartition, width: int
             if v != f:
                 i = k + 1 + max(-d, 0)
                 if v < f:
-                    raise AssertionError(
-                        f"filling under the floor at {(i, i + d)}")
+                    raise InvariantError("filling under the floor",
+                                         (rho.legs, (i, i + d)))
                 excess[(i, i + d)] = v - f
     return TwoLegSPP((lam, mu), excess)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .halfint import HalfInt
 from .partitions import (Cell, Partition, as_partition, conjugate, contains,
                          hook_length, part)
@@ -102,7 +102,7 @@ def _recenter(signs: dict[int, int], radius: int) -> int:
         plus_lt = sum(1 for m in signs if m < c and signs[m] == 1)
         if minus_ge == plus_lt:
             return c
-    raise AssertionError("sign window too small to re-centre")
+    raise InvariantError("sign window too small to re-centre", (signs, radius))
 
 
 def hook_pivots_outside(lam: Partition, n: int) -> list[Cell]:
@@ -141,7 +141,8 @@ def _last_corner_verticals(lam: Partition, n: int) -> list[int]:
         r = v % n
         if r not in best or v > best[r]:
             best[r] = v
-    assert len(best) == n
+    if len(best) != n:
+        raise InvariantError("one last vertical per residue class", (lam, n))
     return sorted(best.values())
 
 
@@ -161,7 +162,8 @@ def redistribute(lam: Partition, cell: Cell) -> HookTarget:
     k = _vertical_label(lam, row)
     ell = _horizontal_label(lam, col)
     n = ell - k
-    assert n == hook_length(lam, cell, "outside")
+    if n != hook_length(lam, cell, "outside"):
+        raise InvariantError("edge labels give the hook length", (lam, cell))
     i0 = k % n
     last_here = _last_corner_verticals(lam, n)
     if k == max(v for v in last_here if v % n == i0):
@@ -179,7 +181,7 @@ def redistribute(lam: Partition, cell: Cell) -> HookTarget:
                 "in-lambda",
                 (_row_of_vertical(lam, ell2 + n), _col_of_horizontal(lam, ell2)))
         m += 1
-    raise AssertionError("no following inner corner found")
+    raise InvariantError("no following inner corner found", (lam, cell))
 
 
 def redistribute_inverse(lam: Partition, target: HookTarget) -> Cell:
@@ -206,4 +208,4 @@ def redistribute_inverse(lam: Partition, target: HookTarget) -> Cell:
             v = n * m + i0
             return (_row_of_vertical(lam, v), _col_of_horizontal(lam, v + n))
         m -= 1
-    raise AssertionError("no preceding outer corner found")
+    raise InvariantError("no preceding outer corner found", (lam, target))

@@ -40,6 +40,17 @@ def parse_partition(text: str):
     return as_partition(parts)
 
 
+def _non_negative(parse):
+    """An argparse type: `parse`, then refuse a value below zero."""
+    def check(text: str):
+        value = parse(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
+        return value
+    check.__name__ = parse.__name__  # argparse names it in its error
+    return check
+
+
 def parse_legs(text: str):
     parts = text.split("/")
     if len(parts) != 2:
@@ -390,9 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[shared], help="run invariant suites")
     p.add_argument("--suite", default="all")
-    p.add_argument("--degree", type=HalfInt.parse)
-    p.add_argument("--max-part", type=int, dest="max_part")
-    p.add_argument("--max-weight", type=int, dest="max_weight")
+    p.add_argument("--degree", type=_non_negative(HalfInt.parse))
+    p.add_argument("--max-part", type=_non_negative(int), dest="max_part")
+    p.add_argument("--max-weight", type=_non_negative(int), dest="max_weight")
     p.add_argument("--lambda", dest="shape", metavar="PARTS",
                    help="restrict shape-indexed suites to one shape")
     p.add_argument("--census", help="check a census file against its series")

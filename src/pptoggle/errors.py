@@ -14,9 +14,11 @@ class NonConvergenceError(RuntimeError):
 
 
 class InvariantError(AssertionError):
-    """A verified invariant failed; carries the smallest counterexample found."""
+    """An internal invariant failed. Carries the invariant's name and its
+    counterexample: the offending input, or the first counterexample in
+    enumeration order. Raised explicitly, so `python -O` keeps the check."""
 
     def __init__(self, name: str, counterexample):
-        super().__init__(f"{name}: counterexample {counterexample!r}")
+        super().__init__(f"{name}: {counterexample!r}")
         self.name = name
         self.counterexample = counterexample

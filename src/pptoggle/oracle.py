@@ -25,7 +25,7 @@ from functools import partial
 from .configurations import (OneLegRPP, OneLegSPP, PlanePartition, TwoLegRPP,
                              TwoLegSPP, cfg_weight, minimal_weight,
                              two_leg_ceiling, two_leg_floor)
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .halfint import ZERO, HalfInt
 from .partitions import Cell, Partition, as_partition, contains, part
 from .series import TruncatedSeries
@@ -140,7 +140,9 @@ def _count(cells: list, level, before, budget: int) -> list[int]:
                     fixed = min(fixed, s)
                     continue
                 rn, pn = where[n]
-                assert rn == r - 1 or (rn == r and pn < p), (x, n)
+                if not (rn == r - 1 or (rn == r and pn < p)):
+                    raise InvariantError("neighbour neither earlier in its run "
+                                         "nor in the previous one", (x, n))
                 (here if rn == r else above).append((pn, s))
             spec.append((fixed, here, above))
         caps.append(spec)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .partitions import Partition, as_partition, interlaces, weight
 
 
@@ -68,7 +68,9 @@ def toggle_pop(lam: Partition, nu: Partition, mu: Partition) -> ToggleResult:
     la, vn, ma = _padded(lam, nu, mu)
     popped = vn[0] - max(la[0], ma[0])
     toggled = as_partition(_peak_toggle(la, ma, vn[1:]))
-    assert weight(toggled) == weight(lam) + weight(mu) - weight(nu) + popped
+    if weight(toggled) != weight(lam) + weight(mu) - weight(nu) + popped:
+        raise InvariantError("pop weight law |T| = |lam|+|mu|-|nu|+n",
+                             (lam, nu, mu))
     return ToggleResult(toggled, popped)
 
 

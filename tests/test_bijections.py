@@ -8,7 +8,7 @@ from pptoggle.bijections import (ToggleSchedule, one_leg_forward,
 from pptoggle.boundary import redistribute
 from pptoggle.configurations import (HookTableau, OneLegRPP, OneLegSPP,
                                      PlanePartition, TwoLegSPP, cfg_weight)
-from pptoggle.errors import ScheduleError
+from pptoggle.errors import InvariantError, ScheduleError
 from pptoggle.halfint import HalfInt
 from pptoggle.oracle import (enum_one_leg_rpp, enum_one_leg_spp,
                              enum_plane_partitions, enum_two_leg_spp)
@@ -304,3 +304,14 @@ def test_forward_checks_its_window_edge(monkeypatch):
     monkeypatch.setattr(bijections, "stabilization_index", lambda sigma: 2)
     with pytest.raises(AssertionError, match="past the stabilised square"):
         two_leg_forward(FIG_TWOLEG)
+
+
+def test_window_edge_failure_names_its_counterexample(monkeypatch):
+    from pptoggle import bijections
+    monkeypatch.setattr(bijections, "stabilization_index", lambda sigma: 2)
+    with pytest.raises(InvariantError) as failure:
+        two_leg_forward(FIG_TWOLEG)
+    offending = (FIG_TWOLEG.legs, FIG_TWOLEG.excess)
+    assert failure.value.counterexample == offending
+    assert str(failure.value) == ("nonzero pop past the stabilised square: "
+                                  f"{offending!r}")

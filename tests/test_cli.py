@@ -272,6 +272,11 @@ def test_state_cap_exits_non_convergence(monkeypatch, capsys):
      {"type": "plane-partition", "legs": [], "entries": [[1, 1, 1]]}),
     (["biject", "plane", "--schedule", "seeded:"],
      {"type": "plane-partition", "legs": [], "entries": [[1, 1, 1]]}),
+    (["verify", "--suite", "partitions", "--max-weight", "-3"], None),
+    (["verify", "--suite", "hook-edge", "--max-weight", "-1"], None),
+    (["verify", "--suite", "ptdt-one-leg", "--degree", "-2"], None),
+    (["verify", "--suite", "macmahon", "--degree", "-1"], None),
+    (["verify", "--suite", "toggles", "--max-part", "-1"], None),
 ], ids=["letter-parts", "letter-leg", "string-value", "short-triple",
         "string-leg-part", "no-legs", "one-leg-of-two", "array-payload",
         "support-not-array", "array-pair", "rho-not-object", "array-type",
@@ -279,7 +284,10 @@ def test_state_cap_exits_non_convergence(monkeypatch, capsys):
         "census-empty", "census-array-header", "census-string-bound",
         "census-no-family", "census-no-bound", "census-no-leg",
         "census-array-family", "census-string-count", "census-no-count",
-        "schedule-letter-seed", "schedule-empty-seed"])
+        "schedule-letter-seed", "schedule-empty-seed",
+        "verify-negative-max-weight", "verify-negative-hook-weight",
+        "verify-negative-degree", "verify-negative-macmahon-degree",
+        "verify-negative-max-part"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, payload):
     if payload is not None:
         # a string is the file's text; anything else is one JSON line

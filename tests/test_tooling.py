@@ -1,11 +1,18 @@
-"""The benchmark tracer finds its probe targets by name, so a renamed or
-deleted function would only show up when a traced run fails."""
+"""Checks on the source tree itself.
 
+The benchmark tracer finds its probe targets by name, so a renamed or
+deleted function would only show up when a traced run fails. And `python -O`
+strips `assert` statements, so an invariant written as one would go
+unchecked.
+"""
+
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_tracer_targets_resolve():
@@ -20,3 +27,12 @@ def test_tracer_targets_resolve():
         if not callable(target):
             missing.append(name)
     assert tracer.FUNCTIONS and not missing
+
+
+def test_no_assert_statements_in_the_package():
+    # internal invariants raise errors.InvariantError, which -O keeps
+    sources = sorted((ROOT / "src").rglob("*.py"))
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert sources and not found

@@ -1,7 +1,11 @@
 from collections import Counter
 
-from pptoggle import series
-from pptoggle.verify import suite_ptdt_two_leg
+import pytest
+
+from pptoggle import bijections, boundary, series, verify
+from pptoggle.cli import main
+from pptoggle.verify import (suite_hook_census, suite_partitions,
+                             suite_ptdt_two_leg, suite_two_leg_width_stability)
 
 
 def test_two_leg_suite_folds_each_word_once(monkeypatch):
@@ -17,3 +21,59 @@ def test_two_leg_suite_folds_each_word_once(monkeypatch):
     assert [r.passed for r in rows] == [True, True, True]
     # 4 legs of weight <= 2, so 16 pairs of each kind
     assert len(calls) == 32 and set(calls.values()) == {1}
+
+
+def _skew_wide_forward_window(monkeypatch):
+    """Make every window wider than N+1 give a different image."""
+    forward_at = bijections._two_leg_forward_at
+
+    def skewed(sigma, width):
+        rho, pi = forward_at(sigma, width)
+        wide = width > bijections.stabilization_index(sigma) + 1
+        return (rho, None) if wide else (rho, pi)
+
+    monkeypatch.setattr(bijections, "_two_leg_forward_at", skewed)
+
+
+def _break_hook_lengths(monkeypatch):
+    monkeypatch.setattr(verify, "hook_length", lambda lam, cell, region: -1)
+
+
+def _break_redistribute_inverse(monkeypatch):
+    monkeypatch.setattr(boundary, "redistribute_inverse", lambda lam, t: None)
+
+
+@pytest.mark.parametrize("breakage, suite, index, first", [
+    # the first filling enumerated is the floor, whose excess {} is falsy
+    (_skew_wide_forward_window, lambda: suite_two_leg_width_stability(2), 1,
+     {}),
+    (_break_hook_lengths, lambda: suite_partitions(0), 1, ((), (1, 1))),
+    (_break_redistribute_inverse, lambda: suite_hook_census(2, 2), 2,
+     ((), (1, 1))),
+], ids=["forward-width-stability", "hook-vs-cells", "redistribute-bijection"])
+def test_failing_row_keeps_its_name_and_reports_the_first_counterexample(
+        monkeypatch, breakage, suite, index, first):
+    passing = suite()
+    breakage(monkeypatch)
+    rows = suite()
+    assert [r.name for r in rows] == [r.name for r in passing]
+    assert [r.passed for r in rows] == [i != index for i in range(len(rows))]
+    assert rows[index].counterexample == first
+
+
+def test_verify_exits_4_on_a_failing_row(monkeypatch, capsys):
+    _skew_wide_forward_window(monkeypatch)
+    assert main(["verify", "--suite", "two-leg-width-stability"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert ("FAIL two-leg-width-stability/forward-width-stability"
+            "(legs=((2,), (1,)),excess<=4): N+1 and N+4 differ "
+            "counterexample={}") in lines
+
+
+def test_macmahon_count_reads_within_the_degree(capsys):
+    # below degree 6 the row checks the highest weight the series reaches
+    assert main(["verify", "--suite", "macmahon", "--degree", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS macmahon/weight-4-count: 13 configurations" in out.splitlines()
+    assert verify.suite_macmahon(6)[2].line() == \
+        "PASS weight-6-count: 48 configurations"
