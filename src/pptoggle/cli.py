@@ -264,7 +264,7 @@ def cmd_verify(args) -> int:
     report = Report(args)
     overrides = {}
     if args.degree is not None:
-        overrides["degree"] = int(args.degree.doubled // 2)
+        overrides["degree"] = args.degree
     if args.max_part is not None:
         overrides["max_part"] = args.max_part
     if args.max_weight is not None:
@@ -279,9 +279,7 @@ def cmd_verify(args) -> int:
         return report.finish()
     results = vf.run_suites(names, **overrides)
     for row in results:
-        report.check(row.name, row.passed,
-                     row.detail + (f" counterexample={row.counterexample!r}"
-                                   if row.counterexample is not None else ""))
+        report.check(row.name, row.passed, row.text())
     return report.finish()
 
 
@@ -355,11 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="toggle bijections, vertex-operator series, and brute-force "
                     "verification for plane-partition-like objects")
     top.add_argument("--json", action="store_true", help="machine-readable report")
-    top.add_argument("--seed", type=int, default=0, help="seed for seeded orders")
-    # the global flags are also accepted after the verb
+    # the global flag is also accepted after the verb
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    shared.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub = top.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("series", help="evaluate a generating function",
@@ -401,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[shared], help="run invariant suites")
     p.add_argument("--suite", default="all")
-    p.add_argument("--degree", type=_non_negative(HalfInt.parse))
+    p.add_argument("--degree", type=_non_negative(int))
     p.add_argument("--max-part", type=_non_negative(int), dest="max_part")
     p.add_argument("--max-weight", type=_non_negative(int), dest="max_weight")
     p.add_argument("--lambda", dest="shape", metavar="PARTS",

@@ -37,17 +37,20 @@ def enum_partitions(n: int) -> list[Partition]:
         raise DomainError("weight must be nonnegative")
     if n > 40:
         raise DomainError(f"partition enumeration capped at weight 40: {n}")
+    return sorted(_partitions(n, n, []))
 
-    def rec(remaining: int, cap: int, prefix: list[int]):
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            prefix.append(p)
-            yield from rec(remaining - p, p, prefix)
-            prefix.pop()
 
-    return sorted(rec(n, n, []))
+# the recursions here are module-level functions that take their state as
+# arguments: a nested function that calls itself is a reference cycle, which
+# only the cyclic collector frees
+def _partitions(remaining: int, cap: int, prefix: list[int]):
+    if remaining == 0:
+        yield tuple(prefix)
+        return
+    for p in range(min(cap, remaining), 0, -1):
+        prefix.append(p)
+        yield from _partitions(remaining - p, p, prefix)
+        prefix.pop()
 
 
 def partitions_up_to(n: int) -> list[Partition]:
@@ -90,25 +93,25 @@ def _fill(cells: list, level, before, budget: int, emit) -> list:
     completion and is emitted at once.
     """
     slacks = [[(n, level(n) - level(x)) for n in before(x)] for x in cells]
-    cost: dict = {}
-    out = []
-
-    def rec(idx: int, left: int):
-        if idx == len(cells) or left == 0:
-            out.append(emit(dict(cost)))
-            return
-        x = cells[idx]
-        hi = left
-        for n, s in slacks[idx]:
-            hi = min(hi, s + cost.get(n, 0))
-        rec(idx + 1, left)
-        for c in range(1, hi + 1):
-            cost[x] = c
-            rec(idx + 1, left - c)
-        cost.pop(x, None)
-
-    rec(0, budget)
+    out: list = []
+    _fill_from(cells, slacks, emit, {}, out, 0, budget)
     return out
+
+
+def _fill_from(cells, slacks, emit, cost: dict, out: list, idx: int,
+               left: int):
+    if idx == len(cells) or left == 0:
+        out.append(emit(dict(cost)))
+        return
+    x = cells[idx]
+    hi = left
+    for n, s in slacks[idx]:
+        hi = min(hi, s + cost.get(n, 0))
+    _fill_from(cells, slacks, emit, cost, out, idx + 1, left)
+    for c in range(1, hi + 1):
+        cost[x] = c
+        _fill_from(cells, slacks, emit, cost, out, idx + 1, left - c)
+    cost.pop(x, None)
 
 
 def _count(cells: list, level, before, budget: int) -> list[int]:
@@ -146,36 +149,41 @@ def _count(cells: list, level, before, budget: int) -> list[int]:
                 (here if rn == r else above).append((pn, s))
             spec.append((fixed, here, above))
         caps.append(spec)
-    memo: dict = {}
+    return _count_from(caps, {}, 0, (), budget)
 
-    def fillings(r: int, prev: tuple, left: int) -> list[tuple[tuple, int]]:
-        """(costs, their sum) for each filling of run r under prev and left."""
-        partial = [((), 0)]
-        for fixed, here, above in caps[r]:
-            hi = min([fixed] + [s + prev[pn] for pn, s in above])
-            grown = []
-            for costs, spent in partial:
-                top = left - spent if left - spent < hi else hi
-                for pn, s in here:
-                    if s + costs[pn] < top:
-                        top = s + costs[pn]
-                grown += [(costs + (c,), spent + c) for c in range(top + 1)]
-            partial = grown
-        return partial
 
-    def count(r: int, prev: tuple, left: int) -> list[int]:
-        if r == len(runs) or left == 0:
-            return [1]
-        key = (r, prev, left)
-        if key not in memo:
-            out = [0] * (left + 1)
-            for costs, spent in fillings(r, prev, left):
-                for k, n in enumerate(count(r + 1, costs, left - spent), spent):
-                    out[k] += n
-            memo[key] = out
-        return memo[key]
+def _count_from(caps: list, memo: dict, r: int, prev: tuple, left: int
+                ) -> list[int]:
+    """Entry k counts the fillings of runs r, r+1, ... of total cost k, given
+    the costs `prev` of run r - 1 and the budget left."""
+    if r == len(caps) or left == 0:
+        return [1]
+    key = (r, prev, left)
+    if key not in memo:
+        out = [0] * (left + 1)
+        for costs, spent in _run_fillings(caps[r], prev, left):
+            for k, n in enumerate(_count_from(caps, memo, r + 1, costs,
+                                              left - spent), spent):
+                out[k] += n
+        memo[key] = out
+    return memo[key]
 
-    return count(0, (), budget)
+
+def _run_fillings(spec: list, prev: tuple, left: int) -> list[tuple[tuple, int]]:
+    """(costs, their sum) for each filling of a run with caps `spec`, under
+    the previous run's costs `prev` and the budget left."""
+    filled = [((), 0)]
+    for fixed, here, above in spec:
+        hi = min([fixed] + [s + prev[pn] for pn, s in above])
+        grown = []
+        for costs, spent in filled:
+            top = left - spent if left - spent < hi else hi
+            for pn, s in here:
+                if s + costs[pn] < top:
+                    top = s + costs[pn]
+            grown += [(costs + (c,), spent + c) for c in range(top + 1)]
+        filled = grown
+    return filled
 
 
 def _up_left(x: Cell):

@@ -149,38 +149,38 @@ def interlacers_below(lam: Partition, max_loss: int | None = None
     limit when max_loss is None); each mu_i ranges over an interval."""
     if max_loss is None:
         max_loss = weight(lam)
-    if max_loss < 0:
+    if max_loss >= 0:
+        yield from _below(lam, 1, max_loss, [])
+
+
+# _below and _above recurse at module level: a nested function that calls
+# itself is a reference cycle, which only the cyclic collector frees
+def _below(lam: Partition, i: int, budget: int, prefix: list[int]
+           ) -> Iterator[Partition]:
+    if i > len(lam):
+        yield as_partition(prefix)
         return
-
-    def rec(i: int, budget: int, prefix: list[int]) -> Iterator[Partition]:
-        if i > len(lam):
-            yield as_partition(prefix)
-            return
-        lo, hi = part(lam, i + 1), part(lam, i)
-        for v in range(hi, max(lo, hi - budget) - 1, -1):
-            prefix.append(v)
-            yield from rec(i + 1, budget - (hi - v), prefix)
-            prefix.pop()
-
-    yield from rec(1, max_loss, [])
+    lo, hi = part(lam, i + 1), part(lam, i)
+    for v in range(hi, max(lo, hi - budget) - 1, -1):
+        prefix.append(v)
+        yield from _below(lam, i + 1, budget - (hi - v), prefix)
+        prefix.pop()
 
 
 def interlacers_above(lam: Partition, max_gain: int) -> Iterator[Partition]:
     """All mu >- lam with weight(mu) - weight(lam) <= max_gain."""
-    if max_gain < 0:
+    if max_gain >= 0:
+        yield from _above(lam, part(lam, 1) + max_gain, 1, max_gain, [])
+
+
+def _above(lam: Partition, cap: int, i: int, budget: int, prefix: list[int]
+           ) -> Iterator[Partition]:
+    if i > len(lam) + 1:
+        yield as_partition(prefix)
         return
-
-    def rec(i: int, budget: int, prefix: list[int]) -> Iterator[Partition]:
-        if i > len(lam) + 1:
-            yield as_partition(prefix)
-            return
-        lo = part(lam, i)
-        hi = part(lam, i - 1) if i > 1 else lam_1_cap
-        hi = min(hi, lo + budget)
-        for v in range(hi, lo - 1, -1):
-            prefix.append(v)
-            yield from rec(i + 1, budget - (v - lo), prefix)
-            prefix.pop()
-
-    lam_1_cap = part(lam, 1) + max_gain
-    yield from rec(1, max_gain, [])
+    lo = part(lam, i)
+    hi = min(part(lam, i - 1) if i > 1 else cap, lo + budget)
+    for v in range(hi, lo - 1, -1):
+        prefix.append(v)
+        yield from _above(lam, cap, i + 1, budget - (v - lo), prefix)
+        prefix.pop()

@@ -31,10 +31,15 @@ class CheckResult:
     detail: str = ""
     counterexample: object = None
 
+    def text(self) -> str:
+        """The detail, then a failed row's counterexample."""
+        if self.counterexample is None:
+            return self.detail
+        return f"{self.detail} counterexample={self.counterexample!r}"
+
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        extra = f" [{self.counterexample!r}]" if self.counterexample is not None else ""
-        return f"{status} {self.name}: {self.detail}{extra}"
+        return f"{status} {self.name}: {self.text()}"
 
 
 def _row(name, reason, candidates, detail=""):

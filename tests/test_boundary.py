@@ -50,10 +50,16 @@ def test_quotient_argument_checks():
 
 
 def test_quotient_weight_law():
-    # total boxes split across quotients: sum of n*|quotient| counts the
-    # n-hooks, once per removable n-ribbon; for n=1 the quotient is lam itself
-    for lam in partitions_up_to(8):
+    # the quotients' boxes match lam's hooks of length divisible by n, one
+    # to one (James and Kerber 2.7.30); for n=1 the quotient is lam itself
+    for lam in partitions_up_to(10):
         assert n_quotient(lam, 1, 0) == lam
+        cells = [(i, j) for i in range(1, len(lam) + 1)
+                 for j in range(1, lam[i - 1] + 1)]
+        for n in range(1, 7):
+            boxes = sum(sum(n_quotient(lam, n, i)) for i in range(n))
+            assert boxes == sum(1 for c in cells
+                                if hook_length(lam, c, "inside") % n == 0)
 
 
 def test_hook_pivot_census():

@@ -277,6 +277,8 @@ def test_state_cap_exits_non_convergence(monkeypatch, capsys):
     (["verify", "--suite", "ptdt-one-leg", "--degree", "-2"], None),
     (["verify", "--suite", "macmahon", "--degree", "-1"], None),
     (["verify", "--suite", "toggles", "--max-part", "-1"], None),
+    (["verify", "--suite", "macmahon", "--degree", "13/2"], None),
+    (["--seed", "1", "series", "--macmahon"], None),
 ], ids=["letter-parts", "letter-leg", "string-value", "short-triple",
         "string-leg-part", "no-legs", "one-leg-of-two", "array-payload",
         "support-not-array", "array-pair", "rho-not-object", "array-type",
@@ -287,7 +289,7 @@ def test_state_cap_exits_non_convergence(monkeypatch, capsys):
         "schedule-letter-seed", "schedule-empty-seed",
         "verify-negative-max-weight", "verify-negative-hook-weight",
         "verify-negative-degree", "verify-negative-macmahon-degree",
-        "verify-negative-max-part"])
+        "verify-negative-max-part", "verify-half-degree", "global-seed"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, payload):
     if payload is not None:
         # a string is the file's text; anything else is one JSON line

@@ -70,6 +70,16 @@ def test_verify_exits_4_on_a_failing_row(monkeypatch, capsys):
             "counterexample={}") in lines
 
 
+def test_cli_prints_a_failed_row_as_the_row_renders_itself(monkeypatch,
+                                                          capsys):
+    _skew_wide_forward_window(monkeypatch)
+    failed = [row.line() for row in verify.run_suites(
+        ["two-leg-width-stability"]) if not row.passed]
+    assert main(["verify", "--suite", "two-leg-width-stability"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert failed and [line for line in lines if line.startswith("FAIL")] == failed
+
+
 def test_macmahon_count_reads_within_the_degree(capsys):
     # below degree 6 the row checks the highest weight the series reaches
     assert main(["verify", "--suite", "macmahon", "--degree", "4"]) == 0
