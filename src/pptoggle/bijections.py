@@ -12,13 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
 
 from .boundary import HookTarget, redistribute, redistribute_inverse
 from .configurations import (HookTableau, OneLegRPP, OneLegSPP, PlanePartition,
-                             TwoLegRPP, TwoLegSPP, diagonal, leg_reach,
-                             transpose, two_leg_ceiling_diagonal,
-                             two_leg_floor_diagonal)
+                             TwoLegRPP, TwoLegSPP, diagonals, from_diagonals,
+                             leg_reach)
 from .errors import (DomainError, InvariantError, NonConvergenceError,
                      ScheduleError)
 from .partitions import Cell, Partition, as_partition, contains, part
@@ -143,21 +141,12 @@ class ToggleGrid:
             self.diags[d] = toggle_push(above, nu, below, n)
         front[i] = j
 
-    def nonzero(self) -> dict[Cell, int]:
-        out = {}
-        for d, nu in self.diags.items():
-            i = max(1, 1 - d)
-            while self.front.get(i, 1) > i + d:
-                i += 1
-            out.update(((i + k, i + k + d), v) for k, v in enumerate(nu))
-        return out
-
 
 def _two_leg_grid(sigma: TwoLegSPP) -> ToggleGrid:
     """The filling's diagonals out to where they equal the legs."""
     reach = max([leg_reach(sigma.legs)] + [max(c) for c in sigma.excess])
-    return ToggleGrid((), {d: diagonal(sigma, d)
-                           for d in range(-reach, reach + 1)}, sigma.legs)
+    return ToggleGrid((), diagonals(sigma, range(-reach, reach + 1)),
+                      sigma.legs)
 
 
 def _pop_region(grid: ToggleGrid, shape: Partition, rows: int, cols: int,
@@ -191,59 +180,62 @@ def _bounding_box(cells) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # plane partitions and one-leg objects
 
-def _pop_all(shape: Partition, entries: dict[Cell, int],
-             schedule: ToggleSchedule) -> dict[Cell, int]:
-    """Pop a decreasing filling outside `shape` until it is empty; the
-    popped values, weighted by hook length, carry the full weight. The
-    support's bounding box [1,r]x[1,c] is enough: a pop at (i, j) leaves
-    entry m of its diagonal, at (i+m, j+m), nonzero only if (i+m-1, j+m) and
+# the tableau region each finite decreasing filling pops into, and how a
+# wrong region is named
+_REGIONS = {PlanePartition: ("plane", "on the full quadrant"),
+            OneLegSPP: ("outside", "outside a shape")}
+
+
+def _pop_all(cfg, schedule: ToggleSchedule) -> HookTableau:
+    """Pop a plane partition or one-leg SPP until it is empty; the popped
+    values, weighted by hook length, carry the full weight. The support's
+    bounding box [1,r]x[1,c] is enough: a pop at (i, j) leaves entry m of
+    its diagonal, at (i+m, j+m), nonzero only if (i+m-1, j+m) and
     (i+m, j+m-1) are, so the support never leaves the box."""
-    grid = ToggleGrid(shape)
-    for (i, j) in sorted(entries):  # no gaps from each diagonal's first cell
-        grid.diags[j - i] = grid.diag(j - i) + (entries[(i, j)],)
-    values = _pop_region(grid, shape, *_bounding_box(entries), schedule)
+    shape = () if type(cfg) is PlanePartition else cfg.shape
+    rows, cols = _bounding_box(cfg.entries)
+    grid = ToggleGrid(shape, diagonals(cfg, range(1 - rows, cols)))
+    values = _pop_region(grid, shape, rows, cols, schedule)
     if any(grid.diags.values()):
-        raise InvariantError("popping box did not exhaust the object",
-                             (shape, entries))
-    return values
+        raise InvariantError("popping box did not exhaust the object", cfg)
+    return HookTableau(_REGIONS[type(cfg)][0], shape, values)
 
 
-def _push_all(shape: Partition, t: HookTableau) -> dict[Cell, int]:
-    """Inverse of _pop_all, over the smallest box [1,r]x[1,c] that holds the
-    tableau's support, whatever its values. The box is exact: its cells
-    outside the shape form an order ideal of the pop order, so some linear
-    extension pops them first. Pushing in reverse, each cell beyond the
-    box comes first and pushes 0 onto empty diagonals, which changes
-    nothing, and by schedule independence (Pak, cited at ToggleGrid) every
-    push order gives the same result."""
+def _push_all(t: HookTableau, cls):
+    """Inverse of _pop_all into a cls filling, over the smallest box
+    [1,r]x[1,c] that holds the tableau's support, whatever its values. The
+    box is exact: its cells outside the shape form an order ideal of the pop
+    order, so some linear extension pops them first. Pushing in reverse,
+    each cell beyond the box comes first and pushes 0 onto empty diagonals,
+    which changes nothing, and by schedule independence (Pak, cited at
+    ToggleGrid) every push order gives the same result."""
+    region, where = _REGIONS[cls]
+    if t.region != region:
+        raise DomainError(f"expected a tableau {where}")
+    shape = t.shape if cls is OneLegSPP else ()
     grid = ToggleGrid(shape)
     _push_box(grid, *_bounding_box(t.values), t.values)
-    return grid.nonzero()
+    return from_diagonals(cls, shape, grid.diags)
 
 
 def pp_to_tableau(pi: PlanePartition,
                   schedule: ToggleSchedule = DEFAULT_SCHEDULE) -> HookTableau:
     """Empty a plane partition corner by corner."""
-    return HookTableau("plane", (), _pop_all((), pi.entries, schedule))
+    return _pop_all(pi, schedule)
 
 
 def tableau_to_pp(t: HookTableau) -> PlanePartition:
     """Inverse of pp_to_tableau."""
-    if t.region != "plane":
-        raise DomainError("expected a tableau on the full quadrant")
-    return PlanePartition(_push_all((), t))
+    return _push_all(t, PlanePartition)
 
 
 def spp_to_tableau(sigma: OneLegSPP,
                    schedule: ToggleSchedule = DEFAULT_SCHEDULE) -> HookTableau:
-    lam = sigma.shape
-    return HookTableau("outside", lam, _pop_all(lam, sigma.entries, schedule))
+    return _pop_all(sigma, schedule)
 
 
 def tableau_to_spp(t: HookTableau) -> OneLegSPP:
-    if t.region != "outside":
-        raise DomainError("expected a tableau outside a shape")
-    return OneLegSPP(t.shape, _push_all(t.shape, t))
+    return _push_all(t, OneLegSPP)
 
 
 def _rect_complement(lam: Partition) -> Partition:
@@ -406,34 +398,16 @@ def two_leg_remnant(sigma: TwoLegSPP, width: int
     return TwoLegRemnant(sigma.legs, tuple(chain)), HookTableau("plane", (), tab)
 
 
-def _rpp_from_chain(legs, chain: list[Partition], width: int) -> TwoLegRPP:
-    """Deficit of the filling read off the chain, each diagonal against the
-    ceiling's; past the window it sits on the ceiling. Entry k of diagonal
-    d is the cell (k - d, k) for d >= 0 and (k, k + d) for d < 0."""
-    deficit = {}
-    for d in range(-width, width + 1):
-        got = chain[width + d]
-        for k, c in enumerate(two_leg_ceiling_diagonal(legs, d)):
-            gap = c - (got[k] if k < len(got) else 0)
-            if gap:
-                i = k + 1 - max(d, 0)
-                if gap < 0:
-                    raise InvariantError("chain exceeds the ceiling",
-                                         (legs, (i, i + d)))
-                deficit[(i, i + d)] = gap
-    return TwoLegRPP(legs, deficit)
-
-
 def _two_leg_image(remnant: TwoLegRemnant, tab: HookTableau
                    ) -> tuple[TwoLegRPP, PlanePartition]:
-    """The palindromic pass on the remnant, read off and transposed, with
-    the plane partition of the popped tableau."""
-    lam, mu = remnant.legs
+    """The palindromic pass on the remnant, read off transposed (diagonal d
+    as -d), with the plane partition of the popped tableau."""
     width = remnant.width
     chain = list(remnant.window)
     _toggle_slots(chain, _palindromic_slots(width), width)
-    swapped = _rpp_from_chain((mu, lam), chain, width)
-    return transpose(swapped), tableau_to_pp(tab)
+    rho = from_diagonals(TwoLegRPP, remnant.legs,
+                         dict(zip(range(width, -width - 1, -1), chain)))
+    return rho, tableau_to_pp(tab)
 
 
 def _two_leg_forward_at(sigma: TwoLegSPP, width: int
@@ -462,28 +436,17 @@ def two_leg_forward(sigma: TwoLegSPP) -> tuple[TwoLegRPP, PlanePartition]:
 def _two_leg_inverse_at(rho: TwoLegRPP, pi: PlanePartition, width: int
                         ) -> TwoLegSPP:
     lam, mu = rho.legs
-    swapped = transpose(rho)  # legs (mu, lam), as produced by the forward map
-    chain = [diagonal(swapped, d) for d in range(-width, width + 1)]
+    # read transposed (diagonal d as -d), as the forward map wrote it
+    diags = diagonals(rho, range(-width, width + 1))
+    chain = [diags[-d] for d in range(-width, width + 1)]
     _toggle_slots(chain, reversed(_palindromic_slots(width)), width)
     if chain[0] != lam or chain[-1] != mu:
         raise NonConvergenceError("window too small for the leg tails")
 
     grid = ToggleGrid((), dict(zip(range(-width, width + 1), chain)), (lam, mu))
     _push_box(grid, width, width, pp_to_tableau(pi).values)
-    # each diagonal of [1,reach]^2 against the floor's; entry k of diagonal
-    # d is the cell (k, k + d) for d >= 0 and (k - d, k) for d < 0
-    excess = {}
-    reach = width + leg_reach(rho.legs) + 2
-    for d in range(1 - reach, reach):
-        got, floor = grid.diag(d), two_leg_floor_diagonal(rho.legs, d)
-        for k, (v, f) in enumerate(zip_longest(got, floor, fillvalue=0)):
-            if v != f:
-                i = k + 1 + max(-d, 0)
-                if v < f:
-                    raise InvariantError("filling under the floor",
-                                         (rho.legs, (i, i + d)))
-                excess[(i, i + d)] = v - f
-    return TwoLegSPP((lam, mu), excess)
+    # past the window every diagonal is a leg, which is its floor there
+    return from_diagonals(TwoLegSPP, rho.legs, grid.diags)
 
 
 def _two_leg_inverse_width(rho: TwoLegRPP, pi: PlanePartition) -> int:

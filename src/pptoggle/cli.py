@@ -21,10 +21,9 @@ from . import series as sr
 from . import verify as vf
 from .errors import DomainError, NonConvergenceError, ScheduleError
 from .halfint import HalfInt
-from .partitions import as_partition
+from .partitions import as_partition, interlaces
 from .render import render_ascii, render_svg
 from .toggles import toggle_between, toggle_pop, toggle_push
-from .partitions import interlaces
 
 EXIT_OK, EXIT_USAGE, EXIT_NONCONV, EXIT_INVARIANT = 0, 2, 3, 4
 
@@ -173,52 +172,51 @@ def _write(args, text: str):
         print(text)
 
 
+# family: the forward map, its inverse, the type the forward map takes, and
+# the types the inverse takes by payload key (None: the whole payload), which
+# are also the parts of the forward map's image
+_BIJECTIONS = {
+    "plane": (bj.pp_to_tableau, bj.tableau_to_pp, cf.PlanePartition,
+              {None: cf.HookTableau}),
+    "one-leg": (bj.one_leg_forward, bj.one_leg_inverse, cf.OneLegSPP,
+                {"rho": cf.OneLegRPP, "pi": cf.PlanePartition}),
+    "two-leg": (lambda sigma, schedule: bj.two_leg_forward(sigma),
+                bj.two_leg_inverse, cf.TwoLegSPP,
+                {"rho": cf.TwoLegRPP, "pi": cf.PlanePartition}),
+}
+
+
+def _decode(obj, want):
+    """The configuration in obj, which must be a `want`."""
+    cfg = sz.config_from_json(obj)
+    if not isinstance(cfg, want):
+        raise DomainError(f"expected a {want.__name__}, "
+                          f"got a {type(cfg).__name__}")
+    return cfg
+
+
 def cmd_biject(args) -> int:
     report = Report(args)
     schedule = bj.ToggleSchedule.parse(args.schedule)
+    forward, inverse, source, parts = _BIJECTIONS[args.family]
     payload = _load_json(args)
-    if args.family == "plane":
-        if args.direction == "forward":
-            pi = sz.config_from_json(payload)
-            t = bj.pp_to_tableau(pi, schedule)
-            _write_json(args, sz.config_to_json(t))
-            if args.round_trip:
-                report.check("round-trip", bj.tableau_to_pp(t) == pi)
-                report.check("weight", t.hook_weight() == sum(pi.entries.values()))
-        else:
-            t = sz.config_from_json(payload)
-            _write_json(args, sz.config_to_json(bj.tableau_to_pp(t)))
-    elif args.family == "one-leg":
-        if args.direction == "forward":
-            sigma = sz.config_from_json(payload)
-            rho, pi = bj.one_leg_forward(sigma, schedule)
-            _write_json(args, {"rho": sz.config_to_json(rho),
-                               "pi": sz.config_to_json(pi)})
-            if args.round_trip:
-                report.check("round-trip", bj.one_leg_inverse(rho, pi) == sigma)
-                report.check("weight", sum(sigma.entries.values())
-                             == sum(rho.entries.values()) + sum(pi.entries.values()))
-        else:
-            rho = sz.config_from_json(payload["rho"])
-            pi = sz.config_from_json(payload["pi"])
-            _write_json(args, sz.config_to_json(bj.one_leg_inverse(rho, pi)))
-    elif args.family == "two-leg":
-        if args.direction == "forward":
-            sigma = sz.config_from_json(payload)
-            rho, pi = bj.two_leg_forward(sigma)
-            _write_json(args, {"rho": sz.config_to_json(rho),
-                               "pi": sz.config_to_json(pi)})
-            if args.round_trip:
-                report.check("round-trip", bj.two_leg_inverse(rho, pi) == sigma)
-                report.check("weight", cf.cfg_weight(sigma)
-                             == cf.cfg_weight(rho) + sum(pi.entries.values()))
-        else:
-            rho = sz.config_from_json(payload["rho"])
-            pi = sz.config_from_json(payload["pi"])
-            _write_json(args, sz.config_to_json(bj.two_leg_inverse(rho, pi)))
+    if args.direction == "inverse":
+        image = [_decode(payload if key is None else payload[key], want)
+                 for key, want in parts.items()]
+        _write_json(args, sz.config_to_json(inverse(*image)))
+        return report.finish()
+    sigma = _decode(payload, source)
+    image = forward(sigma, schedule)
+    if None in parts:
+        _write_json(args, sz.config_to_json(image))
+        image = (image,)
     else:
-        print(f"biject: unknown family {args.family}", file=sys.stderr)
-        return EXIT_USAGE
+        _write_json(args, {key: sz.config_to_json(cfg)
+                           for key, cfg in zip(parts, image)})
+    if args.round_trip:
+        report.check("round-trip", inverse(*image) == sigma)
+        report.check("weight", cf.cfg_weight(sigma)
+                     == sum(cf.cfg_weight(cfg) for cfg in image))
     return report.finish()
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import zip_longest
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .halfint import HalfInt
 from .partitions import (Cell, Partition, as_partition, contains,
                          hook_length, part)
@@ -37,10 +37,9 @@ def two_leg_ceiling(legs, i: int, j: int) -> int | None:
 
 
 def two_leg_floor_diagonal(legs, d: int) -> Partition:
-    """two_leg_floor along diagonal d = col - row, read down-right from its
-    first cell in the quadrant: entry k sits at (k, k + d) for d >= 0, where
-    it is max(lam_{k+d}, mu_k), and at (k - d, k), max(lam_k, mu_{k-d}),
-    for d < 0."""
+    """two_leg_floor along diagonal d = col - row, laid out as _layout
+    places a two-leg SPP: entry k is max(lam_{k+d}, mu_k) for d >= 0 and
+    max(lam_k, mu_{k-d}) for d < 0."""
     lam, mu = legs
     a, b = (mu, lam[d:]) if d >= 0 else (lam, mu[-d:])
     return tuple(x if x > y else y
@@ -48,11 +47,10 @@ def two_leg_floor_diagonal(legs, d: int) -> Partition:
 
 
 def two_leg_ceiling_diagonal(legs, d: int) -> Partition:
-    """The nonzero run of two_leg_ceiling along diagonal d, read down-right
-    from its first cell with a column (d >= 0) or row (d < 0) index 1:
-    entry k sits at (k - d, k) for d >= 0, where it is lam_k while the row
-    index is <= 0 and min(lam_k, mu_{k-d}) after, and at (k, k + d) for
-    d < 0."""
+    """The nonzero run of two_leg_ceiling along diagonal d, laid out as
+    _layout places a two-leg RPP: for d >= 0 entry k is lam_k while its row
+    index is <= 0 and min(lam_k, mu_{k-d}) after, and for d < 0 the same
+    with lam and mu swapped and -d for d."""
     lam, mu = legs
     a, b, s = (lam, mu, d) if d >= 0 else (mu, lam, -d)
     return (*a[:s], *(x if x < y else y for x, y in zip(a[s:], b)))
@@ -255,58 +253,98 @@ Configuration = (PlanePartition | OneLegSPP | OneLegRPP | TwoLegSPP
                  | TwoLegRPP | HookTableau)
 
 
+# ---------------------------------------------------------------------------
+# the diagonal codec: every filling as its chain of diagonals d = col - row
+
+# two-leg fillings: the level each diagonal sits on, the stored field that
+# moves it, and the sign it moves it by
+_LEVELS = {TwoLegSPP: (two_leg_floor_diagonal, "excess", 1),
+           TwoLegRPP: (two_leg_ceiling_diagonal, "deficit", -1)}
+
+
+def _layout(cls, key):
+    """Where a cls filling with shape or legs `key` puts its diagonals:
+    (first, step), entry k of diagonal d, counted from 0, sitting in row
+    first(d) + step * k. Decreasing fillings read down-right from d's first
+    cell in the quadrant past the shape, a one-leg RPP up-left from the
+    shape's last box on d, and a two-leg RPP down-right from column 1
+    (d >= 0) or row 1 (d < 0)."""
+    if cls is TwoLegRPP:
+        return (lambda d: 1 - d if d > 0 else 1), 1
+    if cls is PlanePartition or cls is TwoLegSPP:
+        return (lambda d: 1 - d if d < 0 else 1), 1
+    # one row past the shape's last box on each diagonal it meets; the shape
+    # is an order ideal, so its boxes on d run from d's first cell
+    past = {j - i: i + 1 for i, p in enumerate(key, start=1)
+            for j in range(1, p + 1)}
+    if cls is OneLegRPP:
+        return (lambda d: past.get(d, 1) - 1), -1
+    return (lambda d: past.get(d, 1 - d if d < 0 else 1)), 1
+
+
+def diagonals(cfg, ds) -> dict[int, Partition]:
+    """The diagonals ds of cfg as {d: partition}, read as _layout places
+    them, in one pass over the support. A two-leg diagonal is its floor plus
+    the excess or its ceiling less the deficit; the filling decreases along
+    the reading, so its trailing zeros are all its zeros."""
+    cls = type(cfg)
+    if cls in _LEVELS:
+        level, stored, sign = _LEVELS[cls]
+        first, _ = _layout(cls, cfg.legs)
+        vals = {d: list(level(cfg.legs, d)) for d in ds}
+        for (i, j), v in getattr(cfg, stored).items():
+            got = vals.get(j - i)
+            if got is not None:
+                k = i - first(j - i)
+                got += [0] * (k + 1 - len(got))
+                got[k] += sign * v
+        return {d: as_partition(got) for d, got in vals.items()}
+    if cls in (PlanePartition, OneLegSPP, OneLegRPP):
+        # the support is an order ideal of the region, so sorted cells run
+        # along each diagonal from its first entry without a gap
+        out = dict.fromkeys(ds, ())
+        for (i, j), v in sorted(cfg.entries.items(),
+                                reverse=cls is OneLegRPP):
+            if j - i in out:
+                out[j - i] += (v,)
+        return out
+    raise DomainError(f"no diagonal reading for {cls.__name__}")
+
+
+def from_diagonals(cls, key, diags: dict[int, Partition]):
+    """Inverse of diagonals: the cls filling with shape or legs `key` (() for
+    a plane partition) whose diagonals are diags. A two-leg diagonal not in
+    diags sits on its level; one that crosses its floor or ceiling raises
+    InvariantError."""
+    first, step = _layout(cls, key)
+    cells = {}
+    if cls in _LEVELS:
+        level, _, sign = _LEVELS[cls]
+        for d, nu in diags.items():
+            base = level(key, d)
+            if nu == base:
+                continue
+            for i, (v, f) in enumerate(zip_longest(nu, base, fillvalue=0),
+                                       start=first(d)):
+                if v != f:
+                    if sign * (v - f) < 0:
+                        raise InvariantError(
+                            "diagonal crosses its floor or ceiling",
+                            (key, (i, i + d)))
+                    cells[(i, i + d)] = sign * (v - f)
+        return cls(key, cells)
+    for d, nu in diags.items():
+        if nu:
+            i = first(d)
+            for r, v in zip(range(i, i + step * len(nu), step), nu):
+                cells[(r, r + d)] = v
+    return cls(cells) if cls is PlanePartition else cls(key, cells)
+
+
 def diagonal(cfg, n: int) -> Partition:
-    """Entries along offset n = col - row, read as a partition.
-
-    Decreasing configurations are read top-left to bottom-right; reverse
-    plane partitions are read the opposite way so the result is again weakly
-    decreasing.
-    """
-    if isinstance(cfg, (PlanePartition, OneLegSPP)):
-        # the support is an order ideal of the quadrant minus the shape, so
-        # on a diagonal it is a run from the diagonal's first cell outside
-        vals = [v for (i, j), v in sorted(cfg.entries.items()) if j - i == n]
-    elif isinstance(cfg, OneLegRPP):
-        cells = [(i, j) for (i, j) in _shape_diag(cfg.shape, n)]
-        vals = [cfg.at(i, j) for (i, j) in reversed(cells)]
-    elif isinstance(cfg, TwoLegSPP):
-        vals = _level_diagonal(two_leg_floor_diagonal(cfg.legs, n),
-                               cfg.excess, n, min, 1)
-    elif isinstance(cfg, TwoLegRPP):
-        vals = _level_diagonal(two_leg_ceiling_diagonal(cfg.legs, n),
-                               cfg.deficit, n, max, -1)
-    else:
-        raise DomainError(f"no diagonal reading for {type(cfg).__name__}")
-    return as_partition(vals)
-
-
-def _shape_diag(shape: Partition, n: int) -> list[Cell]:
-    out = []
-    k = 1
-    while True:
-        i, j = (k, k + n) if n >= 0 else (k - n, k)
-        if not contains(shape, (i, j)):
-            break
-        out.append((i, j))
-        k += 1
-    return out
-
-
-def _level_diagonal(level: Partition, stored: dict[Cell, int], n: int,
-                    entry, sign: int) -> list[int]:
-    """A two-leg diagonal: the level's diagonal n with the stored excess
-    added (sign 1) or deficit taken off (sign -1), cell (i, j) at entry
-    entry(i, j), counted from 1, and the trailing zeros dropped. The
-    filling decreases down the diagonal, so those are all its zeros."""
-    vals = list(level)
-    for (i, j), v in stored.items():
-        if j - i == n:
-            k = entry(i, j)
-            vals += [0] * (k - len(vals))
-            vals[k - 1] += sign * v
-    while vals and not vals[-1]:
-        vals.pop()
-    return vals
+    """Entries along offset n = col - row, read as a partition by
+    diagonals."""
+    return diagonals(cfg, (n,))[n]
 
 
 def minimal_weight(kind: str, legs) -> HalfInt:
@@ -323,12 +361,9 @@ def minimal_weight(kind: str, legs) -> HalfInt:
 
 @lru_cache(maxsize=1 << 10)
 def _minimal_weight(kind: str, legs: tuple[Partition, Partition]) -> HalfInt:
-    if kind == "spp":
-        level, sign = two_leg_floor_diagonal, 1
-    elif kind == "rpp":
-        level, sign = two_leg_ceiling_diagonal, -1
-    else:
+    if kind not in ("spp", "rpp"):
         raise DomainError(f"kind must be 'spp' or 'rpp': {kind!r}")
+    level, _, sign = _LEVELS[TwoLegSPP if kind == "spp" else TwoLegRPP]
     reach = leg_reach(legs) + 2
     size = {d: sum(level(legs, d)) for d in range(-reach, reach + 1)}
     doubled = 0

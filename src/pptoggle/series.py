@@ -51,10 +51,6 @@ class TruncatedSeries:
         return TruncatedSeries(bound.doubled, {0: 1})
 
     @staticmethod
-    def zero(bound: HalfInt) -> "TruncatedSeries":
-        return TruncatedSeries(bound.doubled, {})
-
-    @staticmethod
     def from_terms(bound: HalfInt, terms: Iterable[tuple[HalfInt, int]]):
         return TruncatedSeries(bound.doubled,
                                {HalfInt.of(e).doubled: c for e, c in terms})
@@ -100,11 +96,6 @@ class TruncatedSeries:
                 if e <= bound2:
                     out[e] = out.get(e, 0) + c1 * c2
         return TruncatedSeries(bound2, out)
-
-    def shift(self, by: HalfInt) -> "TruncatedSeries":
-        d = HalfInt.of(by).doubled
-        return TruncatedSeries(self.bound2, {e + d: c
-                                             for e, c in self.coeffs.items()})
 
     def is_zero(self) -> bool:
         return not self.coeffs

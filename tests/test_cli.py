@@ -235,6 +235,12 @@ def test_state_cap_exits_non_convergence(monkeypatch, capsys):
     assert "states, over the cap of 5" in err
 
 
+# a payload of the wrong family for the biject cases below
+PP_PAYLOAD = {"type": "plane-partition", "legs": [], "entries": [[1, 1, 1]]}
+SPP_PAYLOAD = {"type": "two-leg-spp", "legs": [[1], [1]], "excess": []}
+RPP_PAYLOAD = {"type": "one-leg-rpp", "legs": [[1]], "entries": [[1, 1, 1]]}
+
+
 @pytest.mark.parametrize("argv, payload", [
     (["series", "--one-leg", "a,b"], None),
     (["series", "--two-leg", "2,x/1"], None),
@@ -279,6 +285,14 @@ def test_state_cap_exits_non_convergence(monkeypatch, capsys):
     (["verify", "--suite", "toggles", "--max-part", "-1"], None),
     (["verify", "--suite", "macmahon", "--degree", "13/2"], None),
     (["--seed", "1", "series", "--macmahon"], None),
+    (["biject", "plane", "--direction", "inverse"], PP_PAYLOAD),
+    (["biject", "one-leg"], PP_PAYLOAD),
+    (["biject", "one-leg"], SPP_PAYLOAD),
+    (["biject", "two-leg"], PP_PAYLOAD),
+    (["biject", "two-leg", "--direction", "inverse"],
+     {"rho": RPP_PAYLOAD, "pi": PP_PAYLOAD}),
+    (["biject", "one-leg", "--direction", "inverse"],
+     {"rho": RPP_PAYLOAD, "pi": SPP_PAYLOAD}),
 ], ids=["letter-parts", "letter-leg", "string-value", "short-triple",
         "string-leg-part", "no-legs", "one-leg-of-two", "array-payload",
         "support-not-array", "array-pair", "rho-not-object", "array-type",
@@ -289,7 +303,10 @@ def test_state_cap_exits_non_convergence(monkeypatch, capsys):
         "schedule-letter-seed", "schedule-empty-seed",
         "verify-negative-max-weight", "verify-negative-hook-weight",
         "verify-negative-degree", "verify-negative-macmahon-degree",
-        "verify-negative-max-part", "verify-half-degree", "global-seed"])
+        "verify-negative-max-part", "verify-half-degree", "global-seed",
+        "plane-inverse-of-a-plane-partition", "one-leg-of-a-plane-partition",
+        "one-leg-of-a-two-leg-spp", "two-leg-of-a-plane-partition",
+        "two-leg-inverse-of-a-one-leg-rho", "one-leg-inverse-of-a-two-leg-pi"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, payload):
     if payload is not None:
         # a string is the file's text; anything else is one JSON line

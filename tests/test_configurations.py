@@ -3,11 +3,13 @@ from hypothesis import given, settings, strategies as st
 
 from pptoggle.configurations import (HookTableau, OneLegRPP, OneLegSPP,
                                      PlanePartition, TwoLegRPP, TwoLegSPP,
-                                     cfg_weight, diagonal, leg_reach,
+                                     cfg_weight, diagonal, diagonals,
+                                     from_diagonals, leg_reach,
                                      minimal_config, minimal_weight,
                                      transpose, two_leg_ceiling,
                                      two_leg_floor)
-from pptoggle.errors import DomainError
+from pptoggle.errors import DomainError, InvariantError
+from pptoggle.partitions import part
 from pptoggle.halfint import HalfInt
 from pptoggle.serialize import config_from_json, config_to_json
 
@@ -209,30 +211,58 @@ def test_json_round_trip_all_kinds():
         assert config_from_json(config_to_json(cfg)) == cfg
 
 
+def read_cells(cfg, d):
+    """Diagonal d of cfg, read cell by cell until a zero: a decreasing
+    filling from the diagonal's first cell in the quadrant past the shape, a
+    one-leg RPP up-left from the shape's last box, a two-leg RPP from its
+    cell with column (d >= 0) or row (d < 0) index 1."""
+    if isinstance(cfg, TwoLegRPP):
+        i, j = (1 - d, 1) if d >= 0 else (1, 1 + d)
+    else:
+        i, j = (1, 1 + d) if d >= 0 else (1 - d, 1)
+        while j <= part(getattr(cfg, "shape", ()), i):
+            i, j = i + 1, j + 1
+    step = 1
+    if isinstance(cfg, OneLegRPP):
+        i, j, step = i - 1, j - 1, -1
+    cells = []
+    while (min(i, j) >= 1 or isinstance(cfg, TwoLegRPP)) and cfg.at(i, j):
+        cells.append(cfg.at(i, j))
+        i, j = i + step, j + step
+    return tuple(cells)
+
+
 def test_level_diagonals_read_the_cell_levels():
-    # diagonal() reads a two-leg object a diagonal at a time off its floor or
-    # ceiling; read here cell by cell, from the diagonal's first cell in the
-    # quadrant (SPP) or with a column or row index 1 (RPP) until a zero
-    from pptoggle.oracle import (enum_two_leg_rpp, enum_two_leg_spp,
-                                 partitions_up_to)
+    # diagonals() reads every filling in one pass over its support, and
+    # from_diagonals() writes it back
+    from pptoggle.oracle import (enum_one_leg_rpp, enum_one_leg_spp,
+                                 enum_plane_partitions, enum_two_leg_rpp,
+                                 enum_two_leg_spp, partitions_up_to)
+    cases = [((), pp) for pp in enum_plane_partitions(5)]
+    for lam in partitions_up_to(3):
+        cases += [(lam, cfg) for cfg in (enum_one_leg_spp(lam, 4)
+                                         + enum_one_leg_rpp(lam, 4))]
     legs = partitions_up_to(4)
-    count = 0
     for lam in legs:
         for mu in legs:
             bound = 3 if max(sum(lam), sum(mu)) <= 3 else 0
-            for cfg in (enum_two_leg_spp((lam, mu), bound)
-                        + enum_two_leg_rpp((lam, mu), bound)):
-                for d in range(-8, 9):
-                    if isinstance(cfg, TwoLegSPP):
-                        i, j = (1, 1 + d) if d >= 0 else (1 - d, 1)
-                    else:
-                        i, j = (1 - d, 1) if d >= 0 else (1, 1 + d)
-                    cells = []
-                    while cfg.at(i, j):
-                        cells.append(cfg.at(i, j))
-                        i, j = i + 1, j + 1
-                    assert diagonal(cfg, d) == tuple(cells), (cfg, d)
-                count += 1
-    # legs of weight <= 3 with excess or deficit <= 3, and the zero-excess
-    # and zero-deficit objects of legs of weight <= 4
-    assert count == 2221
+            cases += [((lam, mu), cfg)
+                      for cfg in (enum_two_leg_spp((lam, mu), bound)
+                                  + enum_two_leg_rpp((lam, mu), bound))]
+    ds = range(-8, 9)
+    for key, cfg in cases:
+        diags = diagonals(cfg, ds)
+        for d in ds:
+            assert diags[d] == diagonal(cfg, d) == read_cells(cfg, d), (cfg, d)
+        assert from_diagonals(type(cfg), key, diags) == cfg, cfg
+    # plane partitions of weight <= 5, one-leg SPPs and RPPs of weight <= 4
+    # on shapes of weight <= 3, two-leg SPPs and RPPs on legs of weight <= 3
+    # with excess or deficit <= 3, and the zero-excess and zero-deficit
+    # objects of legs of weight <= 4
+    assert len(cases) == 471 + 2221
+    # the floor and the ceiling of legs ((2,), (1,)) on diagonal 0 are (2,)
+    # and (1,): a diagonal under the one or over the other is refused
+    for cls, nu in ((TwoLegSPP, (1,)), (TwoLegRPP, (2,))):
+        with pytest.raises(InvariantError) as failure:
+            from_diagonals(cls, ((2,), (1,)), {0: nu})
+        assert failure.value.name == "diagonal crosses its floor or ceiling"
