@@ -100,9 +100,7 @@ class Report:
             for line in self.outputs:
                 print(line)
             for c in self.checks:
-                mark = "PASS" if c["passed"] else "FAIL"
-                tail = f": {c['detail']}" if c["detail"] else ""
-                print(f"{mark} {c['name']}{tail}")
+                print(vf.CheckResult(**c).line())
         print(f"wall time: {time.monotonic() - self.started:.2f}s",
               file=sys.stderr)
         return EXIT_INVARIANT if failed else EXIT_OK

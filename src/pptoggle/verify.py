@@ -38,8 +38,11 @@ class CheckResult:
         return f"{self.detail} counterexample={self.counterexample!r}"
 
     def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status} {self.name}: {self.text()}"
+        """`PASS name: text` or `FAIL name: text`, without the colon when
+        there is no text."""
+        text = self.text()
+        return (f"{'PASS' if self.passed else 'FAIL'} {self.name}"
+                + (f": {text}" if text else ""))
 
 
 def _row(name, reason, candidates, detail=""):
