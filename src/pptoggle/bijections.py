@@ -186,36 +186,52 @@ _REGIONS = {PlanePartition: ("plane", "on the full quadrant"),
             OneLegSPP: ("outside", "outside a shape")}
 
 
-def _pop_all(cfg, schedule: ToggleSchedule) -> HookTableau:
-    """Pop a plane partition or one-leg SPP until it is empty; the popped
-    values, weighted by hook length, carry the full weight. The support's
-    bounding box [1,r]x[1,c] is enough: a pop at (i, j) leaves entry m of
-    its diagonal, at (i+m, j+m), nonzero only if (i+m-1, j+m) and
-    (i+m, j+m-1) are, so the support never leaves the box."""
-    shape = () if type(cfg) is PlanePartition else cfg.shape
-    rows, cols = _bounding_box(cfg.entries)
-    grid = ToggleGrid(shape, diagonals(cfg, range(1 - rows, cols)))
+def _pop_diagonals(shape: Partition, diags: dict[int, Partition], rows: int,
+                   cols: int, schedule: ToggleSchedule) -> dict[Cell, int]:
+    """Pop the decreasing filling outside `shape` with diagonals diags,
+    supported in [1,rows]x[1,cols], until it is empty; the popped values,
+    weighted by hook length, carry the full weight. The support's bounding
+    box is enough: a pop at (i, j) leaves entry m of its diagonal, at
+    (i+m, j+m), nonzero only if (i+m-1, j+m) and (i+m, j+m-1) are, so the
+    support never leaves the box."""
+    grid = ToggleGrid(shape, diags)
     values = _pop_region(grid, shape, rows, cols, schedule)
     if any(grid.diags.values()):
-        raise InvariantError("popping box did not exhaust the object", cfg)
+        raise InvariantError("popping box did not exhaust the object",
+                             (shape, diags))
+    return values
+
+
+def _push_diagonals(shape: Partition, values: dict[Cell, int]
+                    ) -> dict[int, Partition]:
+    """Inverse of _pop_diagonals, over the smallest box [1,r]x[1,c] that
+    holds the tableau's support, whatever its values. The box is exact: its
+    cells outside the shape form an order ideal of the pop order, so some
+    linear extension pops them first. Pushing in reverse, each cell beyond
+    the box comes first and pushes 0 onto empty diagonals, which changes
+    nothing, and by schedule independence (Pak, cited at ToggleGrid) every
+    push order gives the same result."""
+    grid = ToggleGrid(shape)
+    _push_box(grid, *_bounding_box(values), values)
+    return grid.diags
+
+
+def _pop_all(cfg, schedule: ToggleSchedule) -> HookTableau:
+    """Pop a plane partition or one-leg SPP into its hook tableau."""
+    shape = () if type(cfg) is PlanePartition else cfg.shape
+    rows, cols = _bounding_box(cfg.entries)
+    values = _pop_diagonals(shape, diagonals(cfg, range(1 - rows, cols)),
+                            rows, cols, schedule)
     return HookTableau(_REGIONS[type(cfg)][0], shape, values)
 
 
 def _push_all(t: HookTableau, cls):
-    """Inverse of _pop_all into a cls filling, over the smallest box
-    [1,r]x[1,c] that holds the tableau's support, whatever its values. The
-    box is exact: its cells outside the shape form an order ideal of the pop
-    order, so some linear extension pops them first. Pushing in reverse,
-    each cell beyond the box comes first and pushes 0 onto empty diagonals,
-    which changes nothing, and by schedule independence (Pak, cited at
-    ToggleGrid) every push order gives the same result."""
+    """Inverse of _pop_all, into a cls filling."""
     region, where = _REGIONS[cls]
     if t.region != region:
         raise DomainError(f"expected a tableau {where}")
     shape = t.shape if cls is OneLegSPP else ()
-    grid = ToggleGrid(shape)
-    _push_box(grid, *_bounding_box(t.values), t.values)
-    return from_diagonals(cls, shape, grid.diags)
+    return from_diagonals(cls, shape, _push_diagonals(shape, t.values))
 
 
 def pp_to_tableau(pi: PlanePartition,
@@ -253,39 +269,32 @@ def shape_tableau_to_rpp(lam: Partition, values: dict[Cell, int]) -> OneLegRPP:
     """Un-toggle a hook tableau on the shape itself into an increasing filling.
 
     The shape's hooks point down-right, so the tableau is rotated 180° into
-    the complement's outside region (preserving hook lengths), un-toggled
-    there, and rotated back.
+    the complement's outside region (preserving hook lengths) and un-toggled
+    there. The rotation takes the complement's diagonal d, read down-right,
+    to the shape's diagonal lam_1 - len(lam) - d, read up-left.
     """
     lam = as_partition(lam)
-    if not lam:
-        if values:
-            raise DomainError("tableau on the empty shape must be empty")
-        return OneLegRPP((), {})
-    depth, width = len(lam), lam[0]
-    comp = _rect_complement(lam)
+    if not all(contains(lam, c) for c in values):
+        raise DomainError(f"a tableau on the shape {lam} must lie in it")
+    depth, width = len(lam), part(lam, 1)
     rot = {_rotate(c, depth, width): v for c, v in values.items()}
-    sig = tableau_to_spp(HookTableau("outside", comp, rot))
-    entries = {}
-    for c, v in sig.entries.items():
-        cell = _rotate(c, depth, width)
-        if not contains(lam, cell):
-            raise InvariantError("rotated filling escaped the shape",
-                                 (lam, cell))
-        entries[cell] = v
-    return OneLegRPP(lam, entries)
+    diags = _push_diagonals(_rect_complement(lam), rot)
+    return from_diagonals(OneLegRPP, lam, {width - depth - d: nu
+                                           for d, nu in diags.items()})
 
 
 def rpp_to_shape_tableau(rho: OneLegRPP,
                          schedule: ToggleSchedule = DEFAULT_SCHEDULE
                          ) -> dict[Cell, int]:
+    """Inverse of shape_tableau_to_rpp."""
     lam = rho.shape
-    if not lam:
-        return {}
-    depth, width = len(lam), lam[0]
-    comp = _rect_complement(lam)
-    rot_entries = {_rotate(c, depth, width): v for c, v in rho.entries.items()}
-    t = spp_to_tableau(OneLegSPP(comp, rot_entries), schedule)
-    return {_rotate(c, depth, width): v for c, v in t.values.items()}
+    depth, width = len(lam), part(lam, 1)
+    diags = diagonals(rho, range(1 - depth, width))
+    rot = [_rotate(c, depth, width) for c in rho.entries]
+    values = _pop_diagonals(_rect_complement(lam),
+                            {width - depth - d: nu for d, nu in diags.items()},
+                            *_bounding_box(rot), schedule)
+    return {_rotate(c, depth, width): v for c, v in values.items()}
 
 
 def one_leg_forward(sigma: OneLegSPP,

@@ -239,10 +239,10 @@ def test_level_diagonals_read_the_cell_levels():
                                  enum_plane_partitions, enum_two_leg_rpp,
                                  enum_two_leg_spp, partitions_up_to)
     cases = [((), pp) for pp in enum_plane_partitions(5)]
-    for lam in partitions_up_to(3):
-        cases += [(lam, cfg) for cfg in (enum_one_leg_spp(lam, 4)
-                                         + enum_one_leg_rpp(lam, 4))]
     legs = partitions_up_to(4)
+    for lam in legs:
+        cases += [(lam, cfg) for cfg in (enum_one_leg_spp(lam, 4)
+                                         + enum_one_leg_rpp(lam, 5))]
     for lam in legs:
         for mu in legs:
             bound = 3 if max(sum(lam), sum(mu)) <= 3 else 0
@@ -255,11 +255,13 @@ def test_level_diagonals_read_the_cell_levels():
         for d in ds:
             assert diags[d] == diagonal(cfg, d) == read_cells(cfg, d), (cfg, d)
         assert from_diagonals(type(cfg), key, diags) == cfg, cfg
-    # plane partitions of weight <= 5, one-leg SPPs and RPPs of weight <= 4
-    # on shapes of weight <= 3, two-leg SPPs and RPPs on legs of weight <= 3
+    # plane partitions of weight <= 5, one-leg SPPs of weight <= 4 and RPPs
+    # of weight <= 5 on shapes of weight <= 4 (the first whose RPPs have two
+    # different entries on a diagonal), two-leg SPPs and RPPs on legs of
+    # weight <= 3
     # with excess or deficit <= 3, and the zero-excess and zero-deficit
     # objects of legs of weight <= 4
-    assert len(cases) == 471 + 2221
+    assert len(cases) == 985 + 2221
     # the floor and the ceiling of legs ((2,), (1,)) on diagonal 0 are (2,)
     # and (1,): a diagonal under the one or over the other is refused
     for cls, nu in ((TwoLegSPP, (1,)), (TwoLegRPP, (2,))):
