@@ -20,7 +20,7 @@ from .configurations import (HookTableau, OneLegRPP, OneLegSPP, PlanePartition,
 from .errors import (DomainError, InvariantError, NonConvergenceError,
                      ScheduleError)
 from .partitions import Cell, Partition, as_partition, contains, part
-from .toggles import toggle_between, toggle_pop, toggle_push
+from .toggles import ToggleResult, toggle_between, toggle_pop, toggle_push
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,29 @@ def _seeded_order(seed: int, shape: Partition, rows: int, cols: int
 DEFAULT_SCHEDULE = ToggleSchedule()
 
 
+# The grid's toggle steps, memoised: a pass over many objects repeats a few
+# hundred distinct toggles tens of thousands of times. Each step calls the
+# kernel by its module name, so a miss runs all of its checks, and an invalid
+# triple raises on every call (lru_cache keeps no exceptions).
+
+@lru_cache(maxsize=1 << 12)
+def _pop_step(above: Partition, nu: Partition, below: Partition
+              ) -> ToggleResult:
+    return toggle_pop(above, nu, below)
+
+
+@lru_cache(maxsize=1 << 12)
+def _push_step(above: Partition, nu: Partition, below: Partition, n: int
+               ) -> Partition:
+    return toggle_push(above, nu, below, n)
+
+
+@lru_cache(maxsize=1 << 12)
+def _between_step(left: Partition, mid: Partition, right: Partition
+                  ) -> Partition:
+    return toggle_between(left, mid, right)
+
+
 class ToggleGrid:
     """Decreasing filling of the region outside `shape`, held as its chain of
     interlacing diagonals, with a staircase of popped cells at the corner.
@@ -125,7 +148,7 @@ class ToggleGrid:
         above, nu, below = self.diag(d + 1), self.diag(d), self.diag(d - 1)
         n = 0
         if not above == nu == below:  # equal ones pop 0 and stay as they are
-            self.diags[d], n = toggle_pop(above, nu, below)
+            self.diags[d], n = _pop_step(above, nu, below)
         front[i] = j + 1
         return n
 
@@ -138,7 +161,7 @@ class ToggleGrid:
         d = j - i
         above, nu, below = self.diag(d + 1), self.diag(d), self.diag(d - 1)
         if n or not above == nu == below:  # pushing 0 onto equal ones is a no-op
-            self.diags[d] = toggle_push(above, nu, below, n)
+            self.diags[d] = _push_step(above, nu, below, n)
         front[i] = j
 
 
@@ -336,10 +359,10 @@ def stabilization_index(sigma: TwoLegSPP) -> int:
     The forward map pops the window [1,N+1]^2 and relies on the pops
     settling at N: popping [1,2N]^2 in canonical order gives 0 at every
     cell past [1,N]^2. That bound is verified, not proven. The `pops-settle`
-    row of the `two-leg-width-stability` suite checks it on the fillings
-    that suite enumerates, and the tests on every filling with legs of
-    weight <= 2 and excess <= 4. The forward map checks the part that costs
-    nothing: no nonzero pop in row or column N+1 of its window.
+    row of the `two-leg-width-stability` suite checks it on every filling
+    with legs of weight <= 2 and excess <= 4 (its default bounds). The
+    forward map checks the part that costs nothing: no nonzero pop in row or
+    column N+1 of its window.
     """
     lam, mu = sigma.legs
     return max([len(lam), len(mu), 1] + [max(c) for c in sigma.excess])
@@ -361,8 +384,8 @@ def _toggle_slots(chain: list, slots, width: int):
     right >- mid >- left in the lowering one."""
     for p in slots:
         left, mid, right = chain[p:p + 3]
-        chain[p + 1] = (toggle_between(left, mid, right) if p < width
-                        else toggle_between(right, mid, left))
+        chain[p + 1] = (_between_step(left, mid, right) if p < width
+                        else _between_step(right, mid, left))
 
 
 def _remnant_chain(grid: ToggleGrid, width: int) -> list[Partition]:

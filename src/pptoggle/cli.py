@@ -195,27 +195,39 @@ def _decode(obj, want):
 
 def cmd_biject(args) -> int:
     report = Report(args)
-    schedule = bj.ToggleSchedule.parse(args.schedule)
     forward, inverse, source, parts = _BIJECTIONS[args.family]
+    if args.schedule is not None and (args.direction == "inverse"
+                                      or args.family == "two-leg"):
+        raise ScheduleError("--schedule orders the pops of a plane or one-leg "
+                            "forward run; this run has none to order")
+    schedule = (bj.DEFAULT_SCHEDULE if args.schedule is None
+                else bj.ToggleSchedule.parse(args.schedule))
     payload = _load_json(args)
     if args.direction == "inverse":
-        image = [_decode(payload if key is None else payload[key], want)
-                 for key, want in parts.items()]
-        _write_json(args, sz.config_to_json(inverse(*image)))
-        return report.finish()
-    sigma = _decode(payload, source)
-    image = forward(sigma, schedule)
-    if None in parts:
-        _write_json(args, sz.config_to_json(image))
-        image = (image,)
+        image = tuple(_decode(payload if key is None else payload[key], want)
+                      for key, want in parts.items())
+        sigma = inverse(*image)
+        _write_json(args, sz.config_to_json(sigma))
     else:
-        _write_json(args, {key: sz.config_to_json(cfg)
-                           for key, cfg in zip(parts, image)})
+        sigma = _decode(payload, source)
+        image = _image(forward(sigma, schedule), parts)
+        _write_json(args, sz.config_to_json(image[0]) if None in parts
+                    else {key: sz.config_to_json(cfg)
+                          for key, cfg in zip(parts, image)})
     if args.round_trip:
-        report.check("round-trip", inverse(*image) == sigma)
+        if args.direction == "inverse":
+            same = _image(forward(sigma, schedule), parts) == image
+        else:
+            same = inverse(*image) == sigma
+        report.check("round-trip", same)
         report.check("weight", cf.cfg_weight(sigma)
                      == sum(cf.cfg_weight(cfg) for cfg in image))
     return report.finish()
+
+
+def _image(out, parts) -> tuple:
+    """A forward map's output as a tuple of its parts."""
+    return (out,) if None in parts else tuple(out)
 
 
 def cmd_enumerate(args) -> int:
@@ -369,7 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=["plane", "one-leg", "two-leg"])
     p.add_argument("--direction", choices=["forward", "inverse"],
                    default="forward")
-    p.add_argument("--schedule", default="off-diagonal")
+    p.add_argument("--schedule", default=None,
+                   help="pop order of a plane or one-leg forward run: "
+                        "off-diagonal (the default), lexicographic or "
+                        "seeded:<n>")
     p.add_argument("--round-trip", action="store_true")
     p.add_argument("--input", default="-")
     p.add_argument("--output", default="-")

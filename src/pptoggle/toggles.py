@@ -4,6 +4,9 @@ Three variants, keyed by how the middle partition interlaces its neighbours:
 a valley-to-valley involution, a peak toggle that pops off a nonnegative
 integer, and its inverse that pushes one back on. Out-of-range parts read as
 zero; the left neighbour of the first entry is unbounded.
+
+These functions are not memoised: every call runs its checks. The grids in
+`bijections` reach them through bounded memos of their own.
 """
 
 from __future__ import annotations

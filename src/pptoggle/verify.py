@@ -449,28 +449,33 @@ def suite_cutoff_stability(degree: int = 8) -> list[CheckResult]:
                   != sr.evaluate(sr.shape_word(kind, legs, 2 * c0), degree)))]
 
 
-def suite_two_leg_width_stability(two_leg_excess: int = 4) -> list[CheckResult]:
-    legs = ((2,), (1,))
+def suite_two_leg_width_stability(two_leg_excess: int = 4, leg_weight: int = 2
+                                  ) -> list[CheckResult]:
+    legs = oc.partitions_up_to(leg_weight)
+    sigmas = [sigma for lam in legs for mu in legs
+              for sigma in oc.enum_two_leg_spp((lam, mu), two_leg_excess)]
     found: dict = {}
-    for sigma in oc.enum_two_leg_spp(legs, two_leg_excess):
+    for sigma in sigmas:
         n = bj.stabilization_index(sigma)
         pops = bj._pop_region(bj._two_leg_grid(sigma), (), 2 * n, 2 * n,
                               bj.DEFAULT_SCHEDULE)
         if any(max(c) > n for c in pops):
-            found.setdefault("settle", [sigma.excess])
+            found.setdefault("settle", [(sigma.legs, sigma.excess)])
         rho, pi = bj._two_leg_forward_at(sigma, n + 1)
         if bj._two_leg_forward_at(sigma, n + 4) != (rho, pi):
-            found.setdefault("forward", [sigma.excess])
+            found.setdefault("forward", [(sigma.legs, sigma.excess)])
         width = bj._two_leg_inverse_width(rho, pi)
         if (bj._two_leg_inverse_at(rho, pi, width)
                 != bj._two_leg_inverse_at(rho, pi, width + 3)):
-            found.setdefault("inverse", [(rho.deficit, pi.entries)])
-    return [_row(f"pops-settle(legs={legs},excess<={two_leg_excess})",
-                 "nonzero pop past [1,N]^2 in [1,2N]^2", found.get("settle", ())),
-            _row(f"forward-width-stability(legs={legs},excess<={two_leg_excess})",
-                 "N+1 and N+4 differ", found.get("forward", ())),
-            _row("inverse-width-stability", "width and width+3 differ",
-                 found.get("inverse", ()))]
+            found.setdefault("inverse", [(rho.legs, rho.deficit, pi.entries)])
+    bounds = f"(|legs|<={leg_weight},excess<={two_leg_excess})"
+    detail = f"{len(sigmas)} fillings"
+    return [_row(f"pops-settle{bounds}", "nonzero pop past [1,N]^2 in [1,2N]^2",
+                 found.get("settle", ()), detail),
+            _row(f"forward-width-stability{bounds}", "N+1 and N+4 differ",
+                 found.get("forward", ()), detail),
+            _row(f"inverse-width-stability{bounds}", "width and width+3 differ",
+                 found.get("inverse", ()), detail)]
 
 
 def suite_configurations(bound: int = 8) -> list[CheckResult]:

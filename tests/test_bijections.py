@@ -1,5 +1,6 @@
 import pytest
 
+from pptoggle import bijections, toggles
 from pptoggle.bijections import (ToggleSchedule, one_leg_forward,
                                  one_leg_inverse, pp_to_tableau,
                                  spp_to_tableau, stabilization_index,
@@ -8,7 +9,7 @@ from pptoggle.bijections import (ToggleSchedule, one_leg_forward,
 from pptoggle.boundary import redistribute
 from pptoggle.configurations import (HookTableau, OneLegRPP, OneLegSPP,
                                      PlanePartition, TwoLegSPP, cfg_weight)
-from pptoggle.errors import InvariantError, ScheduleError
+from pptoggle.errors import DomainError, InvariantError, ScheduleError
 from pptoggle.halfint import HalfInt
 from pptoggle.oracle import (enum_one_leg_rpp, enum_one_leg_spp,
                              enum_plane_partitions, enum_two_leg_spp)
@@ -300,14 +301,12 @@ def test_stated_index_matches_the_search():
 
 def test_forward_checks_its_window_edge(monkeypatch):
     # one short of the true index 3, the window [1,3]^2 pops 1 at (3, 1)
-    from pptoggle import bijections
     monkeypatch.setattr(bijections, "stabilization_index", lambda sigma: 2)
     with pytest.raises(AssertionError, match="past the stabilised square"):
         two_leg_forward(FIG_TWOLEG)
 
 
 def test_window_edge_failure_names_its_counterexample(monkeypatch):
-    from pptoggle import bijections
     monkeypatch.setattr(bijections, "stabilization_index", lambda sigma: 2)
     with pytest.raises(InvariantError) as failure:
         two_leg_forward(FIG_TWOLEG)
@@ -315,3 +314,83 @@ def test_window_edge_failure_names_its_counterexample(monkeypatch):
     assert failure.value.counterexample == offending
     assert str(failure.value) == ("nonzero pop past the stabilised square: "
                                   f"{offending!r}")
+
+
+# ---------------------------------------------------------------------------
+# the grid's step memos
+
+STEP_MEMOS = (bijections._pop_step, bijections._push_step,
+              bijections._between_step)
+INVALID_STEPS = [(bijections._pop_step, ((1,), (), (1,))),
+                 (bijections._push_step, ((), (1,), (), 0)),
+                 (bijections._push_step, ((1,), (), (1,), -1)),
+                 (bijections._between_step, ((), (1,), ()))]
+
+
+@pytest.mark.parametrize("step, args", INVALID_STEPS,
+                         ids=["pop", "push", "push-negative", "between"])
+def test_an_invalid_step_raises_on_every_call(step, args):
+    # lru_cache keeps no exceptions, so the kernel's check runs each time,
+    # also once valid steps have filled the memo
+    step.cache_clear()
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            step(*args)
+    rho, pi = two_leg_forward(FIG_TWOLEG)
+    assert two_leg_inverse(rho, pi) == FIG_TWOLEG
+    assert step.cache_info().currsize > 0
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            step(*args)
+
+
+def _plane_trips():
+    """Each plane partition of weight <= 6 popped under every schedule of
+    the schedules suite, with its tableau pushed back."""
+    plans = ([ToggleSchedule("off-diagonal"), ToggleSchedule("lexicographic")]
+             + [ToggleSchedule("seeded", seed=s) for s in range(20)])
+    trips = []
+    for pi in enum_plane_partitions(6):
+        for plan in plans:
+            t = pp_to_tableau(pi, plan)
+            trips.append((pi, t.values, tableau_to_pp(t)))
+    return trips
+
+
+def test_cold_and_warm_step_memos_agree_with_the_kernel(monkeypatch):
+    for memo in STEP_MEMOS:
+        memo.cache_clear()
+    cold = _plane_trips()
+    hits = bijections._pop_step.cache_info().hits
+    warm = _plane_trips()
+    assert bijections._pop_step.cache_info().hits > hits
+    monkeypatch.setattr(bijections, "_pop_step", toggles.toggle_pop)
+    monkeypatch.setattr(bijections, "_push_step", toggles.toggle_push)
+    assert cold == warm == _plane_trips()
+    assert all(back == pi for pi, _, back in cold)
+
+
+def test_a_step_memo_runs_the_kernel_by_its_module_name_on_a_miss(
+        monkeypatch):
+    # so a probe put in place of bijections.toggle_pop sees every toggle
+    # computed, and a repeat is not computed again
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return toggles.toggle_pop(*args)
+
+    monkeypatch.setattr(bijections, "toggle_pop", spy)
+    bijections._pop_step.cache_clear()
+    pi = PlanePartition.from_rows([[3, 2, 1], [2, 2], [1]])
+    t = pp_to_tableau(pi)
+    assert calls and len(set(calls)) == len(calls)
+    computed = len(calls)
+    assert pp_to_tableau(pi) == t and len(calls) == computed
+
+
+def test_step_memos_are_bounded_and_the_toggles_are_not_memoised():
+    assert all(memo.cache_info().maxsize is not None for memo in STEP_MEMOS)
+    for kernel in (toggles.toggle_pop, toggles.toggle_push,
+                   toggles.toggle_between):
+        assert not hasattr(kernel, "cache_info")

@@ -79,6 +79,77 @@ def test_biject_two_leg_round_trip(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+BIJECT_SOURCES = {
+    "plane": config_to_json(PlanePartition.from_rows([[3, 1], [2, 1]])),
+    "one-leg": FIG_SIGMA_JSON,
+    "two-leg": config_to_json(TwoLegSPP(((2,), (1,)), {(1, 1): 1, (1, 2): 1})),
+}
+
+
+def _forward_image(tmp_path, family):
+    """The family's source and image files, the image written by `biject`."""
+    src, image = tmp_path / "source.json", tmp_path / "image.json"
+    src.write_text(json.dumps(BIJECT_SOURCES[family]))
+    assert main(["biject", family, "--input", str(src),
+                 "--output", str(image)]) == 0
+    return src, image
+
+
+@pytest.mark.parametrize("family", sorted(BIJECT_SOURCES))
+def test_biject_inverse_round_trip(tmp_path, capsys, family):
+    # forward(inverse(image)) == image, on the image of the source
+    src, image = _forward_image(tmp_path, family)
+    code, out = run(capsys, "biject", family, "--direction", "inverse",
+                    "--input", str(image), "--round-trip")
+    assert code == 0
+    lines = out.splitlines()
+    assert json.loads(lines[0]) == json.loads(src.read_text())
+    assert lines[1:] == ["PASS round-trip", "PASS weight"]
+
+
+def test_biject_inverse_round_trip_failure_exits_4(tmp_path, capsys,
+                                                   monkeypatch):
+    # a forward map that drops the plane partition cannot take the inverse's
+    # output back to the image it came from
+    from pptoggle import cli
+    _, image = _forward_image(tmp_path, "one-leg")
+    forward, *rest = cli._BIJECTIONS["one-leg"]
+    monkeypatch.setitem(cli._BIJECTIONS, "one-leg",
+                        (lambda sigma, schedule:
+                         (forward(sigma, schedule)[0], PlanePartition()),
+                         *rest))
+    code, out = run(capsys, "biject", "one-leg", "--direction", "inverse",
+                    "--input", str(image), "--round-trip")
+    assert code == 4
+    assert out.splitlines()[1:] == ["FAIL round-trip", "PASS weight"]
+
+
+@pytest.mark.parametrize("family, direction", [
+    ("two-leg", "forward"), ("two-leg", "inverse"), ("plane", "inverse"),
+    ("one-leg", "inverse")])
+def test_biject_schedule_without_pops_is_a_usage_error(tmp_path, capsys,
+                                                       family, direction):
+    # two-leg pops in the canonical order, and an inverse pushes in it
+    src, image = _forward_image(tmp_path, family)
+    payload = image if direction == "inverse" else src
+    capsys.readouterr()
+    assert main(["biject", family, "--direction", direction,
+                 "--schedule", "seeded:3", "--input", str(payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --schedule orders the pops")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("family", ["plane", "one-leg"])
+def test_biject_schedule_orders_forward_pops(tmp_path, capsys, family):
+    # any pop order gives the default's image
+    src, image = _forward_image(tmp_path, family)
+    code, out = run(capsys, "biject", family, "--schedule", "seeded:3",
+                    "--input", str(src))
+    assert code == 0 and out == image.read_text()
+
+
 def test_invariant_failure_exits_4(tmp_path, capsys, monkeypatch):
     # an index one short of the worked example's true 3 pops 1 at (3, 1),
     # past the stabilised square: exit 4 with a message, not a traceback

@@ -1,9 +1,9 @@
 """Checks on the source tree itself.
 
 The benchmark tracer finds its probe targets by name, so a renamed or
-deleted function would only show up when a traced run fails. And `python -O`
+deleted function would only show up when a traced run fails. `python -O`
 strips `assert` statements, so an invariant written as one would go
-unchecked.
+unchecked. And a memo without a size cap grows with every distinct input.
 """
 
 import ast
@@ -57,3 +57,35 @@ def test_the_diagonal_layout_lives_in_configurations():
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 for a in node.names}
     assert imported and not {"diagonal", "transpose"} & imported
+
+
+def _integer_expression(node) -> bool:
+    """An integer written out in the source: a literal, or literals joined
+    by arithmetic such as 1 << 12."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int
+    return (isinstance(node, ast.BinOp) and _integer_expression(node.left)
+            and _integer_expression(node.right))
+
+
+def test_every_memo_names_its_maxsize():
+    # functools.cache, a bare @lru_cache and lru_cache(maxsize=None) are
+    # all refused: each memo states its bound as an integer
+    sources = sorted((ROOT / "src").rglob("*.py"))
+    memos, unbounded = 0, []
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        calls = {id(node.func): node for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name not in ("lru_cache", "cache"):
+                continue
+            memos += 1
+            call = calls.get(id(node))
+            size = call and ([k.value for k in call.keywords
+                              if k.arg == "maxsize"] + call.args[:1])
+            if not (size and _integer_expression(size[0])):
+                unbounded.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert memos and not unbounded

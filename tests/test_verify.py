@@ -44,9 +44,9 @@ def _break_redistribute_inverse(monkeypatch):
 
 
 @pytest.mark.parametrize("breakage, suite, index, first", [
-    # the first filling enumerated is the floor, whose excess {} is falsy
+    # the first filling enumerated is the floor of the first leg pair
     (_skew_wide_forward_window, lambda: suite_two_leg_width_stability(2), 1,
-     {}),
+     (((), ()), {})),
     (_break_hook_lengths, lambda: suite_partitions(0), 1, ((), (1, 1))),
     (_break_redistribute_inverse, lambda: suite_hook_census(2, 2), 2,
      ((), (1, 1))),
@@ -66,8 +66,8 @@ def test_verify_exits_4_on_a_failing_row(monkeypatch, capsys):
     assert main(["verify", "--suite", "two-leg-width-stability"]) == 4
     lines = capsys.readouterr().out.splitlines()
     assert ("FAIL two-leg-width-stability/forward-width-stability"
-            "(legs=((2,), (1,)),excess<=4): N+1 and N+4 differ "
-            "counterexample={}") in lines
+            "(|legs|<=2,excess<=4): N+1 and N+4 differ "
+            "counterexample=(((), ()), {})") in lines
 
 
 def test_cli_prints_a_failed_row_as_the_row_renders_itself(monkeypatch,
