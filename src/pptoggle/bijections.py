@@ -360,7 +360,7 @@ def stabilization_index(sigma: TwoLegSPP) -> int:
     settling at N: popping [1,2N]^2 in canonical order gives 0 at every
     cell past [1,N]^2. That bound is verified, not proven. The `pops-settle`
     row of the `two-leg-width-stability` suite checks it on every filling
-    with legs of weight <= 2 and excess <= 4 (its default bounds). The
+    with legs of weight <= 2 and excess <= 4 (its default excess). The
     forward map checks the part that costs nothing: no nonzero pop in row or
     column N+1 of its window.
     """
