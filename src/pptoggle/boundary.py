@@ -13,31 +13,33 @@ Group, 2.7), with a bead on each vertical label. An outside n-hook is a bead
 with a gap n above it (an outer corner of its runner), an n-hook of the
 diagram a gap with a bead n above it (an inner corner). Signed powers,
 quotients and the hook redistribution map are all read off these runners.
+A shape's edge labels and each n's runner tops are read once, in bounded
+private memos keyed by the shape as a tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import DomainError, InvariantError
 from .halfint import HalfInt
 from .partitions import Cell, Partition, as_partition, contains, hook_length, part
 
 
-class _Edges:
-    """lam's edge labels, read once: `row` maps each vertical label lam_i - i
-    to its row i, `labels` lists the window's horizontal labels in increasing
-    order (column j's at j - 1), and `col` maps each of them to its column.
-    Past the window, label h is horizontal with column h + 1."""
+class _Edges(NamedTuple):
+    """lam's edge labels, read once per shape by _edges and shared by every
+    caller, so every field is read-only: `row` maps each vertical label
+    lam_i - i to its row i, `labels` lists the window's horizontal labels in
+    increasing order (column j's at j - 1), and `col` maps each of them to
+    its column. Past the window, label h is horizontal with column h + 1."""
 
-    __slots__ = ("lo", "row", "labels", "col")
-
-    def __init__(self, lam: Partition):
-        self.lo = -len(lam)
-        self.row = {p - i: i for i, p in enumerate(lam, start=1)}
-        self.labels = [m for m in range(self.lo, part(lam, 1))
-                       if m not in self.row]
-        self.col = {h: j for j, h in enumerate(self.labels, start=1)}
+    lo: int
+    row: Mapping[int, int]
+    labels: tuple[int, ...]
+    col: Mapping[int, int]
 
     def horizontal(self, m: int) -> bool:
         return m >= self.lo and m not in self.row
@@ -46,17 +48,22 @@ class _Edges:
         return self.labels[j - 1] if j <= len(self.labels) else j - 1
 
     def col_of(self, h: int) -> int:
-        return self.col.get(h, h + 1)
+        return self.col[h] if h in self.col else h + 1
+
+
+@lru_cache(maxsize=1 << 10)
+def _edges(lam: Partition) -> _Edges:
+    """The edge table of lam, given as a tuple."""
+    row = {p - i: i for i, p in enumerate(lam, start=1)}
+    labels = tuple(m for m in range(-len(lam), part(lam, 1)) if m not in row)
+    col = {h: j for j, h in enumerate(labels, start=1)}
+    return _Edges(-len(lam), MappingProxyType(row), labels,
+                  MappingProxyType(col))
 
 
 def edge_sign(lam: Partition, n: int) -> int:
     """+1 if boundary edge n is horizontal, -1 if vertical."""
-    if n <= -len(lam) - 1:
-        return -1
-    for i in range(1, len(lam) + 1):
-        if lam[i - 1] - i == n:
-            return -1
-    return 1
+    return 1 if _edges(tuple(lam)).horizontal(n) else -1
 
 
 def edge_power(lam: Partition, n: int) -> HalfInt:
@@ -82,10 +89,16 @@ def n_quotient(lam: Partition, n: int, i: int) -> Partition:
     return as_partition(m - center + k for k, m in enumerate(beads, start=1))
 
 
+def _check_hook_length(n: int):
+    if n < 1:
+        raise DomainError(f"hook length must be >= 1: {n!r}")
+
+
 def hook_pivots_outside(lam: Partition, n: int) -> list[Cell]:
     """Pivots of all n-hooks of the outside region (complete, finite): each
     row's bead with a gap n above it."""
-    edges = _Edges(lam)
+    _check_hook_length(n)
+    edges = _edges(tuple(lam))
     pivots = []
     for row in range(1, len(lam) + n + 1):
         h = part(lam, row) - row + n
@@ -97,7 +110,8 @@ def hook_pivots_outside(lam: Partition, n: int) -> list[Cell]:
 def hook_pivots_inside(lam: Partition, n: int) -> list[Cell]:
     """Pivots of all n-hooks of the diagram itself: each column's gap with
     a bead n above it."""
-    edges = _Edges(lam)
+    _check_hook_length(n)
+    edges = _edges(tuple(lam))
     return sorted((edges.row[h + n], col)
                   for col, h in enumerate(edges.labels, start=1)
                   if h + n in edges.row)
@@ -124,7 +138,7 @@ def redistribute(lam: Partition, cell: Cell) -> HookTarget:
     if contains(lam, cell):
         raise DomainError(f"{cell} is a box of {lam}, not outside it")
     row, col = cell
-    edges = _Edges(lam)
+    edges = _edges(tuple(lam))
     k = part(lam, row) - row
     n = edges.label_of_col(col) - k
     if n != hook_length(lam, cell, "outside"):
@@ -143,24 +157,19 @@ def redistribute(lam: Partition, cell: Cell) -> HookTarget:
 
 def redistribute_inverse(lam: Partition, target: HookTarget) -> Cell:
     """The outside box mapping to a given target under redistribute."""
-    edges = _Edges(lam)
+    if target.region not in ("in-plane", "in-lambda"):
+        raise DomainError(f"unknown region {target.region!r}")
     if target.region == "in-plane":
         r, s = target.cell
+        if r < 1 or s < 1:
+            raise DomainError(f"cells are 1-indexed: {target.cell!r}")
         n = r + s - 1
-        # each runner's top bead, by its row; rows len(lam)+1 .. len(lam)+n
-        # hold a bead on every runner
-        tops: dict[int, int] = {}
-        for row in range(1, len(lam) + n + 1):
-            tops.setdefault((part(lam, row) - row) % n, row)
-        # labels fall as rows grow: the s-th lowest top is in the s-th
-        # highest of these rows
-        row = sorted(tops.values(), reverse=True)[s - 1]
-        return (row, edges.col_of(part(lam, row) - row + n))
-    if target.region != "in-lambda":
-        raise DomainError(f"unknown region {target.region!r}")
+        row = _runner_tops(tuple(lam), n)[s - 1]
+        return (row, _edges(tuple(lam)).col_of(part(lam, row) - row + n))
     row, col = target.cell
     if not contains(lam, target.cell):
         raise DomainError(f"{target.cell} is not a box of {lam}")
+    edges = _edges(tuple(lam))
     k = lam[row - 1] - row
     n = k - edges.labels[col - 1]
     # the next bead down the runner opens the outer corner below
@@ -169,3 +178,17 @@ def redistribute_inverse(lam: Partition, target: HookTarget) -> Cell:
         if (k - v) % n == 0:
             return (below, edges.col[v + n])
     raise InvariantError("no preceding outer corner found", (lam, target))
+
+
+@lru_cache(maxsize=1 << 12)
+def _runner_tops(lam: Partition, n: int) -> tuple[int, ...]:
+    """The row of each n-runner's top bead, lowest label first; the
+    outside n-hook on the s-th is redistribute's preimage of the quadrant's
+    cell (n + 1 - s, s)."""
+    # rows len(lam)+1 .. len(lam)+n hold a bead on every runner
+    tops: dict[int, int] = {}
+    for row in range(1, len(lam) + n + 1):
+        tops.setdefault((part(lam, row) - row) % n, row)
+    # labels fall as rows grow: the s-th lowest top is in the s-th highest
+    # of these rows
+    return tuple(sorted(tops.values(), reverse=True))

@@ -69,6 +69,20 @@ def _check_support(entries: dict, what: str):
             raise DomainError(f"{what} values must be positive ints: {(i, j)}: {v}")
 
 
+def _normalise(cfg, name: str):
+    """Store cfg's shape, or each of its legs, as a partition tuple, so that
+    equal objects compare equal and read the same shape tables. A value
+    that already is one is kept, so objects built on one shape share it."""
+    value = getattr(cfg, name)
+    if name == "legs":
+        lam, mu = value
+        normal = (as_partition(lam), as_partition(mu))
+    else:
+        normal = as_partition(value)
+    if normal != value:
+        object.__setattr__(cfg, name, normal)
+
+
 def _check_decreasing(cfg, cells):
     """Reject cells off the quadrant, and cells whose value exceeds the one
     above or to the left (cfg.at reads a wall off the quadrant)."""
@@ -122,6 +136,7 @@ class OneLegSPP:
     entries: dict[Cell, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        _normalise(self, "shape")
         _check_support(self.entries, "skew plane partition")
         for (i, j) in self.entries:
             if contains(self.shape, (i, j)):
@@ -144,6 +159,7 @@ class OneLegRPP:
     entries: dict[Cell, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        _normalise(self, "shape")
         _check_support(self.entries, "reverse plane partition")
         for (i, j) in self.entries:
             if not contains(self.shape, (i, j)):
@@ -171,6 +187,7 @@ class TwoLegSPP:
     excess: dict[Cell, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        _normalise(self, "legs")
         _check_support(self.excess, "excess")
         _check_decreasing(self, self.excess)
 
@@ -197,6 +214,7 @@ class TwoLegRPP:
     deficit: dict[Cell, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        _normalise(self, "legs")
         _check_support(self.deficit, "deficit")
         for (i, j) in self.deficit:
             if i < 1 and j < 1:
@@ -232,6 +250,7 @@ class HookTableau:
     def __post_init__(self):
         if self.region not in ("plane", "inside", "outside"):
             raise DomainError(f"unknown tableau region {self.region!r}")
+        _normalise(self, "shape")
         _check_support(self.values, "tableau")
         for cell in self.values:
             self.cell_hook(cell)  # raises if the cell is off-region

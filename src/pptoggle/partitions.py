@@ -5,10 +5,16 @@ indexing past the end reads 0. Cells are 1-indexed (row, col) pairs, matching
 the usual matrix picture of a Young diagram with row 1 on top. The *outside*
 region of a diagram is the complement of the diagram inside the positive
 quadrant; hooks are defined in both regions.
+
+Each shape's conjugate is computed once, in a bounded private table keyed by
+the shape as a tuple; arm, leg and hook lengths read row and column lengths
+straight from the shape and that table. The public functions stay plain.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import lt
 from typing import Iterator
 
 from .errors import DomainError
@@ -20,16 +26,19 @@ EMPTY: Partition = ()
 
 
 def as_partition(seq) -> Partition:
-    """Validate and normalise a part sequence (strips trailing zeros)."""
-    parts = list(seq)
-    while parts and parts[-1] == 0:
-        parts.pop()
-    for a, b in zip(parts, parts[1:]):
-        if a < b:
-            raise DomainError(f"parts must weakly decrease: {seq!r}")
+    """Validate and normalise a part sequence (strips trailing zeros). A
+    tuple that already is a partition is returned as it is."""
+    parts = tuple(seq)
+    if parts and parts[-1] <= 0:
+        end = len(parts)
+        while end and parts[end - 1] == 0:
+            end -= 1
+        parts = parts[:end]
+    if any(map(lt, parts, parts[1:])):
+        raise DomainError(f"parts must weakly decrease: {seq!r}")
     if parts and parts[-1] < 0:
         raise DomainError(f"parts must be nonnegative: {seq!r}")
-    return tuple(parts)
+    return parts
 
 
 def part(lam: Partition, i: int) -> int:
@@ -42,6 +51,12 @@ def weight(lam: Partition) -> int:
 
 
 def conjugate(lam: Partition) -> Partition:
+    return _conjugate(tuple(lam))
+
+
+@lru_cache(maxsize=1 << 10)
+def _conjugate(lam: Partition) -> Partition:
+    """The column lengths of lam, read once per shape."""
     if not lam:
         return ()
     cols = [0] * lam[0]
@@ -73,40 +88,54 @@ def interlaces(lam: Partition, mu: Partition) -> bool:
     return True
 
 
+def _lengths(lam: Partition, cell: Cell) -> tuple[int, int]:
+    """The lengths of cell's row and column of lam, from the shape and its
+    conjugate table; a cell off the quadrant raises DomainError."""
+    i, j = cell
+    if i < 1 or j < 1:
+        raise DomainError(f"cells are 1-indexed: {cell!r}")
+    conj = _conjugate(lam)
+    return (lam[i - 1] if i <= len(lam) else 0,
+            conj[j - 1] if j <= len(conj) else 0)
+
+
 def arm_leg(lam: Partition, cell: Cell) -> tuple[int, int]:
     """Arm and leg sizes of a cell, in whichever region it lies."""
     i, j = cell
-    conj = conjugate(lam)
-    if contains(lam, cell):
-        return part(lam, i) - j, part(conj, j) - i
+    row, col = _lengths(tuple(lam), cell)
+    if j <= row:
+        return row - j, col - i
     # outside: the arm runs back to the diagram's row end, the leg up to its
     # column end
-    return j - part(lam, i) - 1, i - part(conj, j) - 1
+    return j - row - 1, i - col - 1
 
 
 def hook_length(lam: Partition, cell: Cell, region: str) -> int:
     """Hook length of a cell ``inside`` the diagram or ``outside`` it."""
-    inside = contains(lam, cell)
+    i, j = cell
+    row, col = _lengths(tuple(lam), cell)
+    inside = j <= row
     if region == "inside" and not inside:
         raise DomainError(f"{cell} is not a box of {lam}")
     if region == "outside" and inside:
         raise DomainError(f"{cell} is a box of {lam}")
     if region not in ("inside", "outside"):
         raise DomainError(f"region must be 'inside' or 'outside': {region!r}")
-    arm, leg = arm_leg(lam, cell)
-    return arm + leg + 1
+    # arm + leg + 1, with arm and leg as arm_leg counts them
+    return row - j + col - i + 1 if inside else j - row + i - col - 1
 
 
 def hook_cells(lam: Partition, cell: Cell) -> list[Cell]:
     """The pivot plus its arm and leg, as explicit cells."""
     i, j = cell
-    if contains(lam, cell):
-        row = [(i, jj) for jj in range(j + 1, part(lam, i) + 1)]
-        col = [(ii, j) for ii in range(i + 1, part(conjugate(lam), j) + 1)]
+    row, col = _lengths(tuple(lam), cell)
+    if j <= row:
+        arm = [(i, jj) for jj in range(j + 1, row + 1)]
+        leg = [(ii, j) for ii in range(i + 1, col + 1)]
     else:
-        row = [(i, jj) for jj in range(part(lam, i) + 1, j)]
-        col = [(ii, j) for ii in range(part(conjugate(lam), j) + 1, i)]
-    return [cell] + row + col
+        arm = [(i, jj) for jj in range(row + 1, j)]
+        leg = [(ii, j) for ii in range(col + 1, i)]
+    return [cell] + arm + leg
 
 
 def outer_corners(lam: Partition) -> list[Cell]:

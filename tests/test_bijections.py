@@ -121,6 +121,19 @@ def test_list_shape_is_accepted():
         assert tableau_to_spp(t).entries == entries
 
 
+def test_list_shapes_and_legs_round_trip():
+    # a shape or legs given as lists are stored as partitions, so the
+    # inverse returns an object equal to the one given, and the two-leg
+    # window compares its tails with the legs as tuples
+    e = {(1, 3): 2, (2, 2): 1, (3, 1): 1}
+    sigma = OneLegSPP([2, 1], e)
+    assert one_leg_inverse(*one_leg_forward(sigma)) == sigma
+    listed = TwoLegSPP(([2], [1]), {(1, 1): 1})
+    assert two_leg_forward(listed) == two_leg_forward(
+        TwoLegSPP(((2,), (1,)), {(1, 1): 1}))
+    assert two_leg_inverse(*two_leg_forward(listed)) == listed
+
+
 def test_explicit_schedule_validation():
     pi = PlanePartition.from_rows([[2, 1], [1]])
     bad = ToggleSchedule("explicit", cells=((2, 2), (1, 1)))

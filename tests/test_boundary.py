@@ -1,12 +1,13 @@
 import pytest
 
+from pptoggle import boundary, partitions
 from pptoggle.boundary import (HookTarget, edge_power, edge_sign,
                                hook_pivots_inside, hook_pivots_outside,
                                n_quotient, redistribute, redistribute_inverse)
 from pptoggle.errors import DomainError
 from pptoggle.halfint import HalfInt
 from pptoggle.oracle import partitions_up_to
-from pptoggle.partitions import contains, hook_length
+from pptoggle.partitions import contains, hook_cells, hook_length
 
 
 def test_edge_sign_patterns():
@@ -111,3 +112,61 @@ def test_redistribute_bijection_and_hooks():
             in_plane = [t for t in targets if t.region == "in-plane"]
             assert len(in_plane) == n
             assert {t.cell for t in in_plane} == {(n - r, r + 1) for r in range(n)}
+
+
+@pytest.mark.parametrize("cell", [(2, 0), (0, 1), (-1, 3), (0, 0)])
+def test_redistribute_inverse_rejects_cells_off_the_quadrant(cell):
+    with pytest.raises(DomainError):
+        redistribute_inverse((2, 1), HookTarget("in-plane", cell))
+    with pytest.raises(DomainError):
+        redistribute_inverse((2, 1), HookTarget("in-lambda", cell))
+
+
+def test_redistribute_inverse_rejects_unknown_regions():
+    with pytest.raises(DomainError, match="unknown region"):
+        redistribute_inverse((2, 1), HookTarget("elsewhere", (0, 1)))
+
+
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_hook_pivots_reject_lengths_below_one(n):
+    with pytest.raises(DomainError):
+        hook_pivots_outside((2, 1), n)
+    with pytest.raises(DomainError):
+        hook_pivots_inside((2, 1), n)
+
+
+def _row_scan_edge_sign(lam, n):
+    """edge_sign before the edge table: scan the rows for label n."""
+    if n <= -len(lam) - 1:
+        return -1
+    for i in range(1, len(lam) + 1):
+        if lam[i - 1] - i == n:
+            return -1
+    return 1
+
+
+def _clear_shape_tables():
+    partitions._conjugate.cache_clear()
+    boundary._edges.cache_clear()
+    boundary._runner_tops.cache_clear()
+
+
+def test_shape_tables_match_the_per_cell_definitions():
+    # every shape of weight <= 8, as a tuple and as a list, read through
+    # cold tables and then through the warm ones they left behind
+    _clear_shape_tables()
+    for _ in ("cold", "warm"):
+        for shape in partitions_up_to(8):
+            for lam in (shape, list(shape)):
+                for n in range(-12, 12):
+                    assert edge_sign(lam, n) == _row_scan_edge_sign(lam, n)
+                for i in range(1, 11):
+                    for j in range(1, 11):
+                        inside = contains(lam, (i, j))
+                        region = "inside" if inside else "outside"
+                        assert (hook_length(lam, (i, j), region)
+                                == len(hook_cells(lam, (i, j))))
+                        if not inside:
+                            target = redistribute(lam, (i, j))
+                            assert redistribute_inverse(lam, target) == (i, j)
+        assert boundary._edges.cache_info().currsize == len(partitions_up_to(8))

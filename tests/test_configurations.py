@@ -268,3 +268,33 @@ def test_level_diagonals_read_the_cell_levels():
         with pytest.raises(InvariantError) as failure:
             from_diagonals(cls, ((2,), (1,)), {0: nu})
         assert failure.value.name == "diagonal crosses its floor or ceiling"
+
+
+@pytest.mark.parametrize("build", [
+    lambda shape: OneLegSPP(shape),
+    lambda shape: OneLegRPP(shape),
+    lambda shape: TwoLegSPP((shape, (1,))),
+    lambda shape: TwoLegRPP(((1,), shape)),
+    lambda shape: HookTableau("outside", shape),
+], ids=["one-leg-spp", "one-leg-rpp", "two-leg-spp", "two-leg-rpp",
+        "hook-tableau"])
+def test_constructors_normalise_shapes_and_legs(build):
+    # a list and a tuple with trailing zeros give the object built on the
+    # partition itself, and a part sequence that rises is refused
+    want = build((2, 1))
+    assert build([2, 1]) == build((2, 1, 0)) == want
+    assert all(type(p) is tuple for p in
+               getattr(want, "legs", (getattr(want, "shape", None),)))
+    with pytest.raises(DomainError):
+        build((1, 2))
+
+
+def test_a_list_shape_keeps_its_checks():
+    # the checks read the normalised shape, so a list shape refuses the
+    # same cells a tuple does
+    with pytest.raises(DomainError):
+        OneLegSPP([2, 1], {(1, 1): 1})
+    with pytest.raises(DomainError):
+        OneLegRPP([2, 1], {(2, 2): 1})
+    with pytest.raises(DomainError):
+        HookTableau("inside", [2, 1], {(3, 3): 1})

@@ -1,3 +1,5 @@
+import itertools
+
 from hypothesis import given, strategies as st
 import pytest
 
@@ -125,6 +127,39 @@ def test_as_partition_validation():
     assert as_partition([3, 2, 0, 0]) == (3, 2)
     with pytest.raises(DomainError):
         as_partition([1, 2])
+
+
+def _list_as_partition(seq):
+    """as_partition before its tuple fast path: strip zeros off a list."""
+    parts = list(seq)
+    while parts and parts[-1] == 0:
+        parts.pop()
+    for a, b in zip(parts, parts[1:]):
+        if a < b:
+            raise DomainError(f"parts must weakly decrease: {seq!r}")
+    if parts and parts[-1] < 0:
+        raise DomainError(f"parts must be nonnegative: {seq!r}")
+    return tuple(parts)
+
+
+def _outcome(normalise, seq):
+    try:
+        return normalise(seq)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_as_partition_matches_the_list_definition():
+    # every sequence of length <= 4 over -1..3, as a tuple and as a list:
+    # the same partition or the same error message; a tuple that already
+    # is a partition comes back as the same object
+    for seq in itertools.chain.from_iterable(
+            itertools.product(range(-1, 4), repeat=k) for k in range(5)):
+        for form in (seq, list(seq)):
+            assert (_outcome(as_partition, form)
+                    == _outcome(_list_as_partition, form))
+        if seq == _outcome(_list_as_partition, seq):
+            assert as_partition(seq) is seq
 
 
 def test_part_indexing():

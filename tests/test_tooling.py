@@ -3,7 +3,8 @@
 The benchmark tracer finds its probe targets by name, so a renamed or
 deleted function would only show up when a traced run fails. `python -O`
 strips `assert` statements, so an invariant written as one would go
-unchecked. And a memo without a size cap grows with every distinct input.
+unchecked. A memo without a size cap grows with every distinct input, and a
+shape table built outside its memo is rebuilt on every call.
 """
 
 import ast
@@ -57,6 +58,51 @@ def test_the_diagonal_layout_lives_in_configurations():
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 for a in node.names}
     assert imported and not {"diagonal", "transpose"} & imported
+
+
+def _functions(path: Path) -> dict[str, ast.FunctionDef]:
+    return {node.name: node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)}
+
+
+def _called(fn: ast.FunctionDef) -> set:
+    return {getattr(node.func, "id", None) for node in ast.walk(fn)
+            if isinstance(node, ast.Call)}
+
+
+def _memoised(fn: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None)
+               == "lru_cache" for d in fn.decorator_list)
+
+
+def test_each_shape_table_is_built_in_one_place():
+    # an edge table is built only inside boundary's memo _edges, and a
+    # conjugate computed only inside partitions' memo _conjugate; the public
+    # conjugate is one read of that table, and the rest of partitions reads
+    # the table directly
+    building, conjugates, constructions = set(), set(), []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        constructions += [path.stem
+                          for node in ast.walk(ast.parse(path.read_text()))
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "id", None) == "_Edges"]
+        for name, fn in _functions(path).items():
+            if "_Edges" in _called(fn):
+                building.add((path.stem, name))
+            if "conjugate" in name:
+                conjugates.add((path.stem, name))
+    assert constructions == ["boundary"]
+    assert building == {("boundary", "_edges")}
+    assert conjugates == {("partitions", "conjugate"),
+                          ("partitions", "_conjugate")}
+
+    boundary = _functions(ROOT / "src/pptoggle/boundary.py")
+    partitions = _functions(ROOT / "src/pptoggle/partitions.py")
+    assert _memoised(boundary["_edges"]) and _memoised(partitions["_conjugate"])
+    (body,) = partitions["conjugate"].body
+    assert isinstance(body, ast.Return) and body.value.func.id == "_conjugate"
+    assert not any("conjugate" in _called(fn) for fn in partitions.values())
+    assert "_conjugate" in _called(partitions["_lengths"])
 
 
 def _integer_expression(node) -> bool:
