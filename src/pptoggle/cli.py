@@ -372,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--one-leg", metavar="PARTS")
     p.add_argument("--two-leg", metavar="LAM/MU")
     p.add_argument("--two-leg-rpp", metavar="LAM/MU")
-    p.add_argument("--degree", type=HalfInt.parse, default=HalfInt.of(6),
+    p.add_argument("--degree", type=_non_negative(HalfInt.parse),
+                   default=HalfInt.of(6),
                    help="truncation degree, e.g. 6 or 13/2")
     p.add_argument("--cross-check", action="store_true")
     p.set_defaults(fn=cmd_series)

@@ -33,6 +33,8 @@ def _from_triples(rows) -> dict:
         if len(_ints(row, "a support triple")) != 3:
             raise DomainError(f"support triples are [row, col, value]: {row!r}")
         i, j, v = row
+        if (i, j) in entries:
+            raise DomainError(f"two support triples on cell ({i}, {j}): {row!r}")
         entries[(i, j)] = v
     return entries
 

@@ -3,12 +3,15 @@ evaluator for words of raising/lowering vertex operators.
 
 Coefficients are plain Python ints throughout; exponents are stored doubled.
 A word is evaluated by folding its operators from the ket side over a state
-map (partition -> series). Raising and lowering steps alike take a size budget
-from each state's lowest exponent, so successors that could only contribute
-beyond the degree bound are never generated, and the successor lists of a
-(partition, sign, budget) query come from a size-bounded memo. While negative
-exponents are still to come, a state keeps terms past the bound only by as
-much degree as those operators could take off from its size.
+map (partition -> series). Each step keeps a state's terms up to one limit
+per size: the bound less the least degree the rest of the word must still
+add from that size (`_size_floors`). The limit lies past the bound where
+negative exponents are still to come and below it where positive ones are,
+and a size with no way to the bra keeps nothing. Raising and lowering steps
+alike take a size budget from each state's lowest exponent, so successors
+that could only contribute past every limit are never generated, and the
+successor lists of a (partition, sign, budget) query come from a size-bounded
+memo.
 
 A word is folded once, over states no larger than a cap stated from the word
 and the bound (`_state_cap`). A word whose layers of size may cost nothing
@@ -30,9 +33,9 @@ from .boundary import edge_power, edge_sign
 from .configurations import minimal_weight
 
 
-# Most states one transfer step may carry forward after its truncation.
-# Memory grows with it: MacMahon's word at degree 40 peaks at 7,437 states
-# and about 110 MiB, while the acceptance checks stay near 200.
+# Most states one transfer step may carry forward. Memory grows with it:
+# MacMahon's word at degree 40 peaks at 2,070 states in a 64 MiB process,
+# while `verify --suite all` stays at 60.
 MAX_STATES = 1 << 14
 
 
@@ -165,38 +168,43 @@ def _successors(kappa: Partition, sign: int, budget: int
 
 
 def apply_vertex_op(state: dict[Partition, TruncatedSeries], sign: int,
-                    exponent, bound, size_cap: int | None = None
+                    exponent, bound, size_cap: int | None = None,
+                    limits: list | None = None
                     ) -> dict[Partition, TruncatedSeries]:
     """One transfer step: fan each state out over interlacing partitions.
 
     sign +1 sums over mu >- kappa with factor q^(e*(|mu|-|kappa|)), sign -1
-    over mu -< kappa with q^(e*(|kappa|-|mu|)). Terms beyond the bound are
-    dropped, which keeps the step total. For e > 0 a state's lowest term
-    caps how far its size may move, so successors that would only produce
-    dropped terms are never generated; with e <= 0 raising is capped by
-    size_cap alone and lowering is not capped. Successor lists come from a
-    bounded memo keyed by (kappa, sign, cap).
+    over mu -< kappa with q^(e*(|kappa|-|mu|)). A successor of size s keeps
+    its terms up to limits[s], or up to the bound for every size when no
+    limits are given; the bound must be at least every limit. For e > 0 a
+    state's lowest term caps how far its size may move, so successors that
+    would only produce dropped terms are never generated; with e <= 0
+    raising is capped by size_cap alone and lowering is not capped.
+    Successor lists come from a bounded memo keyed by (kappa, sign, cap).
     """
     e2 = HalfInt.of(exponent).doubled
     bound2 = HalfInt.of(bound).doubled
+    widest = max((weight(k) for k in state), default=0)
     if size_cap is None:
-        size_cap = bound2 // 2 + max((weight(k) for k in state), default=0) + 1
+        size_cap = bound2 // 2 + widest + 1
+    if limits is None:
+        limits = [bound2] * (max(size_cap, widest) + 1)
     out: dict[Partition, TruncatedSeries] = {}
     for kappa, ser in state.items():
         if ser.is_zero():
             continue
+        w, low = weight(kappa), min(ser.coeffs)
         # lowering can lose at most |kappa|, so clipping there shares keys
-        budget = size_cap - weight(kappa) if sign == RAISE else weight(kappa)
+        budget = size_cap - w if sign == RAISE else w
         if e2 > 0:
-            budget = min(budget, (bound2 - min(ser.coeffs)) // e2)
+            budget = min(budget, (bound2 - low) // e2)
         if budget < 0:
             continue
         for mu, delta in _successors(kappa, sign, budget):
-            d = e2 * delta
-            shifted = {x + d: c for x, c in ser.coeffs.items()
-                       if x + d <= bound2}
-            if not shifted:
+            d, top = e2 * delta, limits[w + sign * delta]
+            if low + d > top:
                 continue
+            shifted = {x + d: c for x, c in ser.coeffs.items() if x + d <= top}
             if mu in out:
                 tgt = out[mu].coeffs
                 for x, c in shifted.items():
@@ -204,7 +212,7 @@ def apply_vertex_op(state: dict[Partition, TruncatedSeries], sign: int,
                     if not c:  # signed inputs cancelled
                         del tgt[x]
             else:
-                out[mu] = TruncatedSeries(bound2, shifted)
+                out[mu] = TruncatedSeries(top, shifted)
     return {k: s for k, s in out.items() if not s.is_zero()}
 
 
@@ -212,10 +220,12 @@ def evaluate(word: OperatorWord, bound) -> TruncatedSeries:
     """Bra-ket coefficient of the word as a series truncated at the bound,
     from one fold over the states `_state_cap` allows.
 
-    Operators with negative exponents can lower accumulated degrees later in
-    the fold, so intermediate truncation is loosened, for each state size, by
-    the most degree the remaining operators could take off (`_step_bounds`).
-    A divergent word is reported whatever the bound.
+    Each step keeps a state's terms only up to the bound less the least
+    degree the rest of the word must still add from the state's size
+    (`_size_floors`). That limit sits past the bound where negative
+    exponents are still to come and below it where positive ones are, and a
+    size with no way to the bra keeps nothing. A divergent word is reported
+    whatever the bound.
     """
     bound2 = HalfInt.of(bound).doubled
     return _evaluate_capped(word, bound2, _state_cap(word, bound2))
@@ -262,7 +272,9 @@ def _size_floors(word: OperatorWord, cap: int) -> list[list]:
     there). A raise moves a size s to any s' in [s, cap], a lower to any s'
     in [0, s], and a weigh adds scale * s, so every path of states up to the
     cap is one of these, and the least degree a size path adds bounds the
-    degree of theirs from below."""
+    degree of theirs from below. The fold's limit for a state of size s is
+    therefore the bound less floors[i][s], which drops only terms that end
+    past the bound."""
     f = [float("inf")] * (cap + 1)
     f[weight(word.bra)] = 0
     floors = [f]
@@ -279,62 +291,37 @@ def _size_floors(word: OperatorWord, cap: int) -> list[list]:
     return floors
 
 
-def _step_bounds(word: OperatorWord, bound2: int, cap: int
-                 ) -> list[tuple[int, list[int] | None]]:
-    """For each i, the truncation of the fold's states while ops[:i] are
-    still to come: (inner2, limits), limits[s] being the bound for a state
-    of size s and inner2 the largest; limits is None if all are inner2.
-
-    A state's terms are kept up to bound2 plus the most degree the remaining
-    ops could still take off on the way to the bra, found over size paths
-    (`_size_floors`). A word with no negative exponent or scale can take
-    nothing off.
-    """
-    if all(op[-1].doubled >= 0 for op in word.ops):
-        return [(bound2, None)] * (len(word.ops) + 1)
-    out = []
-    for f in _size_floors(word, cap):
-        limits = [bound2 - min(0, v) for v in f]
-        top = max(limits)
-        out.append((top, None if min(limits) == top else limits))
-    return out
-
-
 def _evaluate_capped(word: OperatorWord, bound2: int, cap: int
                      ) -> TruncatedSeries:
-    """Fold the word from its ket over states of size <= cap, truncating
-    each step as `_step_bounds` allows. A step that carries more than
-    MAX_STATES states forward after its truncation raises
-    NonConvergenceError; the check runs once the step's output is built, so
-    memory is bounded by one step's growth past the cap."""
-    bounds = _step_bounds(word, bound2, cap)
+    """Fold the word from its ket over states of size <= cap. While ops[:i]
+    are still to come, a state of size s keeps a term x only if
+    x <= bound2 - floors[i][s]: every way on to the bra adds at least
+    floors[i][s], so a term past that limit ends past the bound, and a size
+    with no way to the bra (floor inf) keeps nothing. A step that carries
+    more than MAX_STATES states forward raises NonConvergenceError; the check
+    runs once the step's output is built, so memory is bounded by one step's
+    growth past the cap."""
+    limits = [[bound2 - v for v in f] for f in _size_floors(word, cap)]
     state: dict[Partition, TruncatedSeries] = {
-        word.ket: TruncatedSeries(bounds[-1][0], {0: 1})}
+        word.ket: TruncatedSeries(limits[-1][weight(word.ket)], {0: 1})}
     for idx in range(len(word.ops) - 1, -1, -1):
-        op = word.ops[idx]
-        inner2, limits = bounds[idx]
+        op, lim = word.ops[idx], limits[idx]
         if op[0] == "weigh":
             t2 = op[1].doubled
-            state = {k: TruncatedSeries(
-                        inner2, {x + t2 * weight(k): c
-                                 for x, c in s.coeffs.items()
-                                 if x + t2 * weight(k) <= inner2})
+            state = {k: TruncatedSeries(lim[weight(k)],
+                                        {x + t2 * weight(k): c
+                                         for x, c in s.coeffs.items()})
                      for k, s in state.items()}
             state = {k: s for k, s in state.items() if not s.is_zero()}
         else:
             _, sign, exponent = op
-            state = apply_vertex_op(state, sign, exponent, HalfInt(inner2), cap)
-        if limits is not None:
-            trimmed = ((k, TruncatedSeries(inner2, {x: c for x, c in s.coeffs.items()
-                                                    if x <= limits[weight(k)]}))
-                       for k, s in state.items())
-            state = {k: s for k, s in trimmed if not s.is_zero()}
+            state = apply_vertex_op(state, sign, exponent, HalfInt(max(lim)),
+                                    cap, lim)
         if len(state) > MAX_STATES:
             raise NonConvergenceError(
                 f"transfer step {idx} holds {len(state)} states, over the "
                 f"cap of {MAX_STATES}")
-    result = state.get(word.bra, TruncatedSeries(bound2, {}))
-    return result.truncate(bound2)
+    return state.get(word.bra, TruncatedSeries(bound2, {}))
 
 
 # ---------------------------------------------------------------------------

@@ -271,17 +271,32 @@ def test_report_determinism(capsys):
     assert out1 == out2
 
 
-def test_report_determinism_across_processes():
+def stdout_under_hash_seeds(*argv):
+    """The CLI's stdout for argv in fresh processes under PYTHONHASHSEED 1
+    and 2."""
     src = Path(pptoggle.__file__).resolve().parents[1]
     outs = []
     for hash_seed in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
-        proc = subprocess.run(
-            [sys.executable, "-m", "pptoggle.cli", "series", "--macmahon",
-             "--degree", "3", "--json"],
-            capture_output=True, env=env, check=True)
+        proc = subprocess.run([sys.executable, "-m", "pptoggle.cli", *argv],
+                              capture_output=True, env=env, check=True)
         outs.append(proc.stdout)
+    return outs
+
+
+def test_report_determinism_across_processes():
+    outs = stdout_under_hash_seeds("series", "--macmahon", "--degree", "3",
+                                   "--json")
     assert outs[0] == outs[1]
+
+
+def test_pruned_one_leg_fold_is_the_same_across_processes():
+    # the per-size limits drop most of this word's states; which ones must
+    # not depend on the hash seed
+    outs = stdout_under_hash_seeds("series", "--one-leg", "5,4,3,2,1",
+                                   "--degree", "12", "--json")
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["outputs"]
 
 
 def test_usage_exit_code(capsys):
@@ -356,6 +371,11 @@ RPP_PAYLOAD = {"type": "one-leg-rpp", "legs": [[1]], "entries": [[1, 1, 1]]}
     (["verify", "--suite", "toggles", "--max-part", "-1"], None),
     (["verify", "--suite", "macmahon", "--degree", "13/2"], None),
     (["--seed", "1", "series", "--macmahon"], None),
+    (["series", "--macmahon", "--degree", "-1"], None),
+    (["series", "--one-leg", "2,1", "--degree", "-1"], None),
+    (["series", "--two-leg", "1/1", "--degree", "-1"], None),
+    (["render"], {"type": "plane-partition", "legs": [],
+                  "entries": [[1, 1, 1], [1, 1, 2]]}),
     (["biject", "plane", "--direction", "inverse"], PP_PAYLOAD),
     (["biject", "one-leg"], PP_PAYLOAD),
     (["biject", "one-leg"], SPP_PAYLOAD),
@@ -375,6 +395,8 @@ RPP_PAYLOAD = {"type": "one-leg-rpp", "legs": [[1]], "entries": [[1, 1, 1]]}
         "verify-negative-max-weight", "verify-negative-hook-weight",
         "verify-negative-degree", "verify-negative-macmahon-degree",
         "verify-negative-max-part", "verify-half-degree", "global-seed",
+        "series-negative-macmahon-degree", "series-negative-one-leg-degree",
+        "series-negative-two-leg-degree", "repeated-cell",
         "plane-inverse-of-a-plane-partition", "one-leg-of-a-plane-partition",
         "one-leg-of-a-two-leg-spp", "two-leg-of-a-plane-partition",
         "two-leg-inverse-of-a-one-leg-rho", "one-leg-inverse-of-a-two-leg-pi"])

@@ -123,6 +123,17 @@ def test_reconstruction_round_trip():
         assert config_from_json(blob) == cfg
 
 
+@pytest.mark.parametrize("blob", [
+    {"type": "plane-partition", "entries": [[1, 1, 1], [1, 1, 2]]},
+    {"type": "two-leg-spp", "legs": [[1], [1]],
+     "excess": [[1, 1, 1], [2, 1, 1], [1, 1, 1]]},
+])
+def test_decoder_refuses_a_repeated_cell(blob):
+    # keeping either triple would decode a filling the input does not state
+    with pytest.raises(DomainError, match=r"cell \(1, 1\)"):
+        config_from_json(blob)
+
+
 def test_validation_rejects_bad_two_leg():
     with pytest.raises(DomainError):
         TwoLegSPP(((2,), (1,)), {(1, 1): 0})  # stored excess must be positive

@@ -146,9 +146,14 @@ tiny_partitions = st.builds(
 
 @given(st.lists(word_ops, max_size=5), tiny_partitions, tiny_partitions,
        st.integers(-2, 6))
+@example([step_op(-1, H(5)), step_op(1, H(1))], (), (), 4)
+@example([step_op(1, H(1)), step_op(-1, H(1))], (1,), (2,), 4)
 def test_capped_fold_matches_untruncated_fold(ops, bra, ket, bound2):
-    # the per-size bounds must drop only terms that end past the bound,
-    # whatever the signs of the exponents and weigh scales
+    # the per-size limits must drop only terms that end past the bound,
+    # whatever the signs of the exponents and weigh scales. In the first
+    # example the lower still to come adds 5/2 per unit of size, so the
+    # raise keeps only (); in the second the state (2) left by the lower
+    # has no raise back down to the bra (1) and is dropped
     word = OperatorWord(tuple(ops), bra=bra, ket=ket)
     cap = max(0, bound2 // 2 + 1) + weight(bra) + weight(ket)
     want = TruncatedSeries(bound2, untruncated_fold(word, cap))
@@ -304,8 +309,8 @@ def test_divergent_word_is_reported():
 
 
 def test_state_cap_counts_the_truncated_step(monkeypatch):
-    # the raise makes 5 states, of which the truncation keeps 3: the cap
-    # bounds what a step carries forward, not its raw output
+    # the stated cap of this word at bound 5 is 2, so the raise carries
+    # 3 states forward, and MAX_STATES counts exactly those
     from pptoggle import series
     word = OperatorWord((step_op(-1, HalfInt(-3)), step_op(1, HalfInt(7))))
     want = evaluate(word, 5)
@@ -318,9 +323,9 @@ def test_state_cap_counts_the_truncated_step(monkeypatch):
 
 
 def test_state_cap_counts_after_truncation(monkeypatch):
-    # the stated cap of this word at bound 5 is 2, where the truncation has
-    # nothing to drop; at cap 6 the raise makes 5 states and keeps 3, so
-    # MAX_STATES must be checked against what the step carries forward
+    # at cap 6 the raise reaches 5 successors of () and the per-size limits
+    # keep 3, so MAX_STATES must be checked against what the step carries
+    # forward
     from pptoggle import series
     word = OperatorWord((step_op(-1, HalfInt(-3)), step_op(1, HalfInt(7))))
     monkeypatch.setattr(series, "MAX_STATES", 3)
@@ -328,6 +333,18 @@ def test_state_cap_counts_after_truncation(monkeypatch):
     monkeypatch.setattr(series, "MAX_STATES", 2)
     with pytest.raises(NonConvergenceError, match="holds 3 states"):
         series._evaluate_capped(word, 10, 6)
+
+
+def test_state_cap_counts_the_pruned_macmahon_fold(monkeypatch):
+    # MacMahon's word at degree 12 carries at most 51 states forward once a
+    # state keeps only the terms the rest of the word can bring within the
+    # degree; truncating at the degree alone, it carried 102
+    from pptoggle import series
+    monkeypatch.setattr(series, "MAX_STATES", 51)
+    assert evaluate_stable("macmahon", None, 12) == macmahon_series(12)
+    monkeypatch.setattr(series, "MAX_STATES", 50)
+    with pytest.raises(NonConvergenceError, match="holds 51 states"):
+        evaluate_stable("macmahon", None, 12)
 
 
 @pytest.mark.parametrize("kind, legs, bound, digest", [
