@@ -9,10 +9,10 @@ from .boundary import (HookTarget, edge_power, edge_sign, n_quotient,
                        redistribute, redistribute_inverse)
 from .configurations import (HookTableau, OneLegRPP, OneLegSPP, PlanePartition,
                              TwoLegRPP, TwoLegSPP, cfg_weight, diagonal,
-                             minimal_config, minimal_weight, transpose)
+                             minimal_config, minimal_weight)
 from .series import (OperatorWord, TruncatedSeries, apply_vertex_op, evaluate,
                      evaluate_stable, geometric, hook_product, macmahon_series,
-                     series_mul, shape_word)
+                     shape_word)
 from .bijections import (ToggleSchedule, TwoLegRemnant, one_leg_forward,
                          one_leg_inverse, pp_to_tableau, stabilization_index,
                          tableau_to_pp, two_leg_forward, two_leg_inverse,

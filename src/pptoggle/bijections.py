@@ -29,12 +29,11 @@ class ToggleSchedule:
 
     Any order is allowed as long as each cell follows its upper and left
     neighbours; the output never depends on the choice. kinds: off-diagonal
-    (the canonical order), lexicographic, seeded:<n>, or explicit cells.
+    (the canonical order), lexicographic, or seeded:<n>.
     """
 
     kind: str = "off-diagonal"
     seed: int = 0
-    cells: tuple[Cell, ...] | None = None
 
     @staticmethod
     def parse(text: str) -> "ToggleSchedule":
@@ -52,8 +51,6 @@ class ToggleSchedule:
               ) -> tuple[Cell, ...]:
         """The cells of [1,rows]x[1,cols] outside shape in this schedule's
         order."""
-        if self.kind == "explicit":
-            return tuple(self.cells or ())
         if self.kind == "seeded":
             return _seeded_order(self.seed, tuple(shape), rows, cols)
         if self.kind not in ("off-diagonal", "lexicographic"):
@@ -194,10 +191,25 @@ def _push_box(grid: ToggleGrid, rows: int, cols: int,
         grid.push(*cell, values.get(cell, 0))
 
 
+# The most cells a pop or push box, or a two-leg window, may hold: each cell
+# costs a toggle step, so a box is refused where it is sized, before any of
+# its toggles run. The suites' largest box is 1x300, the benchmark's 12x12.
+MAX_BOX_CELLS = 1 << 16
+
+
+def _box(rows: int, cols: int) -> tuple[int, int]:
+    """The box [1,rows]x[1,cols]; one of over MAX_BOX_CELLS cells raises
+    DomainError."""
+    if rows * cols > MAX_BOX_CELLS:
+        raise DomainError(f"a {rows}x{cols} box of toggles is over the cap of "
+                          f"{MAX_BOX_CELLS} cells")
+    return rows, cols
+
+
 def _bounding_box(cells) -> tuple[int, int]:
     """Rows and columns of the smallest [1,r]x[1,c] holding the cells."""
-    return (max((i for i, _ in cells), default=0),
-            max((j for _, j in cells), default=0))
+    return _box(max((i for i, _ in cells), default=0),
+                max((j for _, j in cells), default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +470,7 @@ def two_leg_forward(sigma: TwoLegSPP) -> tuple[TwoLegRPP, PlanePartition]:
     agrees and that the pops settle.
     """
     n = stabilization_index(sigma)
+    _box(n + 1, n + 1)
     remnant, tab = two_leg_remnant(sigma, n + 1)
     if any(max(c) > n for c in tab.values):
         raise InvariantError("nonzero pop past the stabilised square",
@@ -489,4 +502,6 @@ def _two_leg_inverse_width(rho: TwoLegRPP, pi: PlanePartition) -> int:
 
 
 def two_leg_inverse(rho: TwoLegRPP, pi: PlanePartition) -> TwoLegSPP:
-    return _two_leg_inverse_at(rho, pi, _two_leg_inverse_width(rho, pi))
+    width = _two_leg_inverse_width(rho, pi)
+    _box(width, width)
+    return _two_leg_inverse_at(rho, pi, width)

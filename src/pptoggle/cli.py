@@ -204,7 +204,9 @@ def cmd_biject(args) -> int:
                 else bj.ToggleSchedule.parse(args.schedule))
     payload = _load_json(args)
     if args.direction == "inverse":
-        image = tuple(_decode(payload if key is None else payload[key], want)
+        what = f"an inverse {args.family} input"
+        image = tuple(_decode(payload if key is None
+                              else sz.required(payload, key, what), want)
                       for key, want in parts.items())
         sigma = inverse(*image)
         _write_json(args, sz.config_to_json(sigma))
@@ -231,22 +233,15 @@ def _image(out, parts) -> tuple:
 
 
 def cmd_enumerate(args) -> int:
+    _, leg_count, _ = sz.FORMATS[sz.CENSUS_FAMILIES[args.family]]
     legs = None
-    if args.family in ("one-leg-spp", "one-leg-rpp"):
+    if leg_count == 1:
         legs = parse_partition(args.legs or "")
-    elif args.family in ("two-leg-spp", "two-leg-rpp"):
+    elif leg_count == 2:
         legs = parse_legs(args.legs or "/")
     members = oc.weighed_members(args.family, legs, args.bound)
-    if legs is None:
-        legs_json = []
-    elif legs and isinstance(legs[0], tuple):
-        legs_json = [list(p) for p in legs]
-    else:
-        legs_json = [list(legs)]
-    lines = [json.dumps({"family": args.family,
-                         "legs": legs_json,
-                         "bound": {"doubled": HalfInt.of(args.bound).doubled},
-                         "count": len(members)}, sort_keys=True)]
+    lines = [json.dumps(sz.census_header_to_json(
+        args.family, legs, args.bound, len(members)), sort_keys=True)]
     lines += sorted(json.dumps(sz.config_to_json(cfg), sort_keys=True)
                     for _, cfg in members)
     _write(args, "\n".join(lines))
@@ -293,40 +288,19 @@ def cmd_verify(args) -> int:
 
 def _verify_census(args, report) -> int:
     with open(args.census) as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines or not isinstance(lines[0], dict):
-        raise DomainError("a census file starts with a header object")
-    head, body = lines[0], lines[1:]
-    bound, family = head.get("bound"), head.get("family")
-    if not (isinstance(bound, dict) and type(bound.get("doubled")) is int):
-        raise DomainError(
-            f'census bound must look like {{"doubled": 9}}: {bound!r}')
-    bound = HalfInt(bound["doubled"])
-    legs = sz.legs_from_json(head, family)
-    if family not in ("plane", "one-leg-spp", "one-leg-rpp", "two-leg-spp",
-                      "two-leg-rpp"):
-        raise DomainError(f"unknown census family {family!r}")
-    count = head.get("count")
-    if type(count) is not int:
-        raise DomainError(f"census count must be an integer: {count!r}")
+        family, legs, bound, count, members = sz.census_from_json(
+            [json.loads(line) for line in fh if line.strip()])
     if family == "plane":
         want = sr.macmahon_series(bound)
     elif family == "one-leg-spp":
-        want = sr.hook_product("outside", legs[0], bound)
+        want = sr.hook_product("outside", legs, bound)
     elif family == "one-leg-rpp":
-        want = sr.hook_product("inside", legs[0], bound)
+        want = sr.hook_product("inside", legs, bound)
     else:
-        want = sr.evaluate_stable(family, (legs[0], legs[1]), bound)
-    member_type = "plane-partition" if family == "plane" else family
+        want = sr.evaluate_stable(family, legs, bound)
     counts: dict[HalfInt, int] = {}
     seen, duplicate, heavy = set(), None, None
-    for k, obj in enumerate(body, start=1):
-        cfg = sz.config_from_json(obj)
-        kind = obj["type"]
-        if kind != member_type or sz.legs_from_json(obj, kind) != legs:
-            raise DomainError(f"census member {k} is a {kind} with legs "
-                              f"{obj.get('legs', [])}, not a {member_type} "
-                              f"with the header's legs")
+    for cfg in members:
         text = json.dumps(sz.config_to_json(cfg), sort_keys=True)
         if text in seen:
             duplicate = duplicate or text
@@ -336,14 +310,14 @@ def _verify_census(args, report) -> int:
             heavy = heavy or f"{text} of weight {w}"
         counts[w] = counts.get(w, 0) + 1
     got = sr.TruncatedSeries.from_terms(bound, list(counts.items()))
-    detail = f"{len(body)} configurations vs series"
-    if count != len(body):
-        detail += f"; header count {count} for {len(body)} members"
+    detail = f"{len(members)} configurations vs series"
+    if count != len(members):
+        detail += f"; header count {count} for {len(members)} members"
     if duplicate:
         detail += f"; duplicate member {duplicate}"
     if heavy:
         detail += f"; member {heavy} over the bound {bound}"
-    report.check(f"census-{family}", got == want and count == len(body)
+    report.check(f"census-{family}", got == want and count == len(members)
                  and not duplicate and not heavy, detail)
     return report.finish()
 
@@ -392,9 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_biject)
 
     p = sub.add_parser("enumerate", parents=[shared], help="write a census as JSON lines")
-    p.add_argument("--family", required=True,
-                   choices=["plane", "one-leg-spp", "one-leg-rpp",
-                            "two-leg-spp", "two-leg-rpp"])
+    p.add_argument("--family", required=True, choices=sz.CENSUS_FAMILIES)
     p.add_argument("--legs", help="2,1 for one-leg, 2,2/3,1 for two-leg")
     p.add_argument("--bound", type=HalfInt.parse, required=True)
     p.add_argument("--output", default="-")
@@ -436,8 +408,7 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONV
-    except (DomainError, ScheduleError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (DomainError, ScheduleError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

@@ -239,8 +239,8 @@ class TwoLegRPP:
 class HookTableau:
     """Unconstrained filling weighted by hook length.
 
-    region is "plane" (hooks of the quadrant), "inside" (hooks of shape), or
-    "outside" (hooks of the quadrant minus shape).
+    region is "plane" (hooks of the quadrant, which has no shape), "inside"
+    (hooks of shape), or "outside" (hooks of the quadrant minus shape).
     """
 
     region: str
@@ -251,13 +251,13 @@ class HookTableau:
         if self.region not in ("plane", "inside", "outside"):
             raise DomainError(f"unknown tableau region {self.region!r}")
         _normalise(self, "shape")
+        if self.region == "plane" and self.shape:
+            raise DomainError(f"a plane tableau has no shape: {self.shape}")
         _check_support(self.values, "tableau")
         for cell in self.values:
             self.cell_hook(cell)  # raises if the cell is off-region
 
     def cell_hook(self, cell: Cell) -> int:
-        if self.region == "plane":
-            return hook_length((), cell, "outside")
         return hook_length(self.shape, cell,
                            "inside" if self.region == "inside" else "outside")
 
@@ -415,8 +415,3 @@ def minimal_config(kind: str, legs) -> tuple[Configuration, HalfInt]:
     low = series.minimal_exponent(kind, legs)
     return cfg, low
 
-
-def transpose(rho: TwoLegRPP) -> TwoLegRPP:
-    """Reflect across the main diagonal, swapping the legs."""
-    lam, mu = rho.legs
-    return TwoLegRPP((mu, lam), {(j, i): v for (i, j), v in rho.deficit.items()})

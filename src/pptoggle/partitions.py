@@ -7,7 +7,7 @@ region of a diagram is the complement of the diagram inside the positive
 quadrant; hooks are defined in both regions.
 
 Each shape's conjugate is computed once, in a bounded private table keyed by
-the shape as a tuple; arm, leg and hook lengths read row and column lengths
+the shape as a tuple; hook lengths and hook cells read row and column lengths
 straight from the shape and that table. The public functions stay plain.
 """
 
@@ -21,8 +21,6 @@ from .errors import DomainError
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
-
-EMPTY: Partition = ()
 
 
 def as_partition(seq) -> Partition:
@@ -99,17 +97,6 @@ def _lengths(lam: Partition, cell: Cell) -> tuple[int, int]:
             conj[j - 1] if j <= len(conj) else 0)
 
 
-def arm_leg(lam: Partition, cell: Cell) -> tuple[int, int]:
-    """Arm and leg sizes of a cell, in whichever region it lies."""
-    i, j = cell
-    row, col = _lengths(tuple(lam), cell)
-    if j <= row:
-        return row - j, col - i
-    # outside: the arm runs back to the diagram's row end, the leg up to its
-    # column end
-    return j - row - 1, i - col - 1
-
-
 def hook_length(lam: Partition, cell: Cell, region: str) -> int:
     """Hook length of a cell ``inside`` the diagram or ``outside`` it."""
     i, j = cell
@@ -121,7 +108,8 @@ def hook_length(lam: Partition, cell: Cell, region: str) -> int:
         raise DomainError(f"{cell} is a box of {lam}")
     if region not in ("inside", "outside"):
         raise DomainError(f"region must be 'inside' or 'outside': {region!r}")
-    # arm + leg + 1, with arm and leg as arm_leg counts them
+    # arm + leg + 1; outside, the arm runs back to the diagram's row end and
+    # the leg up to its column end
     return row - j + col - i + 1 if inside else j - row + i - col - 1
 
 

@@ -116,10 +116,6 @@ class TruncatedSeries:
         return f"<{terms} (mod q^>{HalfInt(self.bound2)})>"
 
 
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
 def geometric(step, bound) -> TruncatedSeries:
     """1 + q^a + q^2a + ... truncated; a must be positive to converge."""
     a2 = HalfInt.of(step).doubled
@@ -168,27 +164,21 @@ def _successors(kappa: Partition, sign: int, budget: int
 
 
 def apply_vertex_op(state: dict[Partition, TruncatedSeries], sign: int,
-                    exponent, bound, size_cap: int | None = None,
-                    limits: list | None = None
+                    exponent, size_cap: int, limits: list
                     ) -> dict[Partition, TruncatedSeries]:
     """One transfer step: fan each state out over interlacing partitions.
 
     sign +1 sums over mu >- kappa with factor q^(e*(|mu|-|kappa|)), sign -1
-    over mu -< kappa with q^(e*(|kappa|-|mu|)). A successor of size s keeps
-    its terms up to limits[s], or up to the bound for every size when no
-    limits are given; the bound must be at least every limit. For e > 0 a
-    state's lowest term caps how far its size may move, so successors that
-    would only produce dropped terms are never generated; with e <= 0
+    over mu -< kappa with q^(e*(|kappa|-|mu|)), raising to sizes up to
+    size_cap. A successor of size s keeps its terms up to limits[s], so
+    limits must cover size_cap and every state's size. For e > 0 a state's
+    lowest term caps how far its size may move, so successors that could
+    only produce terms past max(limits) are never generated; with e <= 0
     raising is capped by size_cap alone and lowering is not capped.
     Successor lists come from a bounded memo keyed by (kappa, sign, cap).
     """
     e2 = HalfInt.of(exponent).doubled
-    bound2 = HalfInt.of(bound).doubled
-    widest = max((weight(k) for k in state), default=0)
-    if size_cap is None:
-        size_cap = bound2 // 2 + widest + 1
-    if limits is None:
-        limits = [bound2] * (max(size_cap, widest) + 1)
+    bound2 = max(limits)
     out: dict[Partition, TruncatedSeries] = {}
     for kappa, ser in state.items():
         if ser.is_zero():
@@ -315,8 +305,7 @@ def _evaluate_capped(word: OperatorWord, bound2: int, cap: int
             state = {k: s for k, s in state.items() if not s.is_zero()}
         else:
             _, sign, exponent = op
-            state = apply_vertex_op(state, sign, exponent, HalfInt(max(lim)),
-                                    cap, lim)
+            state = apply_vertex_op(state, sign, exponent, cap, lim)
         if len(state) > MAX_STATES:
             raise NonConvergenceError(
                 f"transfer step {idx} holds {len(state)} states, over the "

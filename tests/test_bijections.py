@@ -8,7 +8,8 @@ from pptoggle.bijections import (ToggleSchedule, one_leg_forward,
                                  two_leg_forward, two_leg_inverse)
 from pptoggle.boundary import redistribute
 from pptoggle.configurations import (HookTableau, OneLegRPP, OneLegSPP,
-                                     PlanePartition, TwoLegSPP, cfg_weight)
+                                     PlanePartition, TwoLegSPP, cfg_weight,
+                                     diagonals)
 from pptoggle.errors import DomainError, InvariantError, ScheduleError
 from pptoggle.halfint import HalfInt
 from pptoggle.oracle import (enum_one_leg_rpp, enum_one_leg_spp,
@@ -134,11 +135,17 @@ def test_list_shapes_and_legs_round_trip():
     assert two_leg_inverse(*two_leg_forward(listed)) == listed
 
 
-def test_explicit_schedule_validation():
+def test_grid_refuses_out_of_order_pop_and_push():
     pi = PlanePartition.from_rows([[2, 1], [1]])
-    bad = ToggleSchedule("explicit", cells=((2, 2), (1, 1)))
-    with pytest.raises(ScheduleError):
-        pp_to_tableau(pi, bad)
+    grid = bijections.ToggleGrid((), diagonals(pi, range(-2, 3)))
+    with pytest.raises(ScheduleError, match="not a poppable corner"):
+        grid.pop(2, 2)  # before its upper and left neighbours
+    with pytest.raises(ScheduleError, match="not pushable"):
+        grid.push(1, 1, 0)  # nothing popped yet
+    grid.pop(1, 1)
+    grid.pop(2, 1)
+    with pytest.raises(ScheduleError, match="still popped"):
+        grid.push(1, 1, 2)  # before the cell below it
 
 
 def test_schedule_parse_rejects_unknown():

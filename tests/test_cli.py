@@ -271,15 +271,16 @@ def test_report_determinism(capsys):
     assert out1 == out2
 
 
-def stdout_under_hash_seeds(*argv):
-    """The CLI's stdout for argv in fresh processes under PYTHONHASHSEED 1
-    and 2."""
+def stdout_under_hash_seeds(*argv, stdin=b""):
+    """The CLI's stdout for argv, reading stdin, in fresh processes under
+    PYTHONHASHSEED 1 and 2."""
     src = Path(pptoggle.__file__).resolve().parents[1]
     outs = []
     for hash_seed in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
         proc = subprocess.run([sys.executable, "-m", "pptoggle.cli", *argv],
-                              capture_output=True, env=env, check=True)
+                              input=stdin, capture_output=True, env=env,
+                              check=True)
         outs.append(proc.stdout)
     return outs
 
@@ -297,6 +298,21 @@ def test_pruned_one_leg_fold_is_the_same_across_processes():
                                    "--degree", "12", "--json")
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["outputs"]
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["enumerate", "--family", "two-leg-rpp", "--legs", "2,1/1,1",
+      "--bound", "9/2"], None),
+    (["biject", "plane", "--schedule", "seeded:7", "--round-trip", "--json"],
+     {"type": "plane-partition", "legs": [],
+      "entries": [[1, 1, 3], [1, 2, 2], [1, 3, 1], [2, 1, 2], [2, 2, 1],
+                  [3, 1, 1]]}),
+    (["verify", "--suite", "goldens", "--json"], None),
+], ids=["enumerate", "seeded-biject", "verify-goldens"])
+def test_verbs_are_the_same_across_processes(argv, stdin):
+    outs = stdout_under_hash_seeds(
+        *argv, stdin=b"" if stdin is None else json.dumps(stdin).encode())
+    assert outs[0] == outs[1] and outs[0]
 
 
 def test_usage_exit_code(capsys):
@@ -325,6 +341,59 @@ def test_state_cap_exits_non_convergence(monkeypatch, capsys):
 PP_PAYLOAD = {"type": "plane-partition", "legs": [], "entries": [[1, 1, 1]]}
 SPP_PAYLOAD = {"type": "two-leg-spp", "legs": [[1], [1]], "excess": []}
 RPP_PAYLOAD = {"type": "one-leg-rpp", "legs": [[1]], "entries": [[1, 1, 1]]}
+
+EMPTY_PP = {"type": "plane-partition", "legs": [], "entries": []}
+# one far tableau cell, and a two-leg window as wide as a long leg: each
+# would walk a box of about a million cells, past bijections.MAX_BOX_CELLS
+FAR_CELL = {"type": "hook-tableau", "region": "plane", "legs": [[]],
+            "values": [[2000, 2000, 1]]}
+WIDE_WINDOW = {"rho": {"type": "two-leg-rpp", "legs": [[1000], [1]],
+                       "deficit": []}, "pi": EMPTY_PP}
+
+# (argv, payload, the fault the error names) for inputs the decoder or a
+# box cap refuses
+NAMED_FAULTS = [
+    (["biject", "plane", "--direction", "inverse"],
+     {"type": "hook-tableau", "region": "plane", "legs": [[1]], "values": []},
+     "a plane tableau has no shape: (1,)"),
+    (["render"], {"type": "one-leg-spp", "legs": [[2, 1], [1]], "entries": []},
+     "one-leg-spp needs 1 legs: [[2, 1], [1]]"),
+    (["render"], {"type": "plane-partition", "legs": [[1]], "entries": []},
+     "plane-partition needs 0 legs: [[1]]"),
+    (["render"], {"type": "plane-partition", "legs": []},
+     "plane-partition has no 'entries'"),
+    (["render"], {"type": "hook-tableau", "legs": [[]], "values": []},
+     "hook-tableau has no 'region'"),
+    (["render"], {"type": "hook-tableau", "region": "plane", "legs": [],
+                  "values": []},
+     "hook-tableau needs 1 legs: []"),
+    (["biject", "two-leg", "--direction", "inverse"], {"pi": EMPTY_PP},
+     "an inverse two-leg input has no 'rho'"),
+    (["biject", "plane", "--direction", "inverse"], FAR_CELL,
+     "a 2000x2000 box of toggles is over the cap of 65536 cells"),
+    (["biject", "two-leg", "--direction", "inverse"], WIDE_WINDOW,
+     "a 1001x1001 box of toggles is over the cap of 65536 cells"),
+    (["verify", "--suite", "nosuch"], None, "unknown suite 'nosuch'"),
+]
+NAMED_FAULT_IDS = [
+    "plane-tableau-with-a-leg", "one-leg-spp-with-two-legs",
+    "plane-partition-with-a-leg", "plane-partition-without-entries",
+    "tableau-without-region", "tableau-without-its-empty-shape",
+    "inverse-without-rho", "far-tableau-cell", "wide-two-leg-window",
+    "unknown-suite"]
+
+
+def usage_error(tmp_path, capsys, argv, payload) -> str:
+    """Run argv on payload, which must exit 2; returns stderr."""
+    if payload is not None:
+        # a string is the file's text; anything else is one JSON line
+        src = tmp_path / "payload.json"
+        src.write_text(payload if isinstance(payload, str)
+                       else json.dumps(payload))
+        flag = [] if argv[-1] == "--census" else ["--input"]
+        argv = argv + flag + [str(src)]
+    assert main(argv) == 2
+    return capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, payload", [
@@ -384,6 +453,7 @@ RPP_PAYLOAD = {"type": "one-leg-rpp", "legs": [[1]], "entries": [[1, 1, 1]]}
      {"rho": RPP_PAYLOAD, "pi": PP_PAYLOAD}),
     (["biject", "one-leg", "--direction", "inverse"],
      {"rho": RPP_PAYLOAD, "pi": SPP_PAYLOAD}),
+    *((argv, payload) for argv, payload, _ in NAMED_FAULTS),
 ], ids=["letter-parts", "letter-leg", "string-value", "short-triple",
         "string-leg-part", "no-legs", "one-leg-of-two", "array-payload",
         "support-not-array", "array-pair", "rho-not-object", "array-type",
@@ -399,17 +469,16 @@ RPP_PAYLOAD = {"type": "one-leg-rpp", "legs": [[1]], "entries": [[1, 1, 1]]}
         "series-negative-two-leg-degree", "repeated-cell",
         "plane-inverse-of-a-plane-partition", "one-leg-of-a-plane-partition",
         "one-leg-of-a-two-leg-spp", "two-leg-of-a-plane-partition",
-        "two-leg-inverse-of-a-one-leg-rho", "one-leg-inverse-of-a-two-leg-pi"])
+        "two-leg-inverse-of-a-one-leg-rho", "one-leg-inverse-of-a-two-leg-pi",
+        *NAMED_FAULT_IDS])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, payload):
-    if payload is not None:
-        # a string is the file's text; anything else is one JSON line
-        src = tmp_path / "payload.json"
-        src.write_text(payload if isinstance(payload, str)
-                       else json.dumps(payload))
-        flag = [] if argv[-1] == "--census" else ["--input"]
-        argv = argv + flag + [str(src)]
-    assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error:" in usage_error(tmp_path, capsys, argv, payload)
+
+
+@pytest.mark.parametrize("argv, payload, fault", NAMED_FAULTS,
+                         ids=NAMED_FAULT_IDS)
+def test_usage_error_names_the_fault(tmp_path, capsys, argv, payload, fault):
+    assert usage_error(tmp_path, capsys, argv, payload) == f"error: {fault}\n"
 
 
 def test_render_ascii_and_svg(tmp_path, capsys):

@@ -6,8 +6,7 @@ from pptoggle.configurations import (HookTableau, OneLegRPP, OneLegSPP,
                                      cfg_weight, diagonal, diagonals,
                                      from_diagonals, leg_reach,
                                      minimal_config, minimal_weight,
-                                     transpose, two_leg_ceiling,
-                                     two_leg_floor)
+                                     two_leg_ceiling, two_leg_floor)
 from pptoggle.errors import DomainError, InvariantError
 from pptoggle.partitions import part
 from pptoggle.halfint import HalfInt
@@ -106,15 +105,6 @@ def test_minimal_weight_matches_series_exponent():
 def test_weight_of_minimal_equals_lowest_exponent():
     cfg, v0 = minimal_config("spp", ((2,), (1, 1)))
     assert cfg_weight(cfg) == v0
-
-
-def test_transpose():
-    flipped = transpose(RPP_7)
-    assert flipped.legs == ((2, 2), (3, 1))
-    assert transpose(flipped) == RPP_7
-    assert cfg_weight(flipped) == cfg_weight(RPP_7)
-    mini = TwoLegRPP(((3, 1), (2, 2)))
-    assert transpose(mini) == TwoLegRPP(((2, 2), (3, 1)))
 
 
 def test_reconstruction_round_trip():

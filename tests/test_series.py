@@ -16,7 +16,7 @@ from pptoggle.series import (OperatorWord, TruncatedSeries, _evaluate_capped,
                              evaluate, evaluate_stable, geometric,
                              hook_product, initial_cutoff, macmahon_series,
                              macmahon_word, minimal_exponent, one_leg_word,
-                             series_mul, shape_word, step_op,
+                             shape_word, step_op,
                              two_leg_spp_word, weigh_op)
 
 H = HalfInt.halves
@@ -29,7 +29,7 @@ def S(bound, terms):
 def test_series_mul_basics():
     one = TruncatedSeries.one(HalfInt.of(5))
     s = S(5, [(0, 1), (1, 2), (2, 1)])
-    assert series_mul(one, s) == s
+    assert one * s == s
     two = S(2, [(0, 1), (1, 1)])
     assert two * two == S(2, [(0, 1), (1, 2), (2, 1)])
     plus = S(2, [(0, 1), (H(1), 1)])
@@ -48,15 +48,16 @@ def test_geometric():
 
 
 def test_apply_vertex_op_examples():
+    # a uniform limit of degree 1 on every size up to the raise's cap of 2
     state = {(): TruncatedSeries.one(HalfInt.of(1))}
-    out = apply_vertex_op(state, 1, H(1), 1)
+    out = apply_vertex_op(state, 1, H(1), 2, [2] * 3)
     assert set(out) == {(), (1,), (2,)}
     assert out[()].pairs() == [[0, 1]]
     assert out[(1,)].pairs() == [[1, 1]]
     assert out[(2,)].pairs() == [[2, 1]]
 
     state = {(1,): TruncatedSeries.one(HalfInt.of(1))}
-    out = apply_vertex_op(state, -1, H(1), 1)
+    out = apply_vertex_op(state, -1, H(1), 2, [2] * 3)
     assert out[(1,)].pairs() == [[0, 1]]
     assert out[()].pairs() == [[1, 1]]
 
@@ -64,7 +65,7 @@ def test_apply_vertex_op_examples():
 def test_apply_vertex_op_drops_cancelled_terms():
     # signed inputs that cancel at () leave no () state
     state = {(1,): TruncatedSeries(4, {0: 1}), (): TruncatedSeries(4, {0: -1})}
-    out = apply_vertex_op(state, -1, 0, HalfInt(4), size_cap=3)
+    out = apply_vertex_op(state, -1, 0, 3, [4] * 4)
     assert set(out) == {(1,)}
     assert out[(1,)].pairs() == [[0, 1]]
 
@@ -102,7 +103,10 @@ def test_apply_vertex_op_matches_unpruned_fold(terms, sign, e2, bound2,
                                                slack, size_cap):
     # states may carry terms past this step's bound, as they do mid-fold
     state = {k: TruncatedSeries(bound2 + slack, t) for k, t in terms.items()}
-    got = apply_vertex_op(state, sign, HalfInt(e2), HalfInt(bound2), size_cap)
+    # a uniform limit on every size the step can reach: up to size_cap
+    # raising, and up to the largest state (weight <= 16) lowering
+    limits = [bound2] * 17
+    got = apply_vertex_op(state, sign, HalfInt(e2), size_cap, limits)
     want = unpruned_step(state, sign, e2, bound2, size_cap)
     assert ({k: (s.bound2, s.pairs()) for k, s in got.items()}
             == {k: (s.bound2, s.pairs()) for k, s in want.items()})
