@@ -13,10 +13,9 @@ from .configurations import (HookTableau, OneLegRPP, OneLegSPP, PlanePartition,
 from .series import (OperatorWord, TruncatedSeries, apply_vertex_op, evaluate,
                      evaluate_stable, geometric, hook_product, macmahon_series,
                      shape_word)
-from .bijections import (ToggleSchedule, TwoLegRemnant, one_leg_forward,
-                         one_leg_inverse, pp_to_tableau, stabilization_index,
-                         tableau_to_pp, two_leg_forward, two_leg_inverse,
-                         two_leg_remnant)
+from .bijections import (ToggleSchedule, one_leg_forward, one_leg_inverse,
+                         pp_to_tableau, stabilization_index, tableau_to_pp,
+                         two_leg_forward, two_leg_inverse, two_leg_remnant)
 from .oracle import WeightCensus, census_series, enum_configs, enum_partitions
 
 __version__ = "0.1.0"

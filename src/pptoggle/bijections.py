@@ -15,8 +15,7 @@ from functools import lru_cache
 
 from .boundary import HookTarget, redistribute, redistribute_inverse
 from .configurations import (HookTableau, OneLegRPP, OneLegSPP, PlanePartition,
-                             TwoLegRPP, TwoLegSPP, diagonals, from_diagonals,
-                             leg_reach)
+                             TwoLegRPP, TwoLegSPP, diagonals, from_diagonals)
 from .errors import (DomainError, InvariantError, NonConvergenceError,
                      ScheduleError)
 from .partitions import Cell, Partition, as_partition, contains, part
@@ -121,21 +120,18 @@ class ToggleGrid:
     (i, j) toggles diagonal j - i against its neighbours j - i ± 1, which
     start at (i, j + 1) and (i + 1, j): Pak's toggles (I. Pak, "Hook length
     formula and geometric combinatorics", Sém. Lothar. Combin. 46, 2001).
-    A diagonal not stored reads as `tails[0]` below the main diagonal and
-    `tails[1]` above it: empty for finite objects, the legs (lam, mu) for a
-    two-leg one, whose diagonals equal them far out.
+    A diagonal not stored is empty. A two-leg grid stores every diagonal its
+    box reads, so its legs, which the diagonals equal far out, are never
+    read past the window.
     """
 
-    def __init__(self, shape: Partition = (), diags=None,
-                 tails: tuple[Partition, Partition] = ((), ())):
+    def __init__(self, shape: Partition = (), diags=None):
         self.shape = shape
         self.diags: dict[int, Partition] = dict(diags or {})
-        self.tails = tails
         self.front = {i: p + 1 for i, p in enumerate(shape, start=1)}
 
     def diag(self, d: int) -> Partition:
-        got = self.diags.get(d)
-        return self.tails[d > 0] if got is None else got
+        return self.diags.get(d, ())
 
     def pop(self, i: int, j: int) -> int:
         front = self.front
@@ -162,11 +158,11 @@ class ToggleGrid:
         front[i] = j
 
 
-def _two_leg_grid(sigma: TwoLegSPP) -> ToggleGrid:
-    """The filling's diagonals out to where they equal the legs."""
-    reach = max([leg_reach(sigma.legs)] + [max(c) for c in sigma.excess])
-    return ToggleGrid((), diagonals(sigma, range(-reach, reach + 1)),
-                      sigma.legs)
+def _two_leg_grid(sigma: TwoLegSPP, width: int) -> ToggleGrid:
+    """The filling's diagonals -width..width: all that a pop of
+    [1,width]^2, which toggles diagonals 1-width..width-1 against their
+    neighbours, reads."""
+    return ToggleGrid((), diagonals(sigma, range(-width, width + 1)))
 
 
 def _pop_region(grid: ToggleGrid, shape: Partition, rows: int, cols: int,
@@ -193,7 +189,9 @@ def _push_box(grid: ToggleGrid, rows: int, cols: int,
 
 # The most cells a pop or push box, or a two-leg window, may hold: each cell
 # costs a toggle step, so a box is refused where it is sized, before any of
-# its toggles run. The suites' largest box is 1x300, the benchmark's 12x12.
+# its toggles run. A two-leg window is sized by the legs' lengths, not their
+# parts, so only a long leg or a far support reaches the cap. The suites'
+# largest box is 1x300, the benchmark's 12x12.
 MAX_BOX_CELLS = 1 << 16
 
 
@@ -371,8 +369,8 @@ def stabilization_index(sigma: TwoLegSPP) -> int:
     The forward map pops the window [1,N+1]^2 and relies on the pops
     settling at N: popping [1,2N]^2 in canonical order gives 0 at every
     cell past [1,N]^2. That bound is verified, not proven. The `pops-settle`
-    row of the `two-leg-width-stability` suite checks it on every filling
-    with legs of weight <= 2 and excess <= 4 (its default excess). The
+    row of the `two-leg-width-stability` suite checks it on the 1,492
+    fillings with legs of weight <= 3 and excess <= 3 (its defaults). The
     forward map checks the part that costs nothing: no nonzero pop in row or
     column N+1 of its window.
     """
@@ -400,56 +398,29 @@ def _toggle_slots(chain: list, slots, width: int):
                         else _between_step(right, mid, left))
 
 
-def _remnant_chain(grid: ToggleGrid, width: int) -> list[Partition]:
-    """Diagonals -width..width of a grid whose [1,width]^2 square is popped."""
-    return [grid.diag(d) for d in range(-width, width + 1)]
-
-
-@dataclass(frozen=True)
-class TwoLegRemnant:
-    """What is left of a two-leg filling once the stabilised square has been
-    popped: a window of diagonals, flanked by the constant leg tails, with
-    the centre partition repeating in between."""
-
-    legs: tuple[Partition, Partition]
-    window: tuple[Partition, ...]  # diagonals -width..width in order
-
-    @property
-    def width(self) -> int:
-        return (len(self.window) - 1) // 2
-
-    @property
-    def center(self) -> Partition:
-        return self.window[self.width]
-
-    def diagonal(self, d: int) -> Partition:
-        if d > self.width:
-            return self.legs[1]
-        if d < -self.width:
-            return self.legs[0]
-        return self.window[self.width + d]
-
-
 def two_leg_remnant(sigma: TwoLegSPP, width: int
-                    ) -> tuple[TwoLegRemnant, HookTableau]:
-    """Pop the width-sized square off a two-leg filling; returns the remnant
-    diagonals and the popped hook tableau."""
-    grid = _two_leg_grid(sigma)
+                    ) -> tuple[tuple[Partition, ...], HookTableau]:
+    """Pop the width-sized square off a two-leg filling; returns what is
+    left of diagonals -width..width, in order, and the popped hook tableau.
+    The window's end diagonals must be the legs, which every diagonal past
+    them equals."""
+    grid = _two_leg_grid(sigma, width)
     tab = _pop_region(grid, (), width, width, DEFAULT_SCHEDULE)
-    chain = _remnant_chain(grid, width)
-    if chain[0] != sigma.legs[0] or chain[-1] != sigma.legs[1]:
+    window = tuple(grid.diags[d] for d in range(-width, width + 1))
+    if window[0] != sigma.legs[0] or window[-1] != sigma.legs[1]:
         raise NonConvergenceError("pop window too small for the leg tails")
-    return TwoLegRemnant(sigma.legs, tuple(chain)), HookTableau("plane", (), tab)
+    return window, HookTableau("plane", (), tab)
 
 
-def _two_leg_image(remnant: TwoLegRemnant, tab: HookTableau
+def _two_leg_image(window: tuple[Partition, ...], tab: HookTableau
                    ) -> tuple[TwoLegRPP, PlanePartition]:
-    """The palindromic pass on the remnant, read off transposed (diagonal d
-    as -d), with the plane partition of the popped tableau."""
-    width = remnant.width
-    chain = list(remnant.window)
+    """The palindromic pass on the window, whose ends are the legs, read off
+    transposed (diagonal d as -d), with the plane partition of the popped
+    tableau."""
+    width = (len(window) - 1) // 2
+    chain = list(window)
     _toggle_slots(chain, _palindromic_slots(width), width)
-    rho = from_diagonals(TwoLegRPP, remnant.legs,
+    rho = from_diagonals(TwoLegRPP, (window[0], window[-1]),
                          dict(zip(range(width, -width - 1, -1), chain)))
     return rho, tableau_to_pp(tab)
 
@@ -471,11 +442,11 @@ def two_leg_forward(sigma: TwoLegSPP) -> tuple[TwoLegRPP, PlanePartition]:
     """
     n = stabilization_index(sigma)
     _box(n + 1, n + 1)
-    remnant, tab = two_leg_remnant(sigma, n + 1)
+    window, tab = two_leg_remnant(sigma, n + 1)
     if any(max(c) > n for c in tab.values):
         raise InvariantError("nonzero pop past the stabilised square",
                              (sigma.legs, sigma.excess))
-    return _two_leg_image(remnant, tab)
+    return _two_leg_image(window, tab)
 
 
 def _two_leg_inverse_at(rho: TwoLegRPP, pi: PlanePartition, width: int
@@ -488,15 +459,19 @@ def _two_leg_inverse_at(rho: TwoLegRPP, pi: PlanePartition, width: int
     if chain[0] != lam or chain[-1] != mu:
         raise NonConvergenceError("window too small for the leg tails")
 
-    grid = ToggleGrid((), dict(zip(range(-width, width + 1), chain)), (lam, mu))
+    grid = ToggleGrid((), dict(zip(range(-width, width + 1), chain)))
     _push_box(grid, width, width, pp_to_tableau(pi).values)
     # past the window every diagonal is a leg, which is its floor there
     return from_diagonals(TwoLegSPP, rho.legs, grid.diags)
 
 
 def _two_leg_inverse_width(rho: TwoLegRPP, pi: PlanePartition) -> int:
-    """Window past the legs, the deficit and the plane partition's support."""
-    return max([leg_reach(rho.legs), 1]
+    """One past the legs' lengths, |i| + |j| of every deficit cell and the
+    plane partition's support. Past a leg's length each diagonal of rho
+    equals that leg, whatever the size of its parts, so the window's ends
+    are the legs."""
+    lam, mu = rho.legs
+    return max([len(lam), len(mu), 1]
                + [abs(i) + abs(j) for (i, j) in rho.deficit]
                + [max(c) for c in pi.entries]) + 1
 

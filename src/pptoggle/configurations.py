@@ -56,13 +56,6 @@ def two_leg_ceiling_diagonal(legs, d: int) -> Partition:
     return (*a[:s], *(x if x < y else y for x, y in zip(a[s:], b)))
 
 
-def leg_reach(legs) -> int:
-    """max(len(lam), len(mu), lam_1, mu_1): the legs' extent, from which
-    every two-leg window is sized."""
-    lam, mu = legs
-    return max(len(lam), len(mu), part(lam, 1), part(mu, 1))
-
-
 def _check_support(entries: dict, what: str):
     for (i, j), v in entries.items():
         if not (isinstance(v, int) and v > 0):
@@ -371,8 +364,10 @@ def minimal_weight(kind: str, legs) -> HalfInt:
 
     Telescopes the operator weights over the stabilised diagonals: the step
     between consecutive diagonals n and n+1 costs (2n+1)/2 per unit of size
-    difference, outward from the centre on both sides. The value depends
-    only on (kind, legs), so it is memoised on the normalised legs.
+    difference, outward from the centre on both sides. Past a leg's length
+    each level diagonal on its side is that leg, so the steps stop at
+    max(len(lam), len(mu)). The value depends only on (kind, legs), so it
+    is memoised on the normalised legs.
     """
     lam, mu = legs
     return _minimal_weight(kind, (as_partition(lam), as_partition(mu)))
@@ -383,7 +378,7 @@ def _minimal_weight(kind: str, legs: tuple[Partition, Partition]) -> HalfInt:
     if kind not in ("spp", "rpp"):
         raise DomainError(f"kind must be 'spp' or 'rpp': {kind!r}")
     level, _, sign = _LEVELS[TwoLegSPP if kind == "spp" else TwoLegRPP]
-    reach = leg_reach(legs) + 2
+    reach = max(len(legs[0]), len(legs[1])) + 1
     size = {d: sum(level(legs, d)) for d in range(-reach, reach + 1)}
     doubled = 0
     for n in range(reach):

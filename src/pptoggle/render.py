@@ -8,60 +8,77 @@ quadrant. SVG output is a static diagram (boxes plus entry labels).
 from __future__ import annotations
 
 from .configurations import (HookTableau, OneLegRPP, OneLegSPP, PlanePartition,
-                             TwoLegRPP, TwoLegSPP, leg_reach, two_leg_ceiling)
+                             TwoLegRPP, TwoLegSPP, two_leg_ceiling)
 from .errors import DomainError
 from .partitions import contains, part
+
+
+# The most cells a picture's rectangle may hold. A picture is the requested
+# output, so it is sized by the object, but one sized by a huge part or a
+# far cell would not fit in memory; it is refused before any cell is built.
+MAX_PICTURE_CELLS = 1 << 18
+
+
+def _fits(rows: int, cols: int):
+    if rows * cols > MAX_PICTURE_CELLS:
+        raise DomainError(f"a {rows}x{cols} picture is over the cap of "
+                          f"{MAX_PICTURE_CELLS} cells")
 
 
 def _grid_lines(cells: dict, blank=".") -> str:
     if not cells:
         return "(empty)"
-    rows = sorted({i for i, _ in cells})
-    cols = sorted({j for _, j in cells})
+    top, bottom = min(i for i, _ in cells), max(i for i, _ in cells)
+    left, right = min(j for _, j in cells), max(j for _, j in cells)
+    _fits(bottom - top + 1, right - left + 1)
     width = max(len(str(v)) for v in cells.values())
     lines = []
-    for i in range(rows[0], rows[-1] + 1):
+    for i in range(top, bottom + 1):
         line = []
-        for j in range(cols[0], cols[-1] + 1):
+        for j in range(left, right + 1):
             v = cells.get((i, j))
             line.append((blank if v is None else str(v)).rjust(width))
         lines.append(" ".join(line))
     return "\n".join(lines)
 
 
+def _picture(cfg, rows: range, cols: range, shown=lambda i, j: True) -> str:
+    """The cells of rows x cols that `shown` admits, read through cfg.at."""
+    _fits(len(rows), len(cols))
+    return _grid_lines({(i, j): cfg.at(i, j) for i in rows for j in cols
+                        if shown(i, j)})
+
+
 def render_ascii(cfg, span: int | None = None) -> str:
     if isinstance(cfg, PlanePartition):
-        reach = span or max([max(c) for c in cfg.entries], default=1)
-        return _grid_lines({(i, j): cfg.at(i, j)
-                            for i in range(1, reach + 1)
-                            for j in range(1, reach + 1)})
+        side = range(1, (span or max([max(c) for c in cfg.entries],
+                                     default=1)) + 1)
+        return _picture(cfg, side, side)
     if isinstance(cfg, OneLegSPP):
-        reach = span or max([max(c) for c in cfg.entries]
-                            + [len(cfg.shape), part(cfg.shape, 1)], default=1)
-        return _grid_lines({(i, j): cfg.at(i, j)
-                            for i in range(1, reach + 1)
-                            for j in range(1, reach + 1)
-                            if not contains(cfg.shape, (i, j))})
+        shape = cfg.shape
+        side = range(1, (span or max([max(c) for c in cfg.entries]
+                                     + [len(shape), part(shape, 1)],
+                                     default=1)) + 1)
+        return _picture(cfg, side, side,
+                        lambda i, j: not contains(shape, (i, j)))
     if isinstance(cfg, OneLegRPP):
-        return _grid_lines({(i, j): cfg.at(i, j)
-                            for i in range(1, len(cfg.shape) + 1)
-                            for j in range(1, cfg.shape[i - 1] + 1)})
+        shape = cfg.shape
+        return _picture(cfg, range(1, len(shape) + 1),
+                        range(1, part(shape, 1) + 1),
+                        lambda i, j: contains(shape, (i, j)))
     if isinstance(cfg, TwoLegSPP):
-        reach = span or (2 + max([leg_reach(cfg.legs)]
-                                 + [max(c) for c in cfg.excess or [(1, 1)]]))
-        return _grid_lines({(i, j): cfg.at(i, j)
-                            for i in range(1, reach + 1)
-                            for j in range(1, reach + 1)})
+        lam, mu = cfg.legs
+        side = range(1, (span or 2 + max(
+            [len(lam), len(mu), part(lam, 1), part(mu, 1)]
+            + [max(c) for c in cfg.excess or [(1, 1)]])) + 1)
+        return _picture(cfg, side, side)
     if isinstance(cfg, TwoLegRPP):
         lam, mu = cfg.legs
         ext = max([0] + [abs(i) + abs(j) for (i, j) in cfg.deficit])
         reach = span or (1 + ext + max(len(lam), len(mu), 1))
-        cells = {}
-        for i in range(1 - reach, reach + 1):
-            for j in range(1 - reach, reach + 1):
-                if two_leg_ceiling(cfg.legs, i, j) is not None:
-                    cells[(i, j)] = cfg.at(i, j)
-        return _grid_lines(cells)
+        side = range(1 - reach, reach + 1)
+        return _picture(cfg, side, side, lambda i, j: two_leg_ceiling(
+            cfg.legs, i, j) is not None)
     if isinstance(cfg, HookTableau):
         return _grid_lines(dict(cfg.values))
     raise DomainError(f"cannot render {type(cfg).__name__}")

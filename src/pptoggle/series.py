@@ -29,7 +29,8 @@ from .errors import DomainError, NonConvergenceError
 from .halfint import HalfInt
 from .partitions import (Partition, as_partition, interlacers_above,
                          interlacers_below, part, weight)
-from .boundary import edge_power, edge_sign
+from .boundary import (edge_power, edge_sign, hook_pivots_inside,
+                       hook_pivots_outside)
 from .configurations import minimal_weight
 
 
@@ -371,15 +372,18 @@ def shape_word(kind: str, legs, cutoff: int) -> OperatorWord:
 
 
 def initial_cutoff(kind: str, legs, bound: HalfInt) -> int:
+    """2 * degree + extent + 2, the extent being 0 for MacMahon's word,
+    lam_1 + len(lam) for a one-leg word, whose edges are lam's boundary, and
+    len(lam) + len(mu) for a two-leg word, whose fountain does not depend
+    on the legs: only its bra and ket do."""
     degree = (bound.doubled + 1) // 2
-    if kind in ("macmahon",):
+    if kind == "macmahon":
         extent = 0
     elif kind == "one-leg":
         lam = as_partition(legs)
         extent = part(lam, 1) + len(lam)
     else:
-        lam, mu = (as_partition(legs[0]), as_partition(legs[1]))
-        extent = part(lam, 1) + len(lam) + part(mu, 1) + len(mu)
+        extent = len(as_partition(legs[0])) + len(as_partition(legs[1]))
     return 2 * degree + extent + 2
 
 
@@ -414,7 +418,6 @@ def hook_product(region: str, lam: Partition, bound) -> TruncatedSeries:
     and region "inside" the boxes of lam itself. Boxes with larger hooks
     contribute 1 at this truncation.
     """
-    from .boundary import hook_pivots_inside, hook_pivots_outside
     bound = HalfInt.of(bound)
     degree = bound.doubled // 2
     out = TruncatedSeries.one(bound)

@@ -125,7 +125,7 @@ def test_list_shape_is_accepted():
 def test_list_shapes_and_legs_round_trip():
     # a shape or legs given as lists are stored as partitions, so the
     # inverse returns an object equal to the one given, and the two-leg
-    # window compares its tails with the legs as tuples
+    # window compares its end diagonals with the legs as tuples
     e = {(1, 3): 2, (2, 2): 1, (3, 1): 1}
     sigma = OneLegSPP([2, 1], e)
     assert one_leg_inverse(*one_leg_forward(sigma)) == sigma
@@ -225,16 +225,15 @@ def test_split_weight_consistency():
 def test_remnant_diagonals_stay_constant():
     # after the stabilised square is popped, popping a much larger square
     # leaves the near-centre diagonals unchanged
-    from pptoggle.bijections import (DEFAULT_SCHEDULE, _remnant_chain,
-                                     _two_leg_grid)
+    from pptoggle.bijections import DEFAULT_SCHEDULE, _two_leg_grid
     sigma = FIG_TWOLEG
     n = stabilization_index(sigma)
 
     def chain_at(width):
-        grid = _two_leg_grid(sigma)
+        grid = _two_leg_grid(sigma, width)
         for cell in DEFAULT_SCHEDULE.order((), width, width):
             grid.pop(*cell)
-        return _remnant_chain(grid, width)
+        return [grid.diag(d) for d in range(-width, width + 1)]
 
     small = chain_at(n)
     large = chain_at(3 * n)
@@ -250,13 +249,33 @@ def test_remnant_diagonals_stay_constant():
 def test_two_leg_remnant_structure():
     from pptoggle.bijections import two_leg_remnant
     n = stabilization_index(FIG_TWOLEG)
-    remnant, tab = two_leg_remnant(FIG_TWOLEG, n)
-    assert remnant.width == n
-    assert remnant.diagonal(-n - 7) == FIG_TWOLEG.legs[0]
-    assert remnant.diagonal(n + 7) == FIG_TWOLEG.legs[1]
-    assert remnant.center == (1, 1)
+    window, tab = two_leg_remnant(FIG_TWOLEG, n)
+    # diagonals -n..n, the legs at either end and (1, 1) in the centre
+    assert len(window) == 2 * n + 1
+    assert window[0] == FIG_TWOLEG.legs[0]
+    assert window[-1] == FIG_TWOLEG.legs[1]
+    assert window[n] == (1, 1)
     # the popped tableau carries the plane-partition part of the weight
     assert tab.hook_weight() == 13
+
+
+def test_two_leg_windows_are_sized_by_the_legs_lengths(monkeypatch):
+    # past a leg's length each diagonal equals the leg, whatever the size of
+    # its parts, so a part of 10^9 widens neither map's window: both are
+    # 2 wide here, and the spy fails on a wider read before it runs
+    width = 2
+    read = bijections.diagonals
+
+    def spy(cfg, ds):
+        assert len(ds) <= 2 * width + 1, f"{len(ds)} diagonals asked for"
+        return read(cfg, ds)
+
+    monkeypatch.setattr(bijections, "diagonals", spy)
+    sigma = TwoLegSPP(((10 ** 9,), (1,)), {(1, 1): 1})
+    assert stabilization_index(sigma) + 1 == width
+    rho, pi = two_leg_forward(sigma)
+    assert (rho.deficit, pi.entries) == ({}, {(1, 1): 1})
+    assert two_leg_inverse(rho, pi) == sigma
 
 
 def test_push_box_is_sized_by_the_support(monkeypatch):
@@ -297,7 +316,7 @@ def _old_stabilization_index(sigma):
     lam, mu = sigma.legs
     n = max([len(lam), len(mu), 1] + [max(c) for c in sigma.excess])
     while True:
-        grid = _two_leg_grid(sigma)
+        grid = _two_leg_grid(sigma, 2 * n)
         if not any(grid.pop(*cell) and max(cell) > n
                    for cell in DEFAULT_SCHEDULE.order((), 2 * n, 2 * n)):
             return n

@@ -79,6 +79,18 @@ def test_biject_two_leg_round_trip(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def test_biject_two_leg_round_trip_on_a_huge_part(tmp_path, capsys):
+    # the windows are sized by the legs' lengths, not their parts
+    src = tmp_path / "sigma.json"
+    src.write_text(json.dumps({"type": "two-leg-spp",
+                               "legs": [[10 ** 9], [1]],
+                               "excess": [[1, 1, 1]]}))
+    code, out = run(capsys, "biject", "two-leg", "--input", str(src),
+                    "--round-trip")
+    assert code == 0
+    assert out.splitlines()[1:] == ["PASS round-trip", "PASS weight"]
+
+
 BIJECT_SOURCES = {
     "plane": config_to_json(PlanePartition.from_rows([[3, 1], [2, 1]])),
     "one-leg": FIG_SIGMA_JSON,
@@ -343,15 +355,16 @@ SPP_PAYLOAD = {"type": "two-leg-spp", "legs": [[1], [1]], "excess": []}
 RPP_PAYLOAD = {"type": "one-leg-rpp", "legs": [[1]], "entries": [[1, 1, 1]]}
 
 EMPTY_PP = {"type": "plane-partition", "legs": [], "entries": []}
-# one far tableau cell, and a two-leg window as wide as a long leg: each
-# would walk a box of about a million cells, past bijections.MAX_BOX_CELLS
+# one far tableau cell, and a two-leg window one past a leg of length 1000:
+# each would walk a box of about a million cells, past
+# bijections.MAX_BOX_CELLS
 FAR_CELL = {"type": "hook-tableau", "region": "plane", "legs": [[]],
             "values": [[2000, 2000, 1]]}
-WIDE_WINDOW = {"rho": {"type": "two-leg-rpp", "legs": [[1000], [1]],
+WIDE_WINDOW = {"rho": {"type": "two-leg-rpp", "legs": [[1] * 1000, [1]],
                        "deficit": []}, "pi": EMPTY_PP}
 
-# (argv, payload, the fault the error names) for inputs the decoder or a
-# box cap refuses
+# (argv, payload, the fault the error names) for inputs the decoder, a
+# box cap or the picture cap refuses
 NAMED_FAULTS = [
     (["biject", "plane", "--direction", "inverse"],
      {"type": "hook-tableau", "region": "plane", "legs": [[1]], "values": []},
@@ -373,6 +386,15 @@ NAMED_FAULTS = [
      "a 2000x2000 box of toggles is over the cap of 65536 cells"),
     (["biject", "two-leg", "--direction", "inverse"], WIDE_WINDOW,
      "a 1001x1001 box of toggles is over the cap of 65536 cells"),
+    (["render"], {"type": "one-leg-spp", "legs": [[10 ** 6]],
+                  "entries": [[2, 1, 1]]},
+     "a 1000000x1000000 picture is over the cap of 262144 cells"),
+    (["render"], {"type": "two-leg-spp", "legs": [[10 ** 5], [1]],
+                  "excess": []},
+     "a 100002x100002 picture is over the cap of 262144 cells"),
+    (["render"], {"type": "hook-tableau", "region": "plane", "legs": [[]],
+                  "values": [[1, 1, 1], [10 ** 5, 10 ** 5, 1]]},
+     "a 100000x100000 picture is over the cap of 262144 cells"),
     (["verify", "--suite", "nosuch"], None, "unknown suite 'nosuch'"),
 ]
 NAMED_FAULT_IDS = [
@@ -380,6 +402,7 @@ NAMED_FAULT_IDS = [
     "plane-partition-with-a-leg", "plane-partition-without-entries",
     "tableau-without-region", "tableau-without-its-empty-shape",
     "inverse-without-rho", "far-tableau-cell", "wide-two-leg-window",
+    "long-shape-picture", "long-leg-picture", "far-tableau-picture",
     "unknown-suite"]
 
 

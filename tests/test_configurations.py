@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from pptoggle.configurations import (HookTableau, OneLegRPP, OneLegSPP,
                                      PlanePartition, TwoLegRPP, TwoLegSPP,
                                      cfg_weight, diagonal, diagonals,
-                                     from_diagonals, leg_reach,
+                                     from_diagonals,
                                      minimal_config, minimal_weight,
                                      two_leg_ceiling, two_leg_floor)
 from pptoggle.errors import DomainError, InvariantError
@@ -149,7 +149,9 @@ def window_accepts_spp(legs, excess):
             return WALL
         return two_leg_floor(legs, i, j) + excess.get((i, j), 0)
 
-    span = 2 + max([leg_reach(legs)] + [max(i, j) for (i, j) in excess])
+    lam, mu = legs
+    span = 2 + max([len(lam), len(mu), part(lam, 1), part(mu, 1)]
+                   + [max(i, j) for (i, j) in excess])
     return all(at(i, j) <= min(at(i - 1, j), at(i, j - 1))
                for i in range(1, span + 1) for j in range(1, span + 1))
 

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pptoggle import series
 from pptoggle.configurations import minimal_weight
 from pptoggle.errors import DomainError, NonConvergenceError
 from pptoggle.halfint import HalfInt
@@ -380,6 +381,24 @@ def test_evaluate_stable_matches_doubled_cutoff(case, bound2):
     bound = HalfInt(bound2)
     doubled = shape_word(kind, legs, 2 * initial_cutoff(kind, legs, bound))
     assert evaluate_stable(kind, legs, bound) == evaluate(doubled, bound)
+
+
+def test_two_leg_cutoff_is_sized_by_the_legs_lengths(monkeypatch):
+    # the fountain word does not depend on the legs, only its bra and ket
+    # do, so a long part does not lengthen it: the spy fails on a longer
+    # word before it is built
+    legs, degree = ((10 ** 4,), (1,)), 2
+    build, cutoffs = series.shape_word, []
+
+    def spy(kind, legs, cutoff):
+        assert cutoff <= 2 * degree + len(legs[0]) + len(legs[1]) + 2, cutoff
+        cutoffs.append(cutoff)
+        return build(kind, legs, cutoff)
+
+    monkeypatch.setattr(series, "shape_word", spy)
+    for kind in ("two-leg-spp", "two-leg-rpp"):
+        evaluate_stable(kind, legs, degree)
+    assert len(cutoffs) == 2
 
 
 @settings(max_examples=100, deadline=None)

@@ -66,7 +66,7 @@ def test_verify_exits_4_on_a_failing_row(monkeypatch, capsys):
     assert main(["verify", "--suite", "two-leg-width-stability"]) == 4
     lines = capsys.readouterr().out.splitlines()
     assert ("FAIL two-leg-width-stability/forward-width-stability"
-            "(|legs|<=2,excess<=4): N+1 and N+4 differ "
+            "(|legs|<=3,excess<=3): N+1 and N+4 differ "
             "counterexample=(((), ()), {})") in lines
 
 
