@@ -372,18 +372,15 @@ def shape_word(kind: str, legs, cutoff: int) -> OperatorWord:
 
 
 def initial_cutoff(kind: str, legs, bound: HalfInt) -> int:
-    """2 * degree + extent + 2, the extent being 0 for MacMahon's word,
-    lam_1 + len(lam) for a one-leg word, whose edges are lam's boundary, and
-    len(lam) + len(mu) for a two-leg word, whose fountain does not depend
-    on the legs: only its bra and ket do."""
+    """2 * degree + extent + 2, the extent being lam_1 + len(lam) for a
+    one-leg word, whose edges are lam's boundary, and 0 for MacMahon's word
+    and the two-leg words, whose exponents do not depend on the legs (a
+    two-leg word's bra and ket do)."""
     degree = (bound.doubled + 1) // 2
-    if kind == "macmahon":
-        extent = 0
-    elif kind == "one-leg":
+    extent = 0
+    if kind == "one-leg":
         lam = as_partition(legs)
         extent = part(lam, 1) + len(lam)
-    else:
-        extent = len(as_partition(legs[0])) + len(as_partition(legs[1]))
     return 2 * degree + extent + 2
 
 

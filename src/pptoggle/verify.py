@@ -450,10 +450,8 @@ def suite_cutoff_stability(degree: int = 8) -> list[CheckResult]:
                   != sr.evaluate(sr.shape_word(kind, legs, 2 * c0), degree)))]
 
 
-def suite_two_leg_width_stability(two_leg_excess: int = 3,
-                                  width_leg_weight: int = 3
-                                  ) -> list[CheckResult]:
-    legs = oc.partitions_up_to(width_leg_weight)
+def suite_two_leg_width_stability(two_leg_excess: int = 3) -> list[CheckResult]:
+    legs = oc.partitions_up_to(3)
     sigmas = [sigma for lam in legs for mu in legs
               for sigma in oc.enum_two_leg_spp((lam, mu), two_leg_excess)]
     found: dict = {}
@@ -470,7 +468,7 @@ def suite_two_leg_width_stability(two_leg_excess: int = 3,
         if (bj._two_leg_inverse_at(rho, pi, width)
                 != bj._two_leg_inverse_at(rho, pi, width + 3)):
             found.setdefault("inverse", [(rho.legs, rho.deficit, pi.entries)])
-    bounds = f"(|legs|<={width_leg_weight},excess<={two_leg_excess})"
+    bounds = f"(|legs|<=3,excess<={two_leg_excess})"
     detail = f"{len(sigmas)} fillings"
     return [_row(f"pops-settle{bounds}", "nonzero pop past [1,N]^2 in [1,2N]^2",
                  found.get("settle", ()), detail),

@@ -383,22 +383,23 @@ def test_evaluate_stable_matches_doubled_cutoff(case, bound2):
     assert evaluate_stable(kind, legs, bound) == evaluate(doubled, bound)
 
 
-def test_two_leg_cutoff_is_sized_by_the_legs_lengths(monkeypatch):
-    # the fountain word does not depend on the legs, only its bra and ket
-    # do, so a long part does not lengthen it: the spy fails on a longer
-    # word before it is built
-    legs, degree = ((10 ** 4,), (1,)), 2
-    build, cutoffs = series.shape_word, []
+def test_two_leg_cutoff_does_not_depend_on_the_legs(monkeypatch):
+    # the fountain's exponents do not depend on the legs, only the word's
+    # bra and ket do, so neither a long part nor a long leg lengthens it:
+    # the spy fails on a longer word before it is built
+    degree, cutoffs = 2, []
+    build = series.shape_word
 
     def spy(kind, legs, cutoff):
-        assert cutoff <= 2 * degree + len(legs[0]) + len(legs[1]) + 2, cutoff
+        assert cutoff <= 2 * degree + 2, cutoff
         cutoffs.append(cutoff)
         return build(kind, legs, cutoff)
 
     monkeypatch.setattr(series, "shape_word", spy)
-    for kind in ("two-leg-spp", "two-leg-rpp"):
-        evaluate_stable(kind, legs, degree)
-    assert len(cutoffs) == 2
+    for legs in (((10 ** 4,), (1,)), ((1,) * 6, (1, 1))):
+        for kind in ("two-leg-spp", "two-leg-rpp"):
+            evaluate_stable(kind, legs, degree)
+    assert len(cutoffs) == 4
 
 
 @settings(max_examples=100, deadline=None)
