@@ -16,8 +16,7 @@ from functools import lru_cache
 from .boundary import HookTarget, redistribute, redistribute_inverse
 from .configurations import (HookTableau, OneLegRPP, OneLegSPP, PlanePartition,
                              TwoLegRPP, TwoLegSPP, diagonals, from_diagonals)
-from .errors import (DomainError, InvariantError, NonConvergenceError,
-                     ScheduleError)
+from .errors import DomainError, InvariantError, ScheduleError
 from .partitions import Cell, Partition, as_partition, contains, part
 from .toggles import ToggleResult, toggle_between, toggle_pop, toggle_push
 
@@ -408,7 +407,8 @@ def two_leg_remnant(sigma: TwoLegSPP, width: int
     tab = _pop_region(grid, (), width, width, DEFAULT_SCHEDULE)
     window = tuple(grid.diags[d] for d in range(-width, width + 1))
     if window[0] != sigma.legs[0] or window[-1] != sigma.legs[1]:
-        raise NonConvergenceError("pop window too small for the leg tails")
+        raise InvariantError("pop window too small for the leg tails",
+                             (sigma.legs, sigma.excess, width))
     return window, HookTableau("plane", (), tab)
 
 
@@ -457,7 +457,8 @@ def _two_leg_inverse_at(rho: TwoLegRPP, pi: PlanePartition, width: int
     chain = [diags[-d] for d in range(-width, width + 1)]
     _toggle_slots(chain, reversed(_palindromic_slots(width)), width)
     if chain[0] != lam or chain[-1] != mu:
-        raise NonConvergenceError("window too small for the leg tails")
+        raise InvariantError("window too small for the leg tails",
+                             (rho.legs, rho.deficit, width))
 
     grid = ToggleGrid((), dict(zip(range(-width, width + 1), chain)))
     _push_box(grid, width, width, pp_to_tableau(pi).values)

@@ -115,12 +115,8 @@ def cmd_series(args) -> int:
         kind, legs = "one-leg", parse_partition(args.one_leg)
     elif args.two_leg is not None:
         kind, legs = "two-leg-spp", parse_legs(args.two_leg)
-    elif args.two_leg_rpp is not None:
-        kind, legs = "two-leg-rpp", parse_legs(args.two_leg_rpp)
     else:
-        print("series: pick one of --macmahon/--one-leg/--two-leg/--two-leg-rpp",
-              file=sys.stderr)
-        return EXIT_USAGE
+        kind, legs = "two-leg-rpp", parse_legs(args.two_leg_rpp)
     result = sr.evaluate_stable(kind, legs, degree)
     report.emit(series_text(result))
     if args.cross_check:
@@ -342,10 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="evaluate a generating function",
                        parents=[shared])
-    p.add_argument("--macmahon", action="store_true")
-    p.add_argument("--one-leg", metavar="PARTS")
-    p.add_argument("--two-leg", metavar="LAM/MU")
-    p.add_argument("--two-leg-rpp", metavar="LAM/MU")
+    shape = p.add_mutually_exclusive_group(required=True)
+    shape.add_argument("--macmahon", action="store_true")
+    shape.add_argument("--one-leg", metavar="PARTS")
+    shape.add_argument("--two-leg", metavar="LAM/MU")
+    shape.add_argument("--two-leg-rpp", metavar="LAM/MU")
     p.add_argument("--degree", type=_non_negative(HalfInt.parse),
                    default=HalfInt.of(6),
                    help="truncation degree, e.g. 6 or 13/2")

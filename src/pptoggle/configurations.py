@@ -36,26 +36,6 @@ def two_leg_ceiling(legs, i: int, j: int) -> int | None:
     return min(part(lam, j), part(mu, i))
 
 
-def two_leg_floor_diagonal(legs, d: int) -> Partition:
-    """two_leg_floor along diagonal d = col - row, laid out as _layout
-    places a two-leg SPP: entry k is max(lam_{k+d}, mu_k) for d >= 0 and
-    max(lam_k, mu_{k-d}) for d < 0."""
-    lam, mu = legs
-    a, b = (mu, lam[d:]) if d >= 0 else (lam, mu[-d:])
-    return tuple(x if x > y else y
-                 for x, y in zip_longest(a, b, fillvalue=0))
-
-
-def two_leg_ceiling_diagonal(legs, d: int) -> Partition:
-    """The nonzero run of two_leg_ceiling along diagonal d, laid out as
-    _layout places a two-leg RPP: for d >= 0 entry k is lam_k while its row
-    index is <= 0 and min(lam_k, mu_{k-d}) after, and for d < 0 the same
-    with lam and mu swapped and -d for d."""
-    lam, mu = legs
-    a, b, s = (lam, mu, d) if d >= 0 else (mu, lam, -d)
-    return (*a[:s], *(x if x < y else y for x, y in zip(a[s:], b)))
-
-
 def _check_support(entries: dict, what: str):
     for (i, j), v in entries.items():
         if not (isinstance(v, int) and v > 0):
@@ -268,10 +248,10 @@ Configuration = (PlanePartition | OneLegSPP | OneLegRPP | TwoLegSPP
 # ---------------------------------------------------------------------------
 # the diagonal codec: every filling as its chain of diagonals d = col - row
 
-# two-leg fillings: the level each diagonal sits on, the stored field that
+# two-leg fillings: the level each cell sits on, the stored field that
 # moves it, and the sign it moves it by
-_LEVELS = {TwoLegSPP: (two_leg_floor_diagonal, "excess", 1),
-           TwoLegRPP: (two_leg_ceiling_diagonal, "deficit", -1)}
+_LEVELS = {TwoLegSPP: (two_leg_floor, "excess", 1),
+           TwoLegRPP: (two_leg_ceiling, "deficit", -1)}
 
 
 def _layout(cls, key):
@@ -294,6 +274,24 @@ def _layout(cls, key):
     return (lambda d: past.get(d, 1 - d if d < 0 else 1)), 1
 
 
+def _level_diagonals(cls, legs, ds) -> dict[int, Partition]:
+    """The diagonals ds of the zero filling cls(legs) as {d: partition}:
+    the cell level read from d's first cell, as _layout places it, up to
+    the first 0. The level decreases along the reading and is 0 once the
+    leg indices it reads pass the legs' lengths, so every walk stops within
+    max(len(lam), len(mu)) cells, whatever the size of the parts."""
+    level = _LEVELS[cls][0]
+    first, step = _layout(cls, legs)
+    out = {}
+    for d in ds:
+        i, run = first(d), []
+        while v := level(legs, i, i + d):
+            run.append(v)
+            i += step
+        out[d] = tuple(run)
+    return out
+
+
 def diagonals(cfg, ds) -> dict[int, Partition]:
     """The diagonals ds of cfg as {d: partition}, read as _layout places
     them, in one pass over the support. A two-leg diagonal is its floor plus
@@ -301,9 +299,10 @@ def diagonals(cfg, ds) -> dict[int, Partition]:
     the reading, so its trailing zeros are all its zeros."""
     cls = type(cfg)
     if cls in _LEVELS:
-        level, stored, sign = _LEVELS[cls]
+        _, stored, sign = _LEVELS[cls]
         first, _ = _layout(cls, cfg.legs)
-        vals = {d: list(level(cfg.legs, d)) for d in ds}
+        vals = {d: list(nu)
+                for d, nu in _level_diagonals(cls, cfg.legs, ds).items()}
         for (i, j), v in getattr(cfg, stored).items():
             got = vals.get(j - i)
             if got is not None:
@@ -331,9 +330,10 @@ def from_diagonals(cls, key, diags: dict[int, Partition]):
     first, step = _layout(cls, key)
     cells = {}
     if cls in _LEVELS:
-        level, _, sign = _LEVELS[cls]
+        sign = _LEVELS[cls][2]
+        levels = _level_diagonals(cls, key, diags)
         for d, nu in diags.items():
-            base = level(key, d)
+            base = levels[d]
             if nu == base:
                 continue
             for i, (v, f) in enumerate(zip_longest(nu, base, fillvalue=0),
@@ -377,14 +377,15 @@ def minimal_weight(kind: str, legs) -> HalfInt:
 def _minimal_weight(kind: str, legs: tuple[Partition, Partition]) -> HalfInt:
     if kind not in ("spp", "rpp"):
         raise DomainError(f"kind must be 'spp' or 'rpp': {kind!r}")
-    level, _, sign = _LEVELS[TwoLegSPP if kind == "spp" else TwoLegRPP]
+    cls = TwoLegSPP if kind == "spp" else TwoLegRPP
     reach = max(len(legs[0]), len(legs[1])) + 1
-    size = {d: sum(level(legs, d)) for d in range(-reach, reach + 1)}
+    size = {d: sum(nu) for d, nu in _level_diagonals(
+        cls, legs, range(-reach, reach + 1)).items()}
     doubled = 0
     for n in range(reach):
         doubled += (2 * n + 1) * (size[n] - size[n + 1])
         doubled += (2 * n + 1) * (size[-n] - size[-n - 1])
-    return HalfInt(sign * doubled)
+    return HalfInt(_LEVELS[cls][2] * doubled)
 
 
 def cfg_weight(cfg) -> HalfInt:

@@ -43,10 +43,6 @@ class HalfInt:
             return HalfInt(int(num))
         return HalfInt(2 * int(text))
 
-    @property
-    def is_integer(self) -> bool:
-        return self.doubled % 2 == 0
-
     def __add__(self, other):
         return HalfInt(self.doubled + HalfInt.of(other).doubled)
 

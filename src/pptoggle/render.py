@@ -25,7 +25,7 @@ def _fits(rows: int, cols: int):
                           f"{MAX_PICTURE_CELLS} cells")
 
 
-def _grid_lines(cells: dict, blank=".") -> str:
+def _grid_lines(cells: dict) -> str:
     if not cells:
         return "(empty)"
     top, bottom = min(i for i, _ in cells), max(i for i, _ in cells)
@@ -37,7 +37,7 @@ def _grid_lines(cells: dict, blank=".") -> str:
         line = []
         for j in range(left, right + 1):
             v = cells.get((i, j))
-            line.append((blank if v is None else str(v)).rjust(width))
+            line.append(("." if v is None else str(v)).rjust(width))
         lines.append(" ".join(line))
     return "\n".join(lines)
 
@@ -49,16 +49,14 @@ def _picture(cfg, rows: range, cols: range, shown=lambda i, j: True) -> str:
                         if shown(i, j)})
 
 
-def render_ascii(cfg, span: int | None = None) -> str:
+def render_ascii(cfg) -> str:
     if isinstance(cfg, PlanePartition):
-        side = range(1, (span or max([max(c) for c in cfg.entries],
-                                     default=1)) + 1)
+        side = range(1, max([max(c) for c in cfg.entries], default=1) + 1)
         return _picture(cfg, side, side)
     if isinstance(cfg, OneLegSPP):
         shape = cfg.shape
-        side = range(1, (span or max([max(c) for c in cfg.entries]
-                                     + [len(shape), part(shape, 1)],
-                                     default=1)) + 1)
+        side = range(1, max([max(c) for c in cfg.entries]
+                            + [len(shape), part(shape, 1)], default=1) + 1)
         return _picture(cfg, side, side,
                         lambda i, j: not contains(shape, (i, j)))
     if isinstance(cfg, OneLegRPP):
@@ -68,14 +66,15 @@ def render_ascii(cfg, span: int | None = None) -> str:
                         lambda i, j: contains(shape, (i, j)))
     if isinstance(cfg, TwoLegSPP):
         lam, mu = cfg.legs
-        side = range(1, (span or 2 + max(
-            [len(lam), len(mu), part(lam, 1), part(mu, 1)]
-            + [max(c) for c in cfg.excess or [(1, 1)]])) + 1)
+        # sized by the legs' lengths, not their parts: the rows past mu's
+        # length read lam and the columns past lam's read mu
+        side = range(1, 2 + max([len(lam), len(mu), 1]
+                                + [max(c) for c in cfg.excess]) + 1)
         return _picture(cfg, side, side)
     if isinstance(cfg, TwoLegRPP):
         lam, mu = cfg.legs
         ext = max([0] + [abs(i) + abs(j) for (i, j) in cfg.deficit])
-        reach = span or (1 + ext + max(len(lam), len(mu), 1))
+        reach = 1 + ext + max(len(lam), len(mu), 1)
         side = range(1 - reach, reach + 1)
         return _picture(cfg, side, side, lambda i, j: two_leg_ceiling(
             cfg.legs, i, j) is not None)
@@ -84,9 +83,9 @@ def render_ascii(cfg, span: int | None = None) -> str:
     raise DomainError(f"cannot render {type(cfg).__name__}")
 
 
-def render_svg(cfg, span: int | None = None) -> str:
+def render_svg(cfg) -> str:
     """Static SVG of the ASCII grid (one square per shown cell)."""
-    text = render_ascii(cfg, span)
+    text = render_ascii(cfg)
     if text == "(empty)":
         return ('<svg xmlns="http://www.w3.org/2000/svg" width="40" height="40">'
                 "<text x='4' y='20'>(empty)</text></svg>")

@@ -355,6 +355,18 @@ def test_window_edge_failure_names_its_counterexample(monkeypatch):
                                   f"{offending!r}")
 
 
+def test_a_window_narrower_than_the_legs_is_an_invariant_failure():
+    # at width 1 the end diagonals of legs ((1,), (1, 1, 1)) are not yet the
+    # legs; no loop is failing to converge, the caller picked the width
+    sigma = TwoLegSPP(((1,), (1, 1, 1)))
+    rho, pi = two_leg_forward(sigma)
+    with pytest.raises(InvariantError, match="pop window too small"):
+        bijections._two_leg_forward_at(sigma, 1)
+    with pytest.raises(InvariantError, match="window too small"):
+        bijections._two_leg_inverse_at(rho, pi, 1)
+    assert bijections._two_leg_inverse_at(rho, pi, 2) == sigma
+
+
 # ---------------------------------------------------------------------------
 # the grid's step memos
 

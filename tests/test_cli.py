@@ -46,6 +46,10 @@ def test_series_two_leg_cross_check(capsys):
 
 def test_series_requires_a_shape(capsys):
     assert main(["series"]) == 2
+    # and only one: a second shape flag is refused, not ignored
+    assert main(["series", "--macmahon", "--one-leg", "2,1",
+                 "--degree", "2"]) == 2
+    assert "not allowed with argument --macmahon" in capsys.readouterr().err
 
 
 def test_biject_one_leg_round_trip(tmp_path, capsys):
@@ -389,9 +393,9 @@ NAMED_FAULTS = [
     (["render"], {"type": "one-leg-spp", "legs": [[10 ** 6]],
                   "entries": [[2, 1, 1]]},
      "a 1000000x1000000 picture is over the cap of 262144 cells"),
-    (["render"], {"type": "two-leg-spp", "legs": [[10 ** 5], [1]],
+    (["render"], {"type": "two-leg-spp", "legs": [[1] * 1000, [1]],
                   "excess": []},
-     "a 100002x100002 picture is over the cap of 262144 cells"),
+     "a 1002x1002 picture is over the cap of 262144 cells"),
     (["render"], {"type": "hook-tableau", "region": "plane", "legs": [[]],
                   "values": [[1, 1, 1], [10 ** 5, 10 ** 5, 1]]},
      "a 100000x100000 picture is over the cap of 262144 cells"),
@@ -516,6 +520,9 @@ def test_render_ascii_and_svg(tmp_path, capsys):
 
 TWO_LEG_RPP_PAYLOAD = {"type": "two-leg-rpp", "legs": [[2, 1], [1, 1]],
                        "deficit": [[-1, 1, 1], [0, 1, 1]]}
+# its picture is sized by the legs' lengths, not their parts: 3x3
+LONG_PART_SPP_PAYLOAD = {"type": "two-leg-spp", "legs": [[10 ** 9], [1]],
+                         "excess": [[1, 1, 1]]}
 
 
 @pytest.mark.parametrize("argv, payload, digest", [
@@ -530,6 +537,7 @@ TWO_LEG_RPP_PAYLOAD = {"type": "two-leg-rpp", "legs": [[2, 1], [1, 1]],
      None, "beb65a8034f111d1"),
     (["enumerate", "--family", "one-leg-rpp", "--legs", "3,1", "--bound", "5"],
      None, "198dbbb3138d1328"),
+    (["render"], LONG_PART_SPP_PAYLOAD, "9d81ae756e518aa2"),
 ])
 def test_two_leg_golden_output(tmp_path, capsys, argv, payload, digest):
     if payload is not None:

@@ -33,8 +33,3 @@ def test_parse_and_str():
     assert str(HalfInt.of(4)) == "4"
     with pytest.raises(ValueError):
         HalfInt.parse("7/3")
-
-
-def test_integrality():
-    assert ONE.is_integer
-    assert not HALF.is_integer

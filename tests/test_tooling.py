@@ -41,8 +41,9 @@ def test_no_assert_statements_in_the_package():
 
 def test_the_diagonal_layout_lives_in_configurations():
     # which cell holds entry k of diagonal d is configurations' codec
-    # (diagonals, from_diagonals): no other module reads a level diagonal,
-    # and the bijections relabel d as -d instead of transposing
+    # (diagonals, from_diagonals, reading the level along _layout): no other
+    # module reads a level diagonal or a layout, and the bijections relabel
+    # d as -d instead of transposing
     sources = sorted((ROOT / "src").rglob("*.py"))
     naming: dict[str, set] = {}
     for path in sources:
@@ -51,8 +52,8 @@ def test_the_diagonal_layout_lives_in_configurations():
                     else node.attr if isinstance(node, ast.Attribute)
                     else node.name if isinstance(node, ast.alias) else None)
             naming.setdefault(name, set()).add(path.stem)
-    assert naming["two_leg_floor_diagonal"] == {"configurations"}
-    assert naming["two_leg_ceiling_diagonal"] == {"configurations"}
+    assert naming["_level_diagonals"] == {"configurations"}
+    assert naming["_layout"] == {"configurations"}
     tree = ast.parse((ROOT / "src/pptoggle/bijections.py").read_text())
     imported = {a.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom))
