@@ -61,18 +61,23 @@ def test_failing_row_keeps_its_name_and_reports_the_first_counterexample(
     assert rows[index].counterexample == first
 
 
+def test_verify_exits_4_on_a_failing_row(monkeypatch, capsys):
+    _skew_wide_forward_window(monkeypatch)
+    assert main(["verify", "--suite", "two-leg-width-stability"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert ("FAIL two-leg-width-stability/forward-width-stability"
+            "(|legs|<=3,excess<=3): N+1 and N+4 differ "
+            "counterexample=(((), ()), {})") in lines
+
+
 def test_cli_prints_a_failed_row_as_the_row_renders_itself(monkeypatch,
                                                           capsys):
-    # and exits 4 on it
     _skew_wide_forward_window(monkeypatch)
     failed = [row.line() for row in verify.run_suites(
         ["two-leg-width-stability"]) if not row.passed]
     assert main(["verify", "--suite", "two-leg-width-stability"]) == 4
     lines = capsys.readouterr().out.splitlines()
     assert failed and [line for line in lines if line.startswith("FAIL")] == failed
-    assert ("FAIL two-leg-width-stability/forward-width-stability"
-            "(|legs|<=3,excess<=3): N+1 and N+4 differ "
-            "counterexample=(((), ()), {})") in lines
 
 
 def test_macmahon_count_reads_within_the_degree(capsys):
