@@ -231,6 +231,9 @@ def _image(out, parts) -> tuple:
 def cmd_enumerate(args) -> int:
     _, leg_count, _ = sz.FORMATS[sz.CENSUS_FAMILIES[args.family]]
     legs = None
+    if leg_count == 0 and args.legs is not None:
+        raise DomainError(f"the {args.family} family has no legs: "
+                          f"{args.legs!r}")
     if leg_count == 1:
         legs = parse_partition(args.legs or "")
     elif leg_count == 2:
@@ -365,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[shared], help="write a census as JSON lines")
     p.add_argument("--family", required=True, choices=sz.CENSUS_FAMILIES)
     p.add_argument("--legs", help="2,1 for one-leg, 2,2/3,1 for two-leg")
-    p.add_argument("--bound", type=HalfInt.parse, required=True)
+    p.add_argument("--bound", type=_non_negative(HalfInt.parse),
+                   required=True)
     p.add_argument("--output", default="-")
     p.set_defaults(fn=cmd_enumerate)
 

@@ -256,40 +256,44 @@ _LEVELS = {TwoLegSPP: (two_leg_floor, "excess", 1),
 
 def _layout(cls, key):
     """Where a cls filling with shape or legs `key` puts its diagonals:
-    (first, step), entry k of diagonal d, counted from 0, sitting in row
-    first(d) + step * k. Decreasing fillings read down-right from d's first
-    cell in the quadrant past the shape, a one-leg RPP up-left from the
-    shape's last box on d, and a two-leg RPP down-right from column 1
-    (d >= 0) or row 1 (d < 0)."""
+    first(d), entry k of diagonal d, counted from 0, sitting in row
+    first(d) + k. Every filling reads down-right: a decreasing one from d's
+    first cell in the quadrant past the shape, a two-leg RPP from column 1
+    (d >= 0) or row 1 (d < 0). A one-leg RPP has no reading; the bijections
+    turn it into a one-leg SPP instead."""
     if cls is TwoLegRPP:
-        return (lambda d: 1 - d if d > 0 else 1), 1
+        return lambda d: 1 - d if d > 0 else 1
     if cls is PlanePartition or cls is TwoLegSPP:
-        return (lambda d: 1 - d if d < 0 else 1), 1
+        return lambda d: 1 - d if d < 0 else 1
+    if cls is not OneLegSPP:
+        raise DomainError(f"no diagonal reading for {cls.__name__}")
     # one row past the shape's last box on each diagonal it meets; the shape
     # is an order ideal, so its boxes on d run from d's first cell
     past = {j - i: i + 1 for i, p in enumerate(key, start=1)
             for j in range(1, p + 1)}
-    if cls is OneLegRPP:
-        return (lambda d: past.get(d, 1) - 1), -1
-    return (lambda d: past.get(d, 1 - d if d < 0 else 1)), 1
+    return lambda d: past.get(d, 1 - d if d < 0 else 1)
 
 
 def _level_diagonals(cls, legs, ds) -> dict[int, Partition]:
-    """The diagonals ds of the zero filling cls(legs) as {d: partition}:
-    the cell level read from d's first cell, as _layout places it, up to
-    the first 0. The level decreases along the reading and is 0 once the
-    leg indices it reads pass the legs' lengths, so every walk stops within
-    max(len(lam), len(mu)) cells, whatever the size of the parts."""
+    """The diagonals ds of the zero filling cls(legs) as {d: partition}."""
+    legs = (as_partition(legs[0]), as_partition(legs[1]))  # memo keys
+    return {d: _level_diagonal(cls, legs, d) for d in ds}
+
+
+@lru_cache(maxsize=1 << 12)
+def _level_diagonal(cls, legs, d: int) -> Partition:
+    """Diagonal d of the zero filling cls(legs): the cell level read from
+    d's first cell, as _layout places it, up to the first 0. The level
+    decreases along the reading and is 0 once the leg indices it reads pass
+    the legs' lengths, so the walk stops within max(len(lam), len(mu))
+    cells, whatever the size of the parts. Memoised because every filling
+    on the same legs reads the same level diagonals."""
     level = _LEVELS[cls][0]
-    first, step = _layout(cls, legs)
-    out = {}
-    for d in ds:
-        i, run = first(d), []
-        while v := level(legs, i, i + d):
-            run.append(v)
-            i += step
-        out[d] = tuple(run)
-    return out
+    i, run = _layout(cls, legs)(d), []
+    while v := level(legs, i, i + d):
+        run.append(v)
+        i += 1
+    return tuple(run)
 
 
 def diagonals(cfg, ds) -> dict[int, Partition]:
@@ -300,7 +304,7 @@ def diagonals(cfg, ds) -> dict[int, Partition]:
     cls = type(cfg)
     if cls in _LEVELS:
         _, stored, sign = _LEVELS[cls]
-        first, _ = _layout(cls, cfg.legs)
+        first = _layout(cls, cfg.legs)
         vals = {d: list(nu)
                 for d, nu in _level_diagonals(cls, cfg.legs, ds).items()}
         for (i, j), v in getattr(cfg, stored).items():
@@ -310,12 +314,11 @@ def diagonals(cfg, ds) -> dict[int, Partition]:
                 got += [0] * (k + 1 - len(got))
                 got[k] += sign * v
         return {d: as_partition(got) for d, got in vals.items()}
-    if cls in (PlanePartition, OneLegSPP, OneLegRPP):
+    if cls in (PlanePartition, OneLegSPP):
         # the support is an order ideal of the region, so sorted cells run
         # along each diagonal from its first entry without a gap
         out = dict.fromkeys(ds, ())
-        for (i, j), v in sorted(cfg.entries.items(),
-                                reverse=cls is OneLegRPP):
+        for (i, j), v in sorted(cfg.entries.items()):
             if j - i in out:
                 out[j - i] += (v,)
         return out
@@ -327,7 +330,7 @@ def from_diagonals(cls, key, diags: dict[int, Partition]):
     a plane partition) whose diagonals are diags. A two-leg diagonal not in
     diags sits on its level; one that crosses its floor or ceiling raises
     InvariantError."""
-    first, step = _layout(cls, key)
+    first = _layout(cls, key)
     cells = {}
     if cls in _LEVELS:
         sign = _LEVELS[cls][2]
@@ -347,9 +350,8 @@ def from_diagonals(cls, key, diags: dict[int, Partition]):
         return cls(key, cells)
     for d, nu in diags.items():
         if nu:
-            i = first(d)
-            for r, v in zip(range(i, i + step * len(nu), step), nu):
-                cells[(r, r + d)] = v
+            for i, v in enumerate(nu, start=first(d)):
+                cells[(i, i + d)] = v
     return cls(cells) if cls is PlanePartition else cls(key, cells)
 
 

@@ -96,6 +96,14 @@ def test_one_leg_inverse_direction_small():
             assert one_leg_forward(sigma) == (rho, pi)
 
 
+def test_shape_tableau_must_lie_in_the_shape():
+    # a cell past the shape, or off the quadrant, would turn to a cell off
+    # the shape's bounding rectangle
+    for values in ({(2, 2): 1}, {(0, 1): 1}):
+        with pytest.raises(DomainError):
+            bijections.shape_tableau_to_rpp((2, 1), values)
+
+
 def test_spp_tableau_round_trip():
     for sigma in enum_one_leg_spp((1,), 4):
         t = spp_to_tableau(sigma)

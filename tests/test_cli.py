@@ -400,6 +400,8 @@ NAMED_FAULTS = [
                   "values": [[1, 1, 1], [10 ** 5, 10 ** 5, 1]]},
      "a 100000x100000 picture is over the cap of 262144 cells"),
     (["verify", "--suite", "nosuch"], None, "unknown suite 'nosuch'"),
+    (["enumerate", "--family", "plane", "--legs", "2,1", "--bound", "1"], None,
+     "the plane family has no legs: '2,1'"),
 ]
 NAMED_FAULT_IDS = [
     "plane-tableau-with-a-leg", "one-leg-spp-with-two-legs",
@@ -407,7 +409,7 @@ NAMED_FAULT_IDS = [
     "tableau-without-region", "tableau-without-its-empty-shape",
     "inverse-without-rho", "far-tableau-cell", "wide-two-leg-window",
     "long-shape-picture", "long-leg-picture", "far-tableau-picture",
-    "unknown-suite"]
+    "unknown-suite", "plane-census-with-legs"]
 
 
 def usage_error(tmp_path, capsys, argv, payload) -> str:
@@ -470,6 +472,7 @@ def usage_error(tmp_path, capsys, argv, payload) -> str:
     (["series", "--macmahon", "--degree", "-1"], None),
     (["series", "--one-leg", "2,1", "--degree", "-1"], None),
     (["series", "--two-leg", "1/1", "--degree", "-1"], None),
+    (["enumerate", "--family", "plane", "--bound", "-1"], None),
     (["render"], {"type": "plane-partition", "legs": [],
                   "entries": [[1, 1, 1], [1, 1, 2]]}),
     (["biject", "plane", "--direction", "inverse"], PP_PAYLOAD),
@@ -493,7 +496,8 @@ def usage_error(tmp_path, capsys, argv, payload) -> str:
         "verify-negative-degree", "verify-negative-macmahon-degree",
         "verify-negative-max-part", "verify-half-degree", "global-seed",
         "series-negative-macmahon-degree", "series-negative-one-leg-degree",
-        "series-negative-two-leg-degree", "repeated-cell",
+        "series-negative-two-leg-degree", "enumerate-negative-bound",
+        "repeated-cell",
         "plane-inverse-of-a-plane-partition", "one-leg-of-a-plane-partition",
         "one-leg-of-a-two-leg-spp", "two-leg-of-a-plane-partition",
         "two-leg-inverse-of-a-one-leg-rho", "one-leg-inverse-of-a-two-leg-pi",

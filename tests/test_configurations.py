@@ -215,37 +215,33 @@ def test_json_round_trip_all_kinds():
 
 
 def read_cells(cfg, d):
-    """Diagonal d of cfg, read cell by cell until a zero: a decreasing
-    filling from the diagonal's first cell in the quadrant past the shape, a
-    one-leg RPP up-left from the shape's last box, a two-leg RPP from its
-    cell with column (d >= 0) or row (d < 0) index 1."""
+    """Diagonal d of cfg, read down-right cell by cell until a zero: a
+    decreasing filling from the diagonal's first cell in the quadrant past
+    the shape, a two-leg RPP from its cell with column (d >= 0) or row
+    (d < 0) index 1."""
     if isinstance(cfg, TwoLegRPP):
         i, j = (1 - d, 1) if d >= 0 else (1, 1 + d)
     else:
         i, j = (1, 1 + d) if d >= 0 else (1 - d, 1)
         while j <= part(getattr(cfg, "shape", ()), i):
             i, j = i + 1, j + 1
-    step = 1
-    if isinstance(cfg, OneLegRPP):
-        i, j, step = i - 1, j - 1, -1
     cells = []
     while (min(i, j) >= 1 or isinstance(cfg, TwoLegRPP)) and cfg.at(i, j):
         cells.append(cfg.at(i, j))
-        i, j = i + step, j + step
+        i, j = i + 1, j + 1
     return tuple(cells)
 
 
 def test_level_diagonals_read_the_cell_levels():
     # diagonals() reads every filling in one pass over its support, and
     # from_diagonals() writes it back
-    from pptoggle.oracle import (enum_one_leg_rpp, enum_one_leg_spp,
-                                 enum_plane_partitions, enum_two_leg_rpp,
-                                 enum_two_leg_spp, partitions_up_to)
+    from pptoggle.oracle import (enum_one_leg_spp, enum_plane_partitions,
+                                 enum_two_leg_rpp, enum_two_leg_spp,
+                                 partitions_up_to)
     cases = [((), pp) for pp in enum_plane_partitions(5)]
     legs = partitions_up_to(4)
     for lam in legs:
-        cases += [(lam, cfg) for cfg in (enum_one_leg_spp(lam, 4)
-                                         + enum_one_leg_rpp(lam, 5))]
+        cases += [(lam, cfg) for cfg in enum_one_leg_spp(lam, 4)]
     for lam in legs:
         for mu in legs:
             bound = 3 if max(sum(lam), sum(mu)) <= 3 else 0
@@ -258,19 +254,25 @@ def test_level_diagonals_read_the_cell_levels():
         for d in ds:
             assert diags[d] == diagonal(cfg, d) == read_cells(cfg, d), (cfg, d)
         assert from_diagonals(type(cfg), key, diags) == cfg, cfg
-    # plane partitions of weight <= 5, one-leg SPPs of weight <= 4 and RPPs
-    # of weight <= 5 on shapes of weight <= 4 (the first whose RPPs have two
-    # different entries on a diagonal), two-leg SPPs and RPPs on legs of
-    # weight <= 3
+    # plane partitions of weight <= 5, one-leg SPPs of weight <= 4 on
+    # shapes of weight <= 4, two-leg SPPs and RPPs on legs of weight <= 3
     # with excess or deficit <= 3, and the zero-excess and zero-deficit
     # objects of legs of weight <= 4
-    assert len(cases) == 985 + 2221
+    assert len(cases) == 760 + 2221
     # the floor and the ceiling of legs ((2,), (1,)) on diagonal 0 are (2,)
     # and (1,): a diagonal under the one or over the other is refused
     for cls, nu in ((TwoLegSPP, (1,)), (TwoLegRPP, (2,))):
         with pytest.raises(InvariantError) as failure:
             from_diagonals(cls, ((2,), (1,)), {0: nu})
         assert failure.value.name == "diagonal crosses its floor or ceiling"
+
+
+def test_a_one_leg_rpp_has_no_diagonal_reading():
+    # the bijections turn its cells into a one-leg SPP instead
+    with pytest.raises(DomainError, match="no diagonal reading"):
+        diagonal(OneLegRPP((2, 1)), 0)
+    with pytest.raises(DomainError, match="no diagonal reading"):
+        from_diagonals(OneLegRPP, (2, 1), {0: (1,)})
 
 
 @pytest.mark.parametrize("build", [
