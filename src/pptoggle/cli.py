@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 
@@ -328,8 +329,21 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative fraction such as -1/2 as a
+    value, as it reads -1, so that `--degree -1/2` reaches the flag's own
+    check instead of being taken for an unknown option. No flag of ours looks
+    like a negative number, so nothing else is read differently; subparsers
+    inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="pptoggle",
         description="toggle bijections, vertex-operator series, and brute-force "
                     "verification for plane-partition-like objects")

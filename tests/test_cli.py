@@ -52,6 +52,19 @@ def test_series_requires_a_shape(capsys):
     assert "not allowed with argument --macmahon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["series", "--macmahon"], "--degree"),
+    (["enumerate", "--family", "plane"], "--bound"),
+])
+def test_a_negative_fraction_reaches_the_flags_own_check(capsys, argv, flag):
+    # read as a value, as -1 is, not as an unknown option
+    assert main(argv + [flag, "-1/2"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"argument {flag}: must be >= 0: '-1/2'\n")
+    assert main(argv + [f"{flag}=-1/2"]) == 2
+    assert capsys.readouterr().err == err
+
+
 def test_biject_one_leg_round_trip(tmp_path, capsys):
     src = tmp_path / "sigma.json"
     src.write_text(json.dumps(FIG_SIGMA_JSON))

@@ -2,10 +2,12 @@ from collections import Counter
 
 import pytest
 
-from pptoggle import bijections, boundary, series, verify
+from pptoggle import bijections, boundary, oracle, series, verify
 from pptoggle.cli import main
+from pptoggle.configurations import HookTableau
 from pptoggle.verify import (suite_hook_census, suite_partitions,
-                             suite_ptdt_two_leg, suite_two_leg_width_stability)
+                             suite_ptdt_two_leg, suite_schedules,
+                             suite_two_leg_width_stability)
 
 
 def test_two_leg_suite_folds_each_word_once(monkeypatch):
@@ -23,6 +25,33 @@ def test_two_leg_suite_folds_each_word_once(monkeypatch):
     assert len(calls) == 32 and set(calls.values()) == {1}
 
 
+def test_schedule_suite_pops_each_object_once_per_order(monkeypatch):
+    pops = Counter()
+    forward_calls = []
+
+    def spy(name):
+        pop = getattr(bijections, name)
+
+        def spied(cfg, schedule):
+            pops[getattr(cfg, "shape", None),
+                 frozenset(cfg.entries.items()), schedule] += 1
+            return pop(cfg, schedule)
+        monkeypatch.setattr(bijections, name, spied)
+
+    spy("pp_to_tableau")
+    spy("spp_to_tableau")
+    monkeypatch.setattr(bijections, "one_leg_forward",
+                        lambda *args: forward_calls.append(args))
+    rows = suite_schedules(max_weight=3, seeds=3)
+    assert [r.passed for r in rows] == [True, True]
+    objects = (len(oracle.enum_plane_partitions(3))
+               + len(oracle.enum_one_leg_spp((1,), 3))
+               + len(oracle.enum_one_leg_spp((2, 1), 3)))
+    assert forward_calls == []
+    # off-diagonal, lexicographic and 3 seeded orders
+    assert len(pops) == 5 * objects and set(pops.values()) == {1}
+
+
 def _skew_wide_forward_window(monkeypatch):
     """Make every window wider than N+1 give a different image."""
     forward_at = bijections._two_leg_forward_at
@@ -35,6 +64,19 @@ def _skew_wide_forward_window(monkeypatch):
     monkeypatch.setattr(bijections, "_two_leg_forward_at", skewed)
 
 
+def _skew_lexicographic_one_leg_pops(monkeypatch):
+    """Make a lexicographic pop of a one-leg SPP give another tableau."""
+    pop = bijections.spp_to_tableau
+
+    def skewed(sigma, schedule):
+        t = pop(sigma, schedule)
+        if schedule.kind != "lexicographic":
+            return t
+        return HookTableau(t.region, t.shape, {**t.values, (9, 9): 1})
+
+    monkeypatch.setattr(bijections, "spp_to_tableau", skewed)
+
+
 def _break_hook_lengths(monkeypatch):
     monkeypatch.setattr(verify, "hook_length", lambda lam, cell, region: -1)
 
@@ -43,21 +85,27 @@ def _break_redistribute_inverse(monkeypatch):
     monkeypatch.setattr(boundary, "redistribute_inverse", lambda lam, t: None)
 
 
-@pytest.mark.parametrize("breakage, suite, index, first", [
+@pytest.mark.parametrize("breakage, suite, index, reason, first", [
     # the first filling enumerated is the floor of the first leg pair
     (_skew_wide_forward_window, lambda: suite_two_leg_width_stability(2), 1,
-     (((), ()), {})),
-    (_break_hook_lengths, lambda: suite_partitions(0), 1, ((), (1, 1))),
+     "N+1 and N+4 differ", (((), ()), {})),
+    (_break_hook_lengths, lambda: suite_partitions(0), 1,
+     "arm+leg+1 disagrees with cell set", ((), (1, 1))),
     (_break_redistribute_inverse, lambda: suite_hook_census(2, 2), 2,
-     ((), (1, 1))),
-], ids=["forward-width-stability", "hook-vs-cells", "redistribute-bijection"])
+     "not a bijection onto targets", ((), (1, 1))),
+    # the first SPP enumerated is the empty one on the first shape
+    (_skew_lexicographic_one_leg_pops, lambda: suite_schedules(3, 3), 1,
+     "output depends on order", ((1,), {}, "lexicographic", 0)),
+], ids=["forward-width-stability", "hook-vs-cells", "redistribute-bijection",
+        "one-leg-schedule-independence"])
 def test_failing_row_keeps_its_name_and_reports_the_first_counterexample(
-        monkeypatch, breakage, suite, index, first):
+        monkeypatch, breakage, suite, index, reason, first):
     passing = suite()
     breakage(monkeypatch)
     rows = suite()
     assert [r.name for r in rows] == [r.name for r in passing]
     assert [r.passed for r in rows] == [i != index for i in range(len(rows))]
+    assert rows[index].detail == reason
     assert rows[index].counterexample == first
 
 
