@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from pptoggle.oracle import (WeightCensus, _base_weight, _count, _family,
                              enum_partitions, enum_plane_partitions,
                              enum_two_leg_rpp, enum_two_leg_spp,
                              partitions_up_to, weighed_members)
+from pptoggle.serialize import config_to_json
 from pptoggle.series import geometric, hook_product, macmahon_series
 
 
@@ -179,3 +182,30 @@ def test_enumeration_is_deterministic():
     a = enum_one_leg_spp((1,), 4)
     b = enum_one_leg_spp((1,), 4)
     assert a == b
+
+
+# every member of every family at small bounds, in enumeration order, and
+# every census count: a verify row names the first counterexample in
+# enumeration order, so a rewrite of the walk must keep the order too
+ORACLE_PIN = "a7f0d6237355e55b2afea6263e50e5b8d859b06e1d50e456e94bf753ecbbba68"
+PINNED_FAMILIES = ([("plane", None, 7)]
+                   + [(kind, lam, 6) for kind in ("one-leg-spp", "one-leg-rpp")
+                      for lam in partitions_up_to(3)]
+                   + [(kind, (lam, mu), 3)
+                      for kind in ("two-leg-spp", "two-leg-rpp")
+                      for lam in partitions_up_to(2)
+                      for mu in partitions_up_to(2)])
+
+
+def _pinned_rows():
+    for kind, legs, budget in PINNED_FAMILIES:
+        members = [config_to_json(c) for c in enum_configs(kind, legs, budget)]
+        bound = _base_weight(kind, legs) + HalfInt(2 * budget + 1)
+        counts = sorted((w.doubled, n) for w, n in
+                        WeightCensus.take(kind, legs, bound).counts.items())
+        yield json.dumps([kind, legs, members, counts], sort_keys=True)
+
+
+def test_members_and_counts_match_the_pin():
+    blob = "\n".join(_pinned_rows()).encode()
+    assert hashlib.sha256(blob).hexdigest() == ORACLE_PIN
