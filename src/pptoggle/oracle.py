@@ -3,15 +3,16 @@
 Everything here is deliberately independent of the series/bijection code
 paths. One table, `_family`, gives each family's cells, their level (zero,
 the two-leg floor, or the negated two-leg ceiling; a wall off the family's
-domain) and the neighbours that cap each cell's cost over its level. Two
-independent walks read it:
+domain) and the neighbours that cap each cell's cost over its level. A
+one-leg family lists only the cells whose cone (the cells a nonzero cost
+forces nonzero) fits in the budget. `_runs` splits the cells into rows and
+reads each cell's caps, and one row walk reads that table two ways:
 
-- `_count` counts the assignments by total cost, row by row, memoised on
-  the row above and the budget left. `WeightCensus.take` uses it, so a
-  census builds no configuration.
-- `_fill` builds them, cell by cell, emitting a configuration as soon as
-  the budget is spent. The `enum_*` functions and `weighed_members` use it:
-  they give the members themselves, and the cross-check of the count.
+- `_fill` keeps every partial filling and builds the members, in
+  lexicographic order along the cells. The `enum_*` functions and
+  `weighed_members` use it.
+- `_count` merges the partial fillings that can complete alike into one
+  count. `WeightCensus.take` uses it, so a census builds no member.
 
 These counts are the ground truth the generating-function identities are
 checked against.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 
 from .configurations import (OneLegRPP, OneLegSPP, PlanePartition, TwoLegRPP,
                              TwoLegSPP, cfg_weight, minimal_weight,
@@ -83,56 +85,14 @@ def count_partitions_pentagonal(n: int) -> int:
 WALL = 1 << 60  # the level off a family's domain: no cap from there
 
 
-def _fill(cells: list, level, before, budget: int, emit) -> list:
-    """emit(costs) for every assignment of costs c >= 0 to `cells` with total
-    <= budget and c(x) <= level(n) + c(n) - level(x) for each n in before(x).
-
-    Each n in before(x) precedes x in `cells` or is not listed, and unlisted
-    cells cost 0; `costs` holds the nonzero ones. Levels must not fall from
-    before(x) to x, so once the budget is spent, all zeros is the only
-    completion and is emitted at once.
-    """
-    slacks = [[(n, level(n) - level(x)) for n in before(x)] for x in cells]
-    out: list = []
-    _fill_from(cells, slacks, emit, {}, out, 0, budget)
-    return out
-
-
-def _fill_from(cells, slacks, emit, cost: dict, out: list, idx: int,
-               left: int):
-    if idx == len(cells) or left == 0:
-        out.append(emit(dict(cost)))
-        return
-    x = cells[idx]
-    hi = left
-    for n, s in slacks[idx]:
-        hi = min(hi, s + cost.get(n, 0))
-    _fill_from(cells, slacks, emit, cost, out, idx + 1, left)
-    for c in range(1, hi + 1):
-        cost[x] = c
-        _fill_from(cells, slacks, emit, cost, out, idx + 1, left - c)
-    cost.pop(x, None)
-
-
-def _count(cells: list, level, before, budget: int) -> list[int]:
-    """Entry k is the number of assignments `_fill` emits with total cost k.
-
-    A transfer over rows (Stanley, Enumerative Combinatorics I, 4.7): `cells`
-    splits into runs of equal row index, and each run's costs are chosen
-    under the same caps as `_fill`, given the costs of the run before it and
-    the budget left. Every n in before(x) must come earlier in x's run, lie in
-    the previous run, or be unlisted (cost 0).
-    """
-    runs: list[list] = []
-    for x in cells:
-        if runs and runs[-1][0][0] == x[0]:
-            runs[-1].append(x)
-        else:
-            runs.append([x])
+def _runs(cells: list, level, before) -> list[tuple[list, list]]:
+    """(run, caps) for each run of `cells` with equal row index. A cell's caps
+    are the cap from its unlisted neighbours (cost 0), then (position, slack)
+    of its neighbours earlier in its run and of those in the previous run;
+    every n in before(x) must be one of these."""
+    runs = [list(run) for _, run in groupby(cells, key=lambda x: x[0])]
     where = {x: (r, p) for r, run in enumerate(runs) for p, x in enumerate(run)}
-    # per cell: the cap from unlisted neighbours, then (position, slack) of
-    # the neighbours earlier in its run and of those in the previous run
-    caps = []
+    table = []
     for r, run in enumerate(runs):
         spec = []
         for p, x in enumerate(run):
@@ -148,25 +108,57 @@ def _count(cells: list, level, before, budget: int) -> list[int]:
                                          "nor in the previous one", (x, n))
                 (here if rn == r else above).append((pn, s))
             spec.append((fixed, here, above))
-        caps.append(spec)
-    return _count_from(caps, {}, 0, (), budget)
+        table.append((run, spec))
+    return table
 
 
-def _count_from(caps: list, memo: dict, r: int, prev: tuple, left: int
-                ) -> list[int]:
-    """Entry k counts the fillings of runs r, r+1, ... of total cost k, given
-    the costs `prev` of run r - 1 and the budget left."""
-    if r == len(caps) or left == 0:
-        return [1]
-    key = (r, prev, left)
-    if key not in memo:
-        out = [0] * (left + 1)
-        for costs, spent in _run_fillings(caps[r], prev, left):
-            for k, n in enumerate(_count_from(caps, memo, r + 1, costs,
-                                              left - spent), spent):
-                out[k] += n
-        memo[key] = out
-    return memo[key]
+def _fill(cells: list, level, before, budget: int, emit) -> list:
+    """emit(costs) for every assignment of costs c >= 0 to `cells` with total
+    <= budget and c(x) <= level(n) + c(n) - level(x) for each n in before(x),
+    in lexicographic order along `cells`; `costs` holds the nonzero ones.
+
+    One walk over the runs of `_runs`, keeping every partial filling: each
+    grows by every filling of the next run that its last run's costs and the
+    budget left allow. Levels must not fall from before(x) to x, so a partial
+    that has spent the budget can only be completed by zeros, and stops
+    growing.
+    """
+    filled = [((), (), 0)]  # (nonzero (cell, cost) pairs, last run, spent)
+    for run, spec in _runs(cells, level, before):
+        grown = []
+        for pairs, prev, spent in filled:
+            if spent == budget:
+                grown.append((pairs, prev, spent))
+                continue
+            for costs, c in _run_fillings(spec, prev, budget - spent):
+                nonzero = tuple((x, v) for x, v in zip(run, costs) if v)
+                grown.append((pairs + nonzero, costs, spent + c))
+        filled = grown
+    return [emit(dict(pairs)) for pairs, _, _ in filled]
+
+
+def _count(cells: list, level, before, budget: int) -> list[int]:
+    """Entry k is the number of assignments `_fill` emits with total cost k.
+
+    The same walk over runs, as a transfer over rows (Stanley, Enumerative
+    Combinatorics I, 4.7): partial fillings that agree on their last run's
+    costs and the cost spent complete alike, so each such class is one count.
+    """
+    out = [0] * (budget + 1)
+    partials = {((), 0): 1}
+    for _, spec in _runs(cells, level, before):
+        grown: dict = {}
+        for (prev, spent), n in partials.items():
+            if spent == budget:
+                out[spent] += n
+                continue
+            for costs, c in _run_fillings(spec, prev, budget - spent):
+                key = (costs, spent + c)
+                grown[key] = grown.get(key, 0) + n
+        partials = grown
+    for (_, spent), n in partials.items():
+        out[spent] += n
+    return out
 
 
 def _run_fillings(spec: list, prev: tuple, left: int) -> list[tuple[tuple, int]]:
@@ -199,35 +191,40 @@ def _down_right(x: Cell):
 def _family(kind: str, legs, budget: int):
     """(cells, level, before, constructor) of a family whose members cost at
     most `budget` over their level: the table `_fill` enumerates from and
-    `_count` counts from."""
-    if kind == "plane":
-        if budget > 12:
-            raise DomainError("plane-partition enumeration capped at weight 12")
-        # each supporting row and column costs >= 1, so the support fits in a
-        # budget-sided square
-        cells = [(i, j) for i in range(1, budget + 1)
-                 for j in range(1, budget + 1)]
-        return (cells, lambda x: 0 if min(x) >= 1 else WALL, _up_left,
-                PlanePartition)
-    if kind in ("one-leg-spp", "one-leg-rpp"):
-        if budget > 12:
-            raise DomainError("one-leg enumeration capped at weight 12")
-        lam = as_partition(legs)
-        if kind == "one-leg-spp":
-            rows = budget + len(lam)
-            cols = budget + part(lam, 1)
-            cells = [(i, j) for i in range(1, rows + 1)
-                     for j in range(1, cols + 1) if j > part(lam, i)]
+    `_count` counts from.
 
-            def level(x):
-                return 0 if min(x) >= 1 and not contains(lam, x) else WALL
+    A cell can be nonzero only if every cell of its cone (those that cap it,
+    through `before`, from the same level) is nonzero too, so the one-leg
+    families list only the cells whose cone fits in the budget.
+    """
+    if kind in ("plane", "one-leg-spp", "one-leg-rpp"):
+        if budget > 12:
+            what = "plane-partition" if kind == "plane" else "one-leg"
+            raise DomainError(f"{what} enumeration capped at weight 12")
+        lam = () if kind == "plane" else as_partition(legs)
+        if kind == "one-leg-rpp":
+            # the cone of (i, j) in lam is the cells down and right of it, so
+            # max(0, lam_k - j + 1) in each row k >= i; each row it meets
+            # costs >= 1, so budget + 1 rows decide whether it fits
+            cells = [(i, j) for i in range(len(lam), 0, -1)
+                     for j in range(lam[i - 1], max(0, lam[i - 1] - budget), -1)
+                     if sum(max(0, part(lam, k) - j + 1)
+                            for k in range(i, i + budget + 1)) <= budget]
+            return (cells, lambda x: 0 if contains(lam, x) else WALL,
+                    _down_right, partial(OneLegRPP, lam))
+        # a plane partition is the decreasing filling outside the empty shape;
+        # outside lam the cone is the cells up and left, max(0, j - lam_k) in
+        # each row k <= i (i * j on the empty shape)
+        cells = [(i, j) for i in range(1, len(lam) + budget + 1)
+                 for j in range(part(lam, i) + 1, part(lam, i) + budget + 1)
+                 if sum(max(0, j - part(lam, k))
+                        for k in range(max(1, i - budget), i + 1)) <= budget]
 
-            return cells, level, _up_left, partial(OneLegSPP, lam)
-        # entries grow down and right, so fill from the bottom-right corner
-        cells = [(i, j) for i in range(len(lam), 0, -1)
-                 for j in range(lam[i - 1], 0, -1)]
-        return (cells, lambda x: 0 if contains(lam, x) else WALL, _down_right,
-                partial(OneLegRPP, lam))
+        def level(x):
+            return 0 if min(x) >= 1 and not contains(lam, x) else WALL
+
+        return (cells, level, _up_left,
+                PlanePartition if kind == "plane" else partial(OneLegSPP, lam))
     if kind == "two-leg-spp":
         if budget > 8:
             raise DomainError("two-leg enumeration capped at excess 8")

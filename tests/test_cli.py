@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -564,3 +566,47 @@ def test_two_leg_golden_output(tmp_path, capsys, argv, payload, digest):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def run_capped(*argv, seconds=20):
+    """(exit code, stdout, stderr) of the CLI on argv in a fresh process with
+    its address space capped at 1 GiB and killed after `seconds`, so a
+    regression fails the test instead of exhausting the machine."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = Path(pptoggle.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "pptoggle.cli", *argv],
+                          capture_output=True, text=True, timeout=seconds,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          preexec_fn=cap)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+LONG_ROW, LONG_COLUMN = "100000000", ",".join(["1"] * 1500)
+
+
+@pytest.mark.parametrize("family", ["one-leg-spp", "one-leg-rpp"])
+@pytest.mark.parametrize("legs, corner", [(LONG_ROW, "3"),
+                                          (LONG_COLUMN, "1,1,1")],
+                         ids=["row-of-1e8", "1500-rows"])
+def test_enumerate_on_a_long_leg(family, legs, corner):
+    # at weight <= 2 only cells near the leg's far corner can be nonzero, so
+    # the census is that of a short leg with the same corner
+    tallies = []
+    for shape in (legs, corner):
+        code, out, err = run_capped("enumerate", "--family", family,
+                                    "--legs", shape, "--bound", "2")
+        assert code == 0 and "Traceback" not in err
+        head, *members = map(json.loads, out.splitlines())
+        assert head["count"] == len(members)
+        tallies.append(Counter(sum(v for *_, v in m["entries"])
+                               for m in members))
+    assert tallies[0] == tallies[1] and tallies[0][2]
+
+
+def test_verify_one_leg_on_a_long_row():
+    code, out, err = run_capped("verify", "--suite", "ptdt-one-leg",
+                                "--lambda", LONG_ROW, "--degree", "2")
+    assert code == 0 and "Traceback" not in err
+    assert "PASS" in out and "FAIL" not in out

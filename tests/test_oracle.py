@@ -56,14 +56,19 @@ def test_enum_partitions_bound():
 
 
 def test_plane_partition_counts_small():
-    got = enum_plane_partitions(3)
-    brute = brute_plane_partitions_in_box(3, 3)
+    # the census and the enumeration share one walk, so the members are
+    # checked against a fill of their own: every plane partition of weight
+    # <= 6 fits in a box of side 6
+    got = enum_plane_partitions(6)
+    brute = brute_plane_partitions_in_box(6, 6)
     assert len(got) == len(brute)
+    assert ({frozenset(pp.entries.items()) for pp in got}
+            == {frozenset(grid.items()) for grid in brute})
     by_weight = {}
     for pp in got:
         w = sum(pp.entries.values())
         by_weight[w] = by_weight.get(w, 0) + 1
-    assert [by_weight.get(k, 0) for k in range(4)] == [1, 1, 3, 6]
+    assert [by_weight.get(k, 0) for k in range(7)] == [1, 1, 3, 6, 13, 24, 48]
 
 
 def test_one_leg_spp_census_matches_hook_product():

@@ -106,6 +106,15 @@ def test_each_shape_table_is_built_in_one_place():
     assert "_conjugate" in _called(partitions["_lengths"])
 
 
+def test_the_oracle_does_not_recurse():
+    # its walks loop over rows, so a long leg cannot exhaust the stack; only
+    # _partitions recurses, once per part, and enum_partitions caps the
+    # weight at 40
+    oracle = _functions(ROOT / "src/pptoggle/oracle.py")
+    recursive = {name for name, fn in oracle.items() if name in _called(fn)}
+    assert recursive == {"_partitions"}
+
+
 def _integer_expression(node) -> bool:
     """An integer written out in the source: a literal, or literals joined
     by arithmetic such as 1 << 12."""
