@@ -193,9 +193,10 @@ def _family(kind: str, legs, budget: int):
     most `budget` over their level: the table `_fill` enumerates from and
     `_count` counts from.
 
-    A cell can be nonzero only if every cell of its cone (those that cap it,
-    through `before`, from the same level) is nonzero too, so the one-leg
-    families list only the cells whose cone fits in the budget.
+    A cell can be nonzero only if every cell of its cone (the cells that cap
+    it through chains of `before` inside the family's region) is nonzero
+    too, so the one-leg families list only the cells whose cone fits in the
+    budget.
     """
     if kind in ("plane", "one-leg-spp", "one-leg-rpp"):
         if budget > 12:
@@ -203,18 +204,19 @@ def _family(kind: str, legs, budget: int):
             raise DomainError(f"{what} enumeration capped at weight 12")
         lam = () if kind == "plane" else as_partition(legs)
         if kind == "one-leg-rpp":
-            # the cone of (i, j) in lam is the cells down and right of it, so
+            # the cone of (i, j) is the cells of lam down and right of it,
             # max(0, lam_k - j + 1) in each row k >= i; each row it meets
-            # costs >= 1, so budget + 1 rows decide whether it fits
+            # holds >= 1 of them, so budget + 1 rows decide whether it fits
             cells = [(i, j) for i in range(len(lam), 0, -1)
-                     for j in range(lam[i - 1], max(0, lam[i - 1] - budget), -1)
+                     for j in range(lam[i - 1],
+                                    max(0, lam[i - 1] - budget), -1)
                      if sum(max(0, part(lam, k) - j + 1)
                             for k in range(i, i + budget + 1)) <= budget]
             return (cells, lambda x: 0 if contains(lam, x) else WALL,
                     _down_right, partial(OneLegRPP, lam))
-        # a plane partition is the decreasing filling outside the empty shape;
         # outside lam the cone is the cells up and left, max(0, j - lam_k) in
-        # each row k <= i (i * j on the empty shape)
+        # each row k <= i; a plane partition is the decreasing filling
+        # outside the empty shape, where the cone of (i, j) is i * j cells
         cells = [(i, j) for i in range(1, len(lam) + budget + 1)
                  for j in range(part(lam, i) + 1, part(lam, i) + budget + 1)
                  if sum(max(0, j - part(lam, k))
