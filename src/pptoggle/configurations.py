@@ -18,6 +18,8 @@ from .halfint import HalfInt
 from .partitions import (Cell, Partition, as_partition, contains,
                          hook_length, part)
 
+WALL = 1 << 60  # the value read off a filling's domain: it caps nothing
+
 
 def two_leg_floor(legs, i: int, j: int) -> int:
     """The SPP floor max(lam_j, mu_i): lam indexes columns, mu rows."""
@@ -85,7 +87,7 @@ class PlanePartition:
 
     def at(self, i: int, j: int) -> int:
         if i < 1 or j < 1:
-            return 1 << 60  # virtual wall, simplifies monotonicity checks
+            return WALL
         return self.entries.get((i, j), 0)
 
     def rows(self) -> list[list[int]]:
@@ -166,7 +168,7 @@ class TwoLegSPP:
 
     def at(self, i: int, j: int) -> int:
         if i < 1 or j < 1:
-            return 1 << 60
+            return WALL
         return two_leg_floor(self.legs, i, j) + self.excess.get((i, j), 0)
 
     def excess_weight(self) -> int:
@@ -201,7 +203,7 @@ class TwoLegRPP:
     def at(self, i: int, j: int) -> int:
         c = two_leg_ceiling(self.legs, i, j)
         if c is None:
-            return 1 << 60
+            return WALL
         return c - self.deficit.get((i, j), 0)
 
     def deficit_weight(self) -> int:

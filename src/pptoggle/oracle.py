@@ -1,11 +1,11 @@
 """Brute-force enumeration and counting of configuration families.
 
 Everything here is deliberately independent of the series/bijection code
-paths. One table, `_family`, gives each family's cells, their level (zero,
-the two-leg floor, or the negated two-leg ceiling; a wall off the family's
-domain) and the neighbours that cap each cell's cost over its level. A
-one-leg family lists only the cells whose cone (the cells a nonzero cost
-forces nonzero) fits in the budget. `_runs` splits the cells into rows and
+paths. One table, `_family`, gives each family's band of cells, their level
+(zero, the two-leg floor, or the negated two-leg ceiling; a wall off the
+family's domain) and the neighbours that cap each cell's cost over its level.
+`_runs` keeps the cells whose cone (the cells a nonzero cost forces nonzero)
+fits in the budget, one rule for every family, splits them into rows and
 reads each cell's caps, and one row walk reads that table two ways:
 
 - `_fill` keeps every partial filling and builds the members, in
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
 
-from .configurations import (OneLegRPP, OneLegSPP, PlanePartition, TwoLegRPP,
-                             TwoLegSPP, cfg_weight, minimal_weight,
+from .configurations import (WALL, OneLegRPP, OneLegSPP, PlanePartition,
+                             TwoLegRPP, TwoLegSPP, cfg_weight, minimal_weight,
                              two_leg_ceiling, two_leg_floor)
 from .errors import DomainError, InvariantError
 from .halfint import ZERO, HalfInt
@@ -39,20 +39,19 @@ def enum_partitions(n: int) -> list[Partition]:
         raise DomainError("weight must be nonnegative")
     if n > 40:
         raise DomainError(f"partition enumeration capped at weight 40: {n}")
-    return sorted(_partitions(n, n, []))
-
-
-# the recursions here are module-level functions that take their state as
-# arguments: a nested function that calls itself is a reference cycle, which
-# only the cyclic collector frees
-def _partitions(remaining: int, cap: int, prefix: list[int]):
-    if remaining == 0:
-        yield tuple(prefix)
-        return
-    for p in range(min(cap, remaining), 0, -1):
-        prefix.append(p)
-        yield from _partitions(remaining - p, p, prefix)
-        prefix.pop()
+    # from (n) on in reverse lexicographic order: the last part p above 1
+    # and the 1s after it become parts of p - 1 and what is left over
+    out, parts = [], [n] if n else []
+    while True:
+        out.append(tuple(parts))
+        ones = 0
+        while parts and parts[-1] == 1:
+            ones += parts.pop()
+        if not parts:
+            return sorted(out)
+        p = parts.pop()
+        q, r = divmod(p + ones, p - 1)
+        parts += [p - 1] * q + ([r] if r else [])
 
 
 def partitions_up_to(n: int) -> list[Partition]:
@@ -82,33 +81,46 @@ def count_partitions_pentagonal(n: int) -> int:
     return p[n]
 
 
-WALL = 1 << 60  # the level off a family's domain: no cap from there
+def _runs(cells: list, level, before, budget: int) -> list[tuple[list, list]]:
+    """(run, caps) for each run, by row index, of the cells that can be
+    nonzero at cost <= budget. A cell's caps are the cap from its neighbours
+    off the runs (cost 0), then (position, slack) of its neighbours earlier
+    in its run and of those in the previous run; every n in before(x) must
+    be one of these.
 
-
-def _runs(cells: list, level, before) -> list[tuple[list, list]]:
-    """(run, caps) for each run of `cells` with equal row index. A cell's caps
-    are the cap from its unlisted neighbours (cost 0), then (position, slack)
-    of its neighbours earlier in its run and of those in the previous run;
-    every n in before(x) must be one of these."""
-    runs = [list(run) for _, run in groupby(cells, key=lambda x: x[0])]
-    where = {x: (r, p) for r, run in enumerate(runs) for p, x in enumerate(run)}
-    table = []
-    for r, run in enumerate(runs):
-        spec = []
-        for p, x in enumerate(run):
-            fixed, here, above = WALL, [], []
+    The cone rule picks the cells. n in before(x) is tied to x when its
+    slack level(n) - level(x) is 0: then c(x) <= c(n), so c(x) >= 1 forces
+    c(n) >= 1. The cone of x is x and the cones of its tied neighbours, so a
+    member with c(x) >= 1 costs >= 1 on all of it. Conversely cost 1 on the
+    cone and 0 elsewhere meets every cap, as levels never fall from
+    before(x) to x (each slack is >= 0) and the cone holds its cells' tied
+    neighbours. So x can be nonzero exactly when each tied neighbour can be
+    (none is off the runs) and its cone holds at most `budget` cells.
+    """
+    waiting, kept, table = set(cells), {}, []
+    for _, band in groupby(cells, key=lambda x: x[0]):
+        r, run, spec = len(table), [], []
+        for x in band:
+            waiting.discard(x)
+            lx, fixed, here, above, cone = level(x), WALL, [], [], {x}
             for n in before(x):
-                s = level(n) - level(x)
-                if n not in where:
-                    fixed = min(fixed, s)
-                    continue
-                rn, pn = where[n]
-                if not (rn == r - 1 or (rn == r and pn < p)):
+                s = level(n) - lx
+                if n in waiting or n in kept and kept[n][0] < r - 1:
                     raise InvariantError("neighbour neither earlier in its run "
                                          "nor in the previous one", (x, n))
+                if n not in kept:
+                    fixed = min(fixed, s)
+                    continue
+                rn, pn, cn = kept[n]
                 (here if rn == r else above).append((pn, s))
-            spec.append((fixed, here, above))
-        table.append((run, spec))
+                if s == 0:
+                    cone = cone | cn
+            if fixed and len(cone) <= budget:
+                kept[x] = (r, len(run), cone)
+                run.append(x)
+                spec.append((fixed, here, above))
+        if run:
+            table.append((run, spec))
     return table
 
 
@@ -124,7 +136,7 @@ def _fill(cells: list, level, before, budget: int, emit) -> list:
     growing.
     """
     filled = [((), (), 0)]  # (nonzero (cell, cost) pairs, last run, spent)
-    for run, spec in _runs(cells, level, before):
+    for run, spec in _runs(cells, level, before, budget):
         grown = []
         for pairs, prev, spent in filled:
             if spent == budget:
@@ -146,7 +158,7 @@ def _count(cells: list, level, before, budget: int) -> list[int]:
     """
     out = [0] * (budget + 1)
     partials = {((), 0): 1}
-    for _, spec in _runs(cells, level, before):
+    for _, spec in _runs(cells, level, before, budget):
         grown: dict = {}
         for (prev, spent), n in partials.items():
             if spent == budget:
@@ -193,10 +205,13 @@ def _family(kind: str, legs, budget: int):
     most `budget` over their level: the table `_fill` enumerates from and
     `_count` counts from.
 
-    A cell can be nonzero only if every cell of its cone (the cells that cap
-    it through chains of `before` inside the family's region) is nonzero
-    too, so the one-leg families list only the cells whose cone fits in the
-    budget.
+    `cells` is a band, in rows, holding every cell that can be nonzero, and
+    `_runs` keeps those its cone rule lets be. Where a row or column keeps
+    one level, a cell's cone runs back to where the level last changed, so
+    each band stops `budget` cells past that: the row ends of lam and row
+    len(lam) for the SPPs, the row ends from inside for the one-leg RPP,
+    len(lam) and len(mu) for the two-leg SPP, and row and column 1 for the
+    two-leg RPP.
     """
     if kind in ("plane", "one-leg-spp", "one-leg-rpp"):
         if budget > 12:
@@ -204,53 +219,38 @@ def _family(kind: str, legs, budget: int):
             raise DomainError(f"{what} enumeration capped at weight 12")
         lam = () if kind == "plane" else as_partition(legs)
         if kind == "one-leg-rpp":
-            # the cone of (i, j) is the cells of lam down and right of it,
-            # max(0, lam_k - j + 1) in each row k >= i; each row it meets
-            # holds >= 1 of them, so budget + 1 rows decide whether it fits
             cells = [(i, j) for i in range(len(lam), 0, -1)
                      for j in range(lam[i - 1],
-                                    max(0, lam[i - 1] - budget), -1)
-                     if sum(max(0, part(lam, k) - j + 1)
-                            for k in range(i, i + budget + 1)) <= budget]
+                                    max(0, lam[i - 1] - budget), -1)]
             return (cells, lambda x: 0 if contains(lam, x) else WALL,
                     _down_right, partial(OneLegRPP, lam))
-        # outside lam the cone is the cells up and left, max(0, j - lam_k) in
-        # each row k <= i; a plane partition is the decreasing filling
-        # outside the empty shape, where the cone of (i, j) is i * j cells
+        # a plane partition is the decreasing filling outside the empty shape
         cells = [(i, j) for i in range(1, len(lam) + budget + 1)
-                 for j in range(part(lam, i) + 1, part(lam, i) + budget + 1)
-                 if sum(max(0, j - part(lam, k))
-                        for k in range(max(1, i - budget), i + 1)) <= budget]
+                 for j in range(part(lam, i) + 1, part(lam, i) + budget + 1)]
 
         def level(x):
             return 0 if min(x) >= 1 and not contains(lam, x) else WALL
 
         return (cells, level, _up_left,
                 PlanePartition if kind == "plane" else partial(OneLegSPP, lam))
+    if kind not in ("two-leg-spp", "two-leg-rpp"):
+        raise DomainError(f"unknown family {kind!r}")
+    if budget > 8:
+        what = "excess" if kind == "two-leg-spp" else "deficit"
+        raise DomainError(f"two-leg enumeration capped at {what} 8")
+    lam, mu = (as_partition(legs[0]), as_partition(legs[1]))
     if kind == "two-leg-spp":
-        if budget > 8:
-            raise DomainError("two-leg enumeration capped at excess 8")
-        lam, mu = (as_partition(legs[0]), as_partition(legs[1]))
+        floor = partial(two_leg_floor, (lam, mu))
         cells = [(i, j) for i in range(1, len(mu) + budget + 1)
                  for j in range(1, len(lam) + budget + 1)]
-
-        def level(x):
-            return two_leg_floor((lam, mu), *x) if min(x) >= 1 else WALL
-
-        return cells, level, _up_left, partial(TwoLegSPP, (lam, mu))
-    if kind == "two-leg-rpp":
-        if budget > 8:
-            raise DomainError("two-leg enumeration capped at deficit 8")
-        lam, mu = (as_partition(legs[0]), as_partition(legs[1]))
-        ceiling = partial(two_leg_ceiling, (lam, mu))
-        # a deficit above row 1 - budget (left of that column) repeats on
-        # every cell down to row 1 (right to column 1) and exceeds the budget;
-        # zero-ceiling cells hold no deficit and are left out
-        cells = [(i, j) for i in range(len(mu), -budget, -1)
-                 for j in range(len(lam), -budget, -1) if ceiling(i, j)]
-        return (cells, lambda x: -ceiling(*x), _down_right,
-                partial(TwoLegRPP, (lam, mu)))
-    raise DomainError(f"unknown family {kind!r}")
+        return (cells, lambda x: floor(*x) if min(x) >= 1 else WALL,
+                _up_left, partial(TwoLegSPP, (lam, mu)))
+    # zero-ceiling cells hold no deficit and are left out
+    ceiling = partial(two_leg_ceiling, (lam, mu))
+    cells = [(i, j) for i in range(len(mu), -budget, -1)
+             for j in range(len(lam), -budget, -1) if ceiling(i, j)]
+    return (cells, lambda x: -ceiling(*x), _down_right,
+            partial(TwoLegRPP, (lam, mu)))
 
 
 def _enumerate(kind: str, legs, budget: int) -> list:

@@ -163,41 +163,48 @@ def remove_corner(lam: Partition, cell: Cell) -> Partition:
 def interlacers_below(lam: Partition, max_loss: int | None = None
                       ) -> Iterator[Partition]:
     """All mu with lam >- mu and weight(lam) - weight(mu) <= max_loss (no
-    limit when max_loss is None); each mu_i ranges over an interval."""
+    limit when max_loss is None); each mu_i ranges over an interval.
+
+    Lexicographically decreasing, from mu = lam: each step lowers the last
+    part that can still fall and puts the parts after it back at lam's."""
     if max_loss is None:
         max_loss = weight(lam)
-    if max_loss >= 0:
-        yield from _below(lam, 1, max_loss, [])
-
-
-# _below and _above recurse at module level: a nested function that calls
-# itself is a reference cycle, which only the cyclic collector frees
-def _below(lam: Partition, i: int, budget: int, prefix: list[int]
-           ) -> Iterator[Partition]:
-    if i > len(lam):
-        yield as_partition(prefix)
+    if max_loss < 0:
         return
-    lo, hi = part(lam, i + 1), part(lam, i)
-    for v in range(hi, max(lo, hi - budget) - 1, -1):
-        prefix.append(v)
-        yield from _below(lam, i + 1, budget - (hi - v), prefix)
-        prefix.pop()
+    mu, floors, loss = list(lam), lam[1:] + (0,), 0
+    while True:
+        yield as_partition(mu)
+        i = len(mu) - 1
+        while i >= 0 and (mu[i] == floors[i] or loss == max_loss):
+            loss -= lam[i] - mu[i]
+            mu[i] = lam[i]
+            i -= 1
+        if i < 0:
+            return
+        mu[i] -= 1
+        loss += 1
 
 
 def interlacers_above(lam: Partition, max_gain: int) -> Iterator[Partition]:
-    """All mu >- lam with weight(mu) - weight(lam) <= max_gain."""
-    if max_gain >= 0:
-        yield from _above(lam, part(lam, 1) + max_gain, 1, max_gain, [])
+    """All mu >- lam with weight(mu) - weight(lam) <= max_gain.
 
-
-def _above(lam: Partition, cap: int, i: int, budget: int, prefix: list[int]
-           ) -> Iterator[Partition]:
-    if i > len(lam) + 1:
-        yield as_partition(prefix)
+    Lexicographically decreasing: each step lowers the last part above lam's
+    and raises the parts after it as far as the budget and lam allow."""
+    if max_gain < 0:
         return
-    lo = part(lam, i)
-    hi = min(part(lam, i - 1) if i > 1 else cap, lo + budget)
-    for v in range(hi, lo - 1, -1):
-        prefix.append(v)
-        yield from _above(lam, cap, i + 1, budget - (v - lo), prefix)
-        prefix.pop()
+    floors = lam + (0,)
+    tops = (part(lam, 1) + max_gain,) + lam
+    mu, gain, i = list(floors), 0, 0
+    while True:
+        for k in range(i, len(mu)):
+            mu[k] = min(tops[k], floors[k] + max_gain - gain)
+            gain += mu[k] - floors[k]
+        yield as_partition(mu)
+        i = len(mu) - 1
+        while i >= 0 and mu[i] == floors[i]:
+            i -= 1
+        if i < 0:
+            return
+        mu[i] -= 1
+        gain -= 1
+        i += 1

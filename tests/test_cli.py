@@ -605,6 +605,20 @@ def test_enumerate_on_a_long_leg(family, legs, corner):
     assert tallies[0] == tallies[1] and tallies[0][2]
 
 
+@pytest.mark.parametrize("flag", ["--two-leg", "--two-leg-rpp"])
+def test_two_leg_series_on_long_columns(flag):
+    # a state's interlacers are built in one loop, not one call per part, so
+    # legs of 1,500 parts run; up to degree 2 their series is that of three
+    # rows of 1
+    outs = []
+    for leg in (LONG_COLUMN, "1,1,1"):
+        code, out, err = run_capped("series", flag, f"{leg}/{leg}",
+                                    "--degree", "2")
+        assert code == 0 and "Traceback" not in err
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_verify_one_leg_on_a_long_row():
     code, out, err = run_capped("verify", "--suite", "ptdt-one-leg",
                                 "--lambda", LONG_ROW, "--degree", "2")

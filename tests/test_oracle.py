@@ -11,7 +11,8 @@ from pptoggle.configurations import TwoLegSPP, cfg_weight
 from pptoggle.errors import DomainError
 from pptoggle.halfint import HalfInt
 from pptoggle.oracle import (WeightCensus, _base_weight, _count, _family,
-                             _fill, census_series, count_partitions_pentagonal,
+                             _fill, _runs, census_series,
+                             count_partitions_pentagonal,
                              enum_configs, enum_one_leg_rpp, enum_one_leg_spp,
                              enum_partitions, enum_plane_partitions,
                              enum_two_leg_rpp, enum_two_leg_spp,
@@ -162,6 +163,31 @@ def test_count_matches_the_enumeration(family, budget, doubled):
     want = Counter(w for w, _ in weighed_members(kind, legs, bound))
     counts = WeightCensus.take(kind, legs, bound).counts
     assert counts == want and all(counts.values())
+
+
+def _support(cfg) -> dict:
+    return next(cells for cells in (getattr(cfg, name, None) for name in
+                                    ("entries", "excess", "deficit"))
+                if cells is not None)
+
+
+def test_the_cone_rule_keeps_exactly_the_cells_members_use():
+    # a cell is kept iff some member is nonzero there: the rule prunes no
+    # cell a member needs, and keeps none that is 0 in every member
+    cases = ([("plane", None, budget) for budget in range(8)]
+             + [(kind, lam, budget) for kind in ("one-leg-spp", "one-leg-rpp")
+                for lam in partitions_up_to(4) for budget in range(6)]
+             + [(kind, (lam, mu), budget)
+                for kind in ("two-leg-spp", "two-leg-rpp")
+                for lam in SHAPES for mu in SHAPES for budget in range(5)])
+    assert len(cases) == 642
+    for kind, legs, budget in cases:
+        cells, level, before, _ = _family(kind, legs, budget)
+        kept = {x for run, _ in _runs(cells, level, before, budget)
+                for x in run}
+        used = {x for cfg in enum_configs(kind, legs, budget)
+                for x in _support(cfg)}
+        assert kept == used, (kind, legs, budget)
 
 
 def test_oracle_is_independent_of_series_and_bijections():

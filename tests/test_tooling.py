@@ -106,13 +106,14 @@ def test_each_shape_table_is_built_in_one_place():
     assert "_conjugate" in _called(partitions["_lengths"])
 
 
-def test_the_oracle_does_not_recurse():
-    # its walks loop over rows, so a long leg cannot exhaust the stack; only
-    # _partitions recurses, once per part, and enum_partitions caps the
-    # weight at 40
-    oracle = _functions(ROOT / "src/pptoggle/oracle.py")
-    recursive = {name for name, fn in oracle.items() if name in _called(fn)}
-    assert recursive == {"_partitions"}
+def test_no_function_calls_itself():
+    # the oracle's walks loop over rows and the interlacers over parts, so a
+    # long leg cannot exhaust the stack
+    recursive = [f"{path.stem}.{fn.name}"
+                 for path in sorted((ROOT / "src/pptoggle").glob("*.py"))
+                 for fn in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(fn, ast.FunctionDef) and fn.name in _called(fn)]
+    assert not recursive
 
 
 def _integer_expression(node) -> bool:
