@@ -13,57 +13,41 @@ Group, 2.7), with a bead on each vertical label. An outside n-hook is a bead
 with a gap n above it (an outer corner of its runner), an n-hook of the
 diagram a gap with a bead n above it (an inner corner). Signed powers,
 quotients and the hook redistribution map are all read off these runners.
-A shape's edge labels and each n's runner tops are read once, in bounded
-private memos keyed by the shape as a tuple.
+Whether a label is a bead, and a gap's column, are counted from lam's rows
+by `rows_past`, so no table grows with lam_1; each n's runner tops are read
+once, in a bounded private memo keyed by the shape and n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
 
 from .errors import DomainError, InvariantError
 from .halfint import HalfInt
-from .partitions import Cell, Partition, as_partition, contains, hook_length, part
+from .partitions import (Cell, Partition, as_partition, contains, hook_length,
+                         part, rows_past)
 
 
-class _Edges(NamedTuple):
-    """lam's edge labels, read once per shape by _edges and shared by every
-    caller, so every field is read-only: `row` maps each vertical label
-    lam_i - i to its row i, `labels` lists the window's horizontal labels in
-    increasing order (column j's at j - 1), and `col` maps each of them to
-    its column. Past the window, label h is horizontal with column h + 1."""
-
-    lo: int
-    row: Mapping[int, int]
-    labels: tuple[int, ...]
-    col: Mapping[int, int]
-
-    def horizontal(self, m: int) -> bool:
-        return m >= self.lo and m not in self.row
-
-    def label_of_col(self, j: int) -> int:
-        return self.labels[j - 1] if j <= len(self.labels) else j - 1
-
-    def col_of(self, h: int) -> int:
-        return self.col[h] if h in self.col else h + 1
-
-
-@lru_cache(maxsize=1 << 10)
-def _edges(lam: Partition) -> _Edges:
-    """The edge table of lam, given as a tuple."""
-    row = {p - i: i for i, p in enumerate(lam, start=1)}
-    labels = tuple(m for m in range(-len(lam), part(lam, 1)) if m not in row)
-    col = {h: j for j, h in enumerate(labels, start=1)}
-    return _Edges(-len(lam), MappingProxyType(row), labels,
-                  MappingProxyType(col))
+def _column(lam: Partition, m: int) -> int | None:
+    """The column of edge m if it is horizontal, None if it is vertical.
+    Below the window every edge is vertical, and above it horizontal in
+    column m + 1. Inside it the rows past m come first, so m is the next
+    row's label or a gap, and the gap's column is one past m plus those
+    rows."""
+    if m < -len(lam):
+        return None
+    if m >= part(lam, 1):
+        return m + 1
+    past = rows_past(lam, m)
+    if past < len(lam) and lam[past] - past - 1 == m:
+        return None
+    return m + 1 + past
 
 
 def edge_sign(lam: Partition, n: int) -> int:
     """+1 if boundary edge n is horizontal, -1 if vertical."""
-    return 1 if _edges(tuple(lam)).horizontal(n) else -1
+    return 1 if _column(lam, n) is not None else -1
 
 
 def edge_power(lam: Partition, n: int) -> HalfInt:
@@ -98,23 +82,24 @@ def hook_pivots_outside(lam: Partition, n: int) -> list[Cell]:
     """Pivots of all n-hooks of the outside region (complete, finite): each
     row's bead with a gap n above it."""
     _check_hook_length(n)
-    edges = _edges(tuple(lam))
     pivots = []
     for row in range(1, len(lam) + n + 1):
-        h = part(lam, row) - row + n
-        if edges.horizontal(h):
-            pivots.append((row, edges.col_of(h)))
+        col = _column(lam, part(lam, row) - row + n)
+        if col is not None:
+            pivots.append((row, col))
     return pivots
 
 
 def hook_pivots_inside(lam: Partition, n: int) -> list[Cell]:
-    """Pivots of all n-hooks of the diagram itself: each column's gap with
-    a bead n above it."""
+    """Pivots of all n-hooks of the diagram itself: each row's bead with a
+    gap n below it, in (row, col) order."""
     _check_hook_length(n)
-    edges = _edges(tuple(lam))
-    return sorted((edges.row[h + n], col)
-                  for col, h in enumerate(edges.labels, start=1)
-                  if h + n in edges.row)
+    pivots = []
+    for row, p in enumerate(lam, start=1):
+        col = _column(lam, p - row - n)
+        if col is not None:
+            pivots.append((row, col))
+    return pivots
 
 
 @dataclass(frozen=True)
@@ -137,17 +122,14 @@ def redistribute(lam: Partition, cell: Cell) -> HookTarget:
     """
     if contains(lam, cell):
         raise DomainError(f"{cell} is a box of {lam}, not outside it")
-    row, col = cell
-    edges = _edges(tuple(lam))
+    row = cell[0]
     k = part(lam, row) - row
-    n = edges.label_of_col(col) - k
-    if n != hook_length(lam, cell, "outside"):
-        raise InvariantError("edge labels give the hook length", (lam, cell))
+    n = hook_length(lam, cell, "outside")
     runners = set()  # the runners with a bead above k
     for above in range(row - 1, 0, -1):
         v = part(lam, above) - above
         if (v - k) % n == 0:
-            return HookTarget("in-lambda", (above, edges.col[v - n]))
+            return HookTarget("in-lambda", (above, _column(lam, v - n)))
         runners.add(v % n)
     # k tops its runner, and every runner without a bead above k tops out
     # below it
@@ -165,18 +147,17 @@ def redistribute_inverse(lam: Partition, target: HookTarget) -> Cell:
             raise DomainError(f"cells are 1-indexed: {target.cell!r}")
         n = r + s - 1
         row = _runner_tops(tuple(lam), n)[s - 1]
-        return (row, _edges(tuple(lam)).col_of(part(lam, row) - row + n))
-    row, col = target.cell
+        return (row, _column(lam, part(lam, row) - row + n))
+    row = target.cell[0]
     if not contains(lam, target.cell):
         raise DomainError(f"{target.cell} is not a box of {lam}")
-    edges = _edges(tuple(lam))
     k = lam[row - 1] - row
-    n = k - edges.labels[col - 1]
+    n = hook_length(lam, target.cell, "inside")
     # the next bead down the runner opens the outer corner below
     for below in range(row + 1, len(lam) + n + 1):
         v = part(lam, below) - below
         if (k - v) % n == 0:
-            return (below, edges.col[v + n])
+            return (below, _column(lam, v + n))
     raise InvariantError("no preceding outer corner found", (lam, target))
 
 

@@ -16,7 +16,7 @@ from itertools import zip_longest
 from .errors import DomainError, InvariantError
 from .halfint import HalfInt
 from .partitions import (Cell, Partition, as_partition, contains,
-                         hook_length, part)
+                         hook_length, part, rows_past)
 
 WALL = 1 << 60  # the value read off a filling's domain: it caps nothing
 
@@ -269,11 +269,9 @@ def _layout(cls, key):
         return lambda d: 1 - d if d < 0 else 1
     if cls is not OneLegSPP:
         raise DomainError(f"no diagonal reading for {cls.__name__}")
-    # one row past the shape's last box on each diagonal it meets; the shape
-    # is an order ideal, so its boxes on d run from d's first cell
-    past = {j - i: i + 1 for i, p in enumerate(key, start=1)
-            for j in range(1, p + 1)}
-    return lambda d: past.get(d, 1 - d if d < 0 else 1)
+    # one row past the shape's last box on d: the rows meeting d at or past
+    # its end, lam_i - i >= d, come first, and d starts in row max(1, 1 - d)
+    return lambda d: max(1 - d, 1 + rows_past(key, d - 1))
 
 
 def _level_diagonals(cls, legs, ds) -> dict[int, Partition]:

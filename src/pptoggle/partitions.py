@@ -6,15 +6,18 @@ the usual matrix picture of a Young diagram with row 1 on top. The *outside*
 region of a diagram is the complement of the diagram inside the positive
 quadrant; hooks are defined in both regions.
 
-Each shape's conjugate is computed once, in a bounded private table keyed by
-the shape as a tuple; hook lengths and hook cells read row and column lengths
-straight from the shape and that table. The public functions stay plain.
+A shape's columns and diagonals are counted from its rows, so no table grows
+with its first part: column_length bisects the decreasing parts, and
+rows_past bisects the rising contents i - lam_i, held once per shape in one
+bounded private memo of len(lam) ints. Hook lengths and hook cells read row
+and column lengths through them; the public functions stay plain.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from operator import lt
+from operator import lt, neg
 from typing import Iterator
 
 from .errors import DomainError
@@ -48,20 +51,28 @@ def weight(lam: Partition) -> int:
     return sum(lam)
 
 
-def conjugate(lam: Partition) -> Partition:
-    return _conjugate(tuple(lam))
+def column_length(lam: Partition, j: int) -> int:
+    """#{i : lam_i >= j}, the length of column j >= 1: a bisection of the
+    decreasing parts."""
+    return bisect_right(lam, -j, key=neg)
+
+
+def rows_past(lam: Partition, d: int) -> int:
+    """#{i <= len(lam) : lam_i - i > d}. The contents lam_i - i fall
+    strictly, so these rows are the first ones, and their count a bisection
+    of the rising i - lam_i."""
+    return bisect_left(_rising(tuple(lam)), -d)
 
 
 @lru_cache(maxsize=1 << 10)
-def _conjugate(lam: Partition) -> Partition:
-    """The column lengths of lam, read once per shape."""
-    if not lam:
-        return ()
-    cols = [0] * lam[0]
-    for p in lam:
-        for j in range(p):
-            cols[j] += 1
-    return tuple(cols)
+def _rising(lam: Partition) -> tuple[int, ...]:
+    """i - lam_i for each row i of lam, read once per shape."""
+    return tuple(i - p for i, p in enumerate(lam, start=1))
+
+
+def conjugate(lam: Partition) -> Partition:
+    """The column lengths of lam, lam_1 of them."""
+    return tuple(column_length(lam, j) for j in range(1, part(lam, 1) + 1))
 
 
 def contains(lam: Partition, cell: Cell) -> bool:
@@ -87,14 +98,12 @@ def interlaces(lam: Partition, mu: Partition) -> bool:
 
 
 def _lengths(lam: Partition, cell: Cell) -> tuple[int, int]:
-    """The lengths of cell's row and column of lam, from the shape and its
-    conjugate table; a cell off the quadrant raises DomainError."""
+    """The lengths of cell's row and column of lam; a cell off the quadrant
+    raises DomainError."""
     i, j = cell
     if i < 1 or j < 1:
         raise DomainError(f"cells are 1-indexed: {cell!r}")
-    conj = _conjugate(lam)
-    return (lam[i - 1] if i <= len(lam) else 0,
-            conj[j - 1] if j <= len(conj) else 0)
+    return lam[i - 1] if i <= len(lam) else 0, column_length(lam, j)
 
 
 def hook_length(lam: Partition, cell: Cell, region: str) -> int:

@@ -39,6 +39,13 @@ from .configurations import minimal_weight
 # while `verify --suite all` stays at 60.
 MAX_STATES = 1 << 14
 
+# Most operators a shape word may hold, checked before it is built: a word
+# grows with the degree and, for one leg, with lam_1 + len(lam), and one of
+# 2 * 10^8 operators runs out of memory. Every word of the tests, suites and
+# benchmark holds at most 164 (MacMahon's at degree 40), and `series
+# --one-leg 65536 --degree 2`, 131,086 operators, still runs in about 2 s.
+MAX_WORD_OPS = 1 << 18
+
 
 class TruncatedSeries:
     """Map exponent -> integer coefficient, valid up to a degree bound."""
@@ -357,8 +364,12 @@ def shape_word(kind: str, legs, cutoff: int) -> OperatorWord:
     """Build the operator word for a shape family.
 
     kind: "one-leg" (legs is a single partition), "two-leg-spp",
-    "two-leg-rpp" (legs is a pair), or "macmahon".
+    "two-leg-rpp" (legs is a pair), or "macmahon". Every word holds
+    2 * cutoff operators; over MAX_WORD_OPS raises DomainError.
     """
+    if 2 * cutoff > MAX_WORD_OPS:
+        raise DomainError(f"a word of {2 * cutoff} operators is over the cap "
+                          f"of {MAX_WORD_OPS}")
     if kind == "macmahon":
         return macmahon_word(cutoff)
     if kind == "one-leg":

@@ -4,10 +4,12 @@ from pptoggle import boundary, partitions
 from pptoggle.boundary import (HookTarget, edge_power, edge_sign,
                                hook_pivots_inside, hook_pivots_outside,
                                n_quotient, redistribute, redistribute_inverse)
+from pptoggle.configurations import OneLegSPP, _layout
 from pptoggle.errors import DomainError
 from pptoggle.halfint import HalfInt
 from pptoggle.oracle import partitions_up_to
-from pptoggle.partitions import contains, hook_cells, hook_length
+from pptoggle.partitions import (column_length, contains, hook_cells,
+                                 hook_length, part, rows_past)
 
 
 def test_edge_sign_patterns():
@@ -146,20 +148,54 @@ def _row_scan_edge_sign(lam, n):
 
 
 def _clear_shape_tables():
-    partitions._conjugate.cache_clear()
-    boundary._edges.cache_clear()
+    partitions._rising.cache_clear()
     boundary._runner_tops.cache_clear()
+
+
+HUGE_SHAPES = [(10 ** 8,), (1,) * 1500, (5, 5, 1)]
+
+
+def _window(lam):
+    """Columns j and diagonals d around lam's corners, where its counts
+    change: two either side of each row's end and of each row's content,
+    and of the column and the diagonal one past the last row."""
+    rows = [(i, part(lam, i)) for i in range(1, len(lam) + 2)
+            if i == 1 or part(lam, i - 1) > part(lam, i)]
+    cols = {j for _, p in rows for j in range(max(1, p - 2), p + 3)}
+    diags = {d for i, p in rows for d in range(p - i - 2, p - i + 3)}
+    return sorted(cols), sorted(diags)
+
+
+def _first_row_off(lam, d):
+    """The first row i >= max(1, 1 - d) with (i, i + d) outside lam."""
+    i = max(1, 1 - d)
+    while contains(lam, (i, i + d)):
+        i += 1
+    return i
 
 
 def test_shape_tables_match_the_per_cell_definitions():
     # every shape of weight <= 8, as a tuple and as a list, read through
-    # cold tables and then through the warm ones they left behind
+    # cold tables and then through the warm ones they left behind; the row
+    # counts and the codec's layout also on shapes whose first row or first
+    # column is long, around their corners
     _clear_shape_tables()
+    shapes = partitions_up_to(8)
     for _ in ("cold", "warm"):
-        for shape in partitions_up_to(8):
+        for shape in shapes + HUGE_SHAPES:
             for lam in (shape, list(shape)):
+                cols, diags = _window(lam)
+                for j in cols:
+                    assert column_length(lam, j) == sum(p >= j for p in lam)
+                first = _layout(OneLegSPP, lam)
+                for d in diags:
+                    assert rows_past(lam, d) == sum(
+                        p - i > d for i, p in enumerate(lam, start=1))
+                    assert first(d) == _first_row_off(lam, d)
                 for n in range(-12, 12):
                     assert edge_sign(lam, n) == _row_scan_edge_sign(lam, n)
+                if shape in HUGE_SHAPES:
+                    continue
                 for i in range(1, 11):
                     for j in range(1, 11):
                         inside = contains(lam, (i, j))
@@ -169,4 +205,5 @@ def test_shape_tables_match_the_per_cell_definitions():
                         if not inside:
                             target = redistribute(lam, (i, j))
                             assert redistribute_inverse(lam, target) == (i, j)
-        assert boundary._edges.cache_info().currsize == len(partitions_up_to(8))
+        assert (partitions._rising.cache_info().currsize
+                == len(shapes) + len(HUGE_SHAPES))

@@ -605,6 +605,45 @@ def test_enumerate_on_a_long_leg(family, legs, corner):
     assert tallies[0] == tallies[1] and tallies[0][2]
 
 
+# the one-leg maps and a tableau's hook lengths count the shape's columns
+# from its rows, so a row of 10^8 costs what a short one does
+@pytest.mark.parametrize("argv, payload, want, says", [
+    (["biject", "one-leg", "--round-trip"],
+     {"type": "one-leg-spp", "legs": [[10 ** 8]], "entries": [[2, 1, 1]]},
+     0, "PASS round-trip\nPASS weight"),
+    (["biject", "plane", "--direction", "inverse"],
+     {"type": "hook-tableau", "region": "outside", "legs": [[10 ** 8]],
+      "values": [[2, 1, 1]]}, 2, "expected a tableau on the full quadrant"),
+], ids=["one-leg-round-trip", "outside-tableau"])
+def test_payload_verbs_on_a_long_row(tmp_path, argv, payload, want, says):
+    src = tmp_path / "cfg.json"
+    src.write_text(json.dumps(payload))
+    code, out, err = run_capped(*argv, "--input", str(src))
+    assert code == want and "Traceback" not in err
+    assert says in out + err and "FAIL" not in out
+
+
+@pytest.mark.parametrize("family", ["one-leg-spp", "one-leg-rpp"])
+def test_verify_census_on_a_long_row(tmp_path, family):
+    code, out, err = run_capped("enumerate", "--family", family,
+                                "--legs", LONG_ROW, "--bound", "2")
+    assert code == 0
+    census = tmp_path / "census.jsonl"
+    census.write_text(out)
+    code, out, err = run_capped("verify", "--census", str(census))
+    assert code == 0 and "Traceback" not in err
+    assert f"PASS census-{family}" in out
+
+
+@pytest.mark.parametrize("argv", [["--one-leg", LONG_ROW, "--degree", "2"],
+                                  ["--macmahon", "--degree", "1000000"]])
+def test_series_refuses_a_word_over_the_cap(argv):
+    # series.MAX_WORD_OPS is checked before the word is built
+    code, out, err = run_capped("series", *argv)
+    assert code == 2 and "Traceback" not in err
+    assert "operators is over the cap" in err
+
+
 @pytest.mark.parametrize("flag", ["--two-leg", "--two-leg-rpp"])
 def test_two_leg_series_on_long_columns(flag):
     # a state's interlacers are built in one loop, not one call per part, so

@@ -291,6 +291,12 @@ def test_truncation_keeps_min_of_bounds():
 def test_shape_word_rejects_bad_cutoff():
     with pytest.raises(DomainError):
         one_leg_word((1,), 0)
+    # a word over the operator cap is refused before it is built
+    over = series.MAX_WORD_OPS // 2 + 1
+    for kind, legs in (("macmahon", ()), ("one-leg", (1,)),
+                       ("two-leg-spp", ((1,), ())), ("two-leg-rpp", ((), (1,)))):
+        with pytest.raises(DomainError, match="over the cap"):
+            shape_word(kind, legs, over)
 
 
 def test_one_leg_evaluation_against_enumerated_fillings():

@@ -77,33 +77,26 @@ def _memoised(fn: ast.FunctionDef) -> bool:
 
 
 def test_each_shape_table_is_built_in_one_place():
-    # an edge table is built only inside boundary's memo _edges, and a
-    # conjugate computed only inside partitions' memo _conjugate; the public
-    # conjugate is one read of that table, and the rest of partitions reads
-    # the table directly
-    building, conjugates, constructions = set(), set(), []
+    # a shape's columns and diagonals are counted from its rows: the one
+    # per-shape table is partitions' memo _rising, of len(lam) ints, built
+    # nowhere else; _lengths and the public conjugate read column_length,
+    # and boundary keeps only the runner tops, keyed by (shape, n)
+    memos, rising = set(), set()
     for path in sorted((ROOT / "src").rglob("*.py")):
-        constructions += [path.stem
-                          for node in ast.walk(ast.parse(path.read_text()))
-                          if isinstance(node, ast.Call)
-                          and getattr(node.func, "id", None) == "_Edges"]
         for name, fn in _functions(path).items():
-            if "_Edges" in _called(fn):
-                building.add((path.stem, name))
-            if "conjugate" in name:
-                conjugates.add((path.stem, name))
-    assert constructions == ["boundary"]
-    assert building == {("boundary", "_edges")}
-    assert conjugates == {("partitions", "conjugate"),
-                          ("partitions", "_conjugate")}
+            if _memoised(fn):
+                memos.add((path.stem, name))
+            if "_rising" in _called(fn):
+                rising.add((path.stem, name))
+    assert {m for m in memos if m[0] in ("partitions", "boundary")} == {
+        ("partitions", "_rising"), ("boundary", "_runner_tops")}
+    assert rising == {("partitions", "rows_past")}
 
     boundary = _functions(ROOT / "src/pptoggle/boundary.py")
     partitions = _functions(ROOT / "src/pptoggle/partitions.py")
-    assert _memoised(boundary["_edges"]) and _memoised(partitions["_conjugate"])
-    (body,) = partitions["conjugate"].body
-    assert isinstance(body, ast.Return) and body.value.func.id == "_conjugate"
-    assert not any("conjugate" in _called(fn) for fn in partitions.values())
-    assert "_conjugate" in _called(partitions["_lengths"])
+    assert [a.arg for a in boundary["_runner_tops"].args.args] == ["lam", "n"]
+    assert "column_length" in _called(partitions["_lengths"])
+    assert "column_length" in _called(partitions["conjugate"])
 
 
 def test_no_function_calls_itself():
