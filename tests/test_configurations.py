@@ -172,9 +172,54 @@ def window_accepts_rpp(legs, deficit):
                for (ni, nj) in ((i + 1, j), (i, j + 1)))
 
 
-def accepts(cls, legs, support):
+def in_shape(lam, i, j):
+    return i >= 1 and 1 <= j <= part(lam, i)
+
+
+def window_accepts_pp(entries):
+    """Quadrant check, then monotonicity over a window past the support."""
+    def at(i, j):
+        return WALL if i < 1 or j < 1 else entries.get((i, j), 0)
+
+    if any(i < 1 or j < 1 for (i, j) in entries):
+        return False
+    span = 2 + max([0] + [max(c) for c in entries])
+    return all(at(i, j) <= min(at(i - 1, j), at(i, j - 1))
+               for i in range(1, span + 1) for j in range(1, span + 1))
+
+
+def window_accepts_one_leg_spp(lam, entries):
+    """Support in the quadrant past lam, then monotonicity over a window:
+    a cell of lam, like one off the quadrant, caps nothing."""
+    def off(i, j):
+        return i < 1 or j < 1 or in_shape(lam, i, j)
+
+    def at(i, j):
+        return WALL if off(i, j) else entries.get((i, j), 0)
+
+    if any(off(i, j) for (i, j) in entries):
+        return False
+    span = 2 + max([len(lam), part(lam, 1)] + [max(c) for c in entries])
+    return all(at(i, j) <= min(at(i - 1, j), at(i, j - 1))
+               for i in range(1, span + 1) for j in range(1, span + 1)
+               if not off(i, j))
+
+
+def window_accepts_one_leg_rpp(lam, entries):
+    """Support in lam, then each box of lam at most its lower and right
+    neighbours in lam."""
+    if any(not in_shape(lam, i, j) for (i, j) in entries):
+        return False
+    boxes = [(i, j) for i in range(1, len(lam) + 1)
+             for j in range(1, part(lam, i) + 1)]
+    return all(entries.get((i, j), 0) <= entries.get(n, 0)
+               for (i, j) in boxes for n in ((i + 1, j), (i, j + 1))
+               if in_shape(lam, *n))
+
+
+def accepts(cls, *args):
     try:
-        cls(legs, support)
+        cls(*args)
     except DomainError:
         return False
     return True
@@ -183,8 +228,8 @@ def accepts(cls, legs, support):
 small_legs = st.sampled_from([(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)])
 
 
-def supports(lo):
-    cells = st.tuples(st.integers(lo, 5), st.integers(lo, 5))
+def supports(lo, hi=5):
+    cells = st.tuples(st.integers(lo, hi), st.integers(lo, hi))
     return st.dictionaries(cells, st.integers(1, 3), max_size=5)
 
 
@@ -194,6 +239,18 @@ def test_two_leg_checks_match_window_scan(lam, mu, excess, deficit):
     legs = (lam, mu)
     assert accepts(TwoLegSPP, legs, excess) == window_accepts_spp(legs, excess)
     assert accepts(TwoLegRPP, legs, deficit) == window_accepts_rpp(legs, deficit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_legs, supports(-1), supports(0, 3))
+def test_plane_and_one_leg_checks_match_window_scan(lam, cells, more):
+    # the supports draw cells off the quadrant, on lam's boxes and off them
+    assert accepts(PlanePartition, cells) == window_accepts_pp(cells)
+    for entries in (cells, more):
+        assert (accepts(OneLegSPP, lam, entries)
+                == window_accepts_one_leg_spp(lam, entries))
+        assert (accepts(OneLegRPP, lam, entries)
+                == window_accepts_one_leg_rpp(lam, entries))
 
 
 def test_tableau_weights():
