@@ -58,12 +58,6 @@ def parse_legs(text: str):
     return parse_partition(parts[0]), parse_partition(parts[1])
 
 
-def series_text(s: sr.TruncatedSeries) -> str:
-    if not s.coeffs:
-        return "0"
-    return " + ".join(f"{c}*q^{HalfInt(e)}" for e, c in sorted(s.coeffs.items()))
-
-
 def _digest(obj) -> str:
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       default=str).encode()
@@ -119,7 +113,7 @@ def cmd_series(args) -> int:
     else:
         kind, legs = "two-leg-rpp", parse_legs(args.two_leg_rpp)
     result = sr.evaluate_stable(kind, legs, degree)
-    report.emit(series_text(result))
+    report.emit(str(result))
     if args.cross_check:
         if kind == "macmahon":
             census = oc.census_series(oc.WeightCensus.take("plane", None, degree))
@@ -140,7 +134,7 @@ def cmd_series(args) -> int:
             rhs = (m * other) if kind == "two-leg-spp" else (m * result)
             residual = lhs - rhs
             report.check("product-identity", residual.is_zero(),
-                         f"residual {series_text(residual)}")
+                         f"residual {residual}")
     return report.finish()
 
 
@@ -265,22 +259,26 @@ def cmd_toggle(args) -> int:
 
 def cmd_verify(args) -> int:
     report = Report(args)
-    overrides = {}
-    if args.degree is not None:
-        overrides["degree"] = args.degree
-    if args.max_part is not None:
-        overrides["max_part"] = args.max_part
-    if args.max_weight is not None:
-        overrides["max_weight"] = args.max_weight
-    if args.shape is not None:
-        overrides["shapes"] = (parse_partition(args.shape),)
+    # each bound flag given, with the suite parameter it sets
+    given = {flag: (key, value) for flag, key, value in (
+        ("--degree", "degree", args.degree),
+        ("--max-part", "max_part", args.max_part),
+        ("--max-weight", "max_weight", args.max_weight),
+        ("--lambda", "shapes", None if args.shape is None
+         else (parse_partition(args.shape),))) if value is not None}
     if args.census:
+        for flag in given:
+            raise DomainError(f"{flag} is not read by --census")
         return _verify_census(args, report)
-    names = "all" if args.suite == "all" else [args.suite]
     if args.suite == "none":
         report.emit("no suites requested; vacuous pass")
         return report.finish()
-    results = vf.run_suites(names, **overrides)
+    names = "all" if args.suite == "all" else [args.suite]
+    taken = set().union(*vf.suite_parameters(names).values())
+    for flag, (key, _) in given.items():
+        if key not in taken:
+            raise DomainError(f"{flag} is read by no requested suite")
+    results = vf.run_suites(names, **dict(given.values()))
     for row in results:
         report.check(row.name, row.passed, row.text())
     return report.finish()

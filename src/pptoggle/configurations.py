@@ -4,7 +4,8 @@ Infinite pictures are never materialised: two-leg objects store only the
 excess over (or deficit under) the leg-determined floor/ceiling, and every
 read goes through the reconstruction formula. Diagonals are indexed by
 n = col - row, so far-positive diagonals of a two-leg object equal the row
-leg mu, far-negative ones the column leg lam.
+leg mu, far-negative ones the column leg lam. A filling's `at` reads WALL
+off its domain, and FILLINGS gives its order: nothing else states either.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from itertools import zip_longest
 
 from .errors import DomainError, InvariantError
 from .halfint import HalfInt
-from .partitions import (Cell, Partition, as_partition, contains,
-                         hook_length, part, rows_past)
+from .partitions import (Cell, Partition, as_partition, hook_length, part,
+                         rows_past)
 
 WALL = 1 << 60  # the value read off a filling's domain: it caps nothing
 
@@ -58,14 +59,26 @@ def _normalise(cfg, name: str):
         object.__setattr__(cfg, name, normal)
 
 
-def _check_decreasing(cfg, cells):
-    """Reject cells off the quadrant, and cells whose value exceeds the one
-    above or to the left (cfg.at reads a wall off the quadrant)."""
+def bounding_cells(k: int, cell: Cell) -> tuple[Cell, Cell]:
+    """The two neighbours that bound cell in a filling of order k: the cells
+    above and to its left (k = 1), or below and to its right (k = -1)."""
+    i, j = cell
+    return ((i - k, j), (i, j - k))
+
+
+def _check_order(cfg, cells):
+    """Reject a cell off cfg's domain (cfg.at reads WALL there), or one out
+    of order with a bounding neighbour (see FILLINGS). The zero filling is
+    in order, so a cell off the support, on its level, is in order with
+    neighbours on or past theirs: checking the support suffices."""
+    k, sign, _ = FILLINGS[type(cfg)]
+    at = cfg.at
     for (i, j) in cells:
-        if i < 1 or j < 1:
-            raise DomainError(f"cell off the quadrant: {(i, j)}")
-        if cfg.at(i, j) > min(cfg.at(i - 1, j), cfg.at(i, j - 1)):
-            raise DomainError(f"rows/columns must weakly decrease at {(i, j)}")
+        v = at(i, j)
+        if v == WALL:
+            raise DomainError(f"cell off the domain: {(i, j)}")
+        if sign * v > sign * at(i - k, j) or sign * v > sign * at(i, j - k):
+            raise DomainError(f"cell out of order: {(i, j)}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +89,7 @@ class PlanePartition:
 
     def __post_init__(self):
         _check_support(self.entries, "plane partition")
-        _check_decreasing(self, self.entries)
+        _check_order(self, self.entries)
 
     @staticmethod
     def from_rows(rows) -> "PlanePartition":
@@ -113,16 +126,12 @@ class OneLegSPP:
     def __post_init__(self):
         _normalise(self, "shape")
         _check_support(self.entries, "skew plane partition")
-        for (i, j) in self.entries:
-            if contains(self.shape, (i, j)):
-                raise DomainError(f"support must avoid the shape: {(i, j)}")
-            for (pi, pj) in ((i - 1, j), (i, j - 1)):
-                if pi >= 1 and pj >= 1 and not contains(self.shape, (pi, pj)):
-                    if self.at(pi, pj) < self.at(i, j):
-                        raise DomainError(
-                            f"rows/columns must weakly decrease at {(i, j)}")
+        _check_order(self, self.entries)
 
     def at(self, i: int, j: int) -> int:
+        """The entry at (i, j); WALL on the shape and off the quadrant."""
+        if i < 1 or j < 1 or j <= part(self.shape, i):
+            return WALL
         return self.entries.get((i, j), 0)
 
 
@@ -136,15 +145,12 @@ class OneLegRPP:
     def __post_init__(self):
         _normalise(self, "shape")
         _check_support(self.entries, "reverse plane partition")
-        for (i, j) in self.entries:
-            if not contains(self.shape, (i, j)):
-                raise DomainError(f"support must lie in the shape: {(i, j)}")
-        for (i, j) in list(self.entries):
-            for (ni, nj) in ((i + 1, j), (i, j + 1)):
-                if contains(self.shape, (ni, nj)) and self.at(ni, nj) < self.at(i, j):
-                    raise DomainError(f"rows/columns must weakly increase at {(i, j)}")
+        _check_order(self, self.entries)
 
     def at(self, i: int, j: int) -> int:
+        """The entry at (i, j); WALL off the shape's boxes."""
+        if not 1 <= j <= part(self.shape, i):
+            return WALL
         return self.entries.get((i, j), 0)
 
 
@@ -153,9 +159,7 @@ class TwoLegSPP:
     """Filling sitting on the two-leg floor max(lam_col, mu_row).
 
     Only the excess over the floor is stored, on cells of the quadrant; the
-    reconstructed values must still decrease along rows and columns. The
-    floor decreases, so a cell exceeding its upper or left neighbour has
-    more excess than that neighbour: checking the support suffices.
+    reconstructed values must still decrease along rows and columns.
     """
 
     legs: tuple[Partition, Partition]  # (lam indexes columns, mu indexes rows)
@@ -164,7 +168,7 @@ class TwoLegSPP:
     def __post_init__(self):
         _normalise(self, "legs")
         _check_support(self.excess, "excess")
-        _check_decreasing(self, self.excess)
+        _check_order(self, self.excess)
 
     def at(self, i: int, j: int) -> int:
         if i < 1 or j < 1:
@@ -181,8 +185,8 @@ class TwoLegRPP:
 
     Lives on cells with row >= 1 or col >= 1; indices <= 0 read the other
     leg's ceiling as unbounded. Only the deficit below the ceiling is stored.
-    The ceiling decreases, so a cell below its lower or right neighbour has
-    more deficit than that neighbour: checking the support suffices.
+    A deficit past its ceiling is refused as a cell out of order further
+    down its diagonal, where the values come back up to 0.
     """
 
     legs: tuple[Partition, Partition]
@@ -191,14 +195,7 @@ class TwoLegRPP:
     def __post_init__(self):
         _normalise(self, "legs")
         _check_support(self.deficit, "deficit")
-        for (i, j) in self.deficit:
-            if i < 1 and j < 1:
-                raise DomainError(f"cell outside the bent domain: {(i, j)}")
-            v = self.at(i, j)
-            if v < 0:
-                raise DomainError(f"deficit exceeds the ceiling at {(i, j)}")
-            if v < max(self.at(i + 1, j), self.at(i, j + 1)):
-                raise DomainError(f"rows/columns must weakly decrease at {(i, j)}")
+        _check_order(self, self.deficit)
 
     def at(self, i: int, j: int) -> int:
         c = two_leg_ceiling(self.legs, i, j)
@@ -246,15 +243,21 @@ class HookTableau:
 Configuration = (PlanePartition | OneLegSPP | OneLegRPP | TwoLegSPP
                  | TwoLegRPP | HookTableau)
 
+# Each filling's order, (k, sign, stored): sign * at(cell) may not exceed
+# sign * at(n) for the two bounding_cells(k, cell) n, above and to the left
+# (k = 1) or below and to the right (k = -1); `stored` names the field that
+# holds the support, which moves each value off the zero filling's by
+# sign. Every filling reads WALL off its domain, and its zero filling is its
+# level: 0, the two-leg floor or the two-leg ceiling.
+FILLINGS = {PlanePartition: (1, 1, "entries"),
+            OneLegSPP: (1, 1, "entries"),
+            OneLegRPP: (-1, 1, "entries"),
+            TwoLegSPP: (1, 1, "excess"),
+            TwoLegRPP: (-1, -1, "deficit")}
+
 
 # ---------------------------------------------------------------------------
 # the diagonal codec: every filling as its chain of diagonals d = col - row
-
-# two-leg fillings: the level each cell sits on, the stored field that
-# moves it, and the sign it moves it by
-_LEVELS = {TwoLegSPP: (two_leg_floor, "excess", 1),
-           TwoLegRPP: (two_leg_ceiling, "deficit", -1)}
-
 
 def _layout(cls, key):
     """Where a cls filling with shape or legs `key` puts its diagonals:
@@ -282,15 +285,15 @@ def _level_diagonals(cls, legs, ds) -> dict[int, Partition]:
 
 @lru_cache(maxsize=1 << 12)
 def _level_diagonal(cls, legs, d: int) -> Partition:
-    """Diagonal d of the zero filling cls(legs): the cell level read from
-    d's first cell, as _layout places it, up to the first 0. The level
-    decreases along the reading and is 0 once the leg indices it reads pass
-    the legs' lengths, so the walk stops within max(len(lam), len(mu))
-    cells, whatever the size of the parts. Memoised because every filling
+    """Diagonal d of the zero filling cls(legs): its values, the cell
+    levels, read through `at` from d's first cell, as _layout places it, up
+    to the first 0. The level decreases along the reading and is 0 once the
+    leg indices it reads pass the legs' lengths, so the walk stops within
+    max(len(lam), len(mu)) cells, whatever the size of the parts. Memoised because every filling
     on the same legs reads the same level diagonals."""
-    level = _LEVELS[cls][0]
+    level = cls(legs).at
     i, run = _layout(cls, legs)(d), []
-    while v := level(legs, i, i + d):
+    while v := level(i, i + d):
         run.append(v)
         i += 1
     return tuple(run)
@@ -302,8 +305,8 @@ def diagonals(cfg, ds) -> dict[int, Partition]:
     the excess or its ceiling less the deficit; the filling decreases along
     the reading, so its trailing zeros are all its zeros."""
     cls = type(cfg)
-    if cls in _LEVELS:
-        _, stored, sign = _LEVELS[cls]
+    if cls is TwoLegSPP or cls is TwoLegRPP:
+        _, sign, stored = FILLINGS[cls]
         first = _layout(cls, cfg.legs)
         vals = {d: list(nu)
                 for d, nu in _level_diagonals(cls, cfg.legs, ds).items()}
@@ -332,8 +335,8 @@ def from_diagonals(cls, key, diags: dict[int, Partition]):
     InvariantError."""
     first = _layout(cls, key)
     cells = {}
-    if cls in _LEVELS:
-        sign = _LEVELS[cls][2]
+    if cls is TwoLegSPP or cls is TwoLegRPP:
+        sign = FILLINGS[cls][1]
         levels = _level_diagonals(cls, key, diags)
         for d, nu in diags.items():
             base = levels[d]
@@ -387,7 +390,7 @@ def _minimal_weight(kind: str, legs: tuple[Partition, Partition]) -> HalfInt:
     for n in range(reach):
         doubled += (2 * n + 1) * (size[n] - size[n + 1])
         doubled += (2 * n + 1) * (size[-n] - size[-n - 1])
-    return HalfInt(_LEVELS[cls][2] * doubled)
+    return HalfInt(FILLINGS[cls][1] * doubled)
 
 
 def cfg_weight(cfg) -> HalfInt:

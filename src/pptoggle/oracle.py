@@ -2,8 +2,8 @@
 
 Everything here is deliberately independent of the series/bijection code
 paths. One table, `_family`, gives each family's band of cells, their level
-(zero, the two-leg floor, or the negated two-leg ceiling; a wall off the
-family's domain) and the neighbours that cap each cell's cost over its level.
+and the neighbours that cap each cell's cost over its level, both read off
+the family's zero member and its row of `configurations.FILLINGS`.
 `_runs` keeps the cells whose cone (the cells a nonzero cost forces nonzero)
 fits in the budget, one rule for every family, splits them into rows and
 reads each cell's caps, and one row walk reads that table two ways:
@@ -24,12 +24,12 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
 
-from .configurations import (WALL, OneLegRPP, OneLegSPP, PlanePartition,
-                             TwoLegRPP, TwoLegSPP, cfg_weight, minimal_weight,
-                             two_leg_ceiling, two_leg_floor)
+from .configurations import (FILLINGS, WALL, OneLegRPP, OneLegSPP,
+                             PlanePartition, TwoLegRPP, TwoLegSPP,
+                             bounding_cells, cfg_weight, minimal_weight)
 from .errors import DomainError, InvariantError
 from .halfint import ZERO, HalfInt
-from .partitions import Cell, Partition, as_partition, contains, part
+from .partitions import Partition, as_partition, part
 from .series import TruncatedSeries
 
 
@@ -102,9 +102,9 @@ def _runs(cells: list, level, before, budget: int) -> list[tuple[list, list]]:
         r, run, spec = len(table), [], []
         for x in band:
             waiting.discard(x)
-            lx, fixed, here, above, cone = level(x), WALL, [], [], {x}
+            lx, fixed, here, above, cone = level(*x), WALL, [], [], {x}
             for n in before(x):
-                s = level(n) - lx
+                s = level(*n) - lx
                 if n in waiting or n in kept and kept[n][0] < r - 1:
                     raise InvariantError("neighbour neither earlier in its run "
                                          "nor in the previous one", (x, n))
@@ -190,28 +190,20 @@ def _run_fillings(spec: list, prev: tuple, left: int) -> list[tuple[tuple, int]]
     return filled
 
 
-def _up_left(x: Cell):
-    i, j = x
-    return ((i - 1, j), (i, j - 1))
-
-
-def _down_right(x: Cell):
-    i, j = x
-    return ((i + 1, j), (i, j + 1))
-
-
 def _family(kind: str, legs, budget: int):
     """(cells, level, before, constructor) of a family whose members cost at
     most `budget` over their level: the table `_fill` enumerates from and
     `_count` counts from.
 
-    `cells` is a band, in rows, holding every cell that can be nonzero, and
-    `_runs` keeps those its cone rule lets be. Where a row or column keeps
-    one level, a cell's cone runs back to where the level last changed, so
-    each band stops `budget` cells past that: the row ends of lam and row
-    len(lam) for the SPPs, the row ends from inside for the one-leg RPP,
-    len(lam) and len(mu) for the two-leg SPP, and row and column 1 for the
-    two-leg RPP.
+    level(i, j) is the family's sign times its zero member's value (0, the
+    two-leg floor or ceiling; WALL off its domain), and before(x) the two
+    cells that bound x. `cells` is a band, in rows, holding every cell that
+    can be nonzero, and `_runs` keeps those its cone rule lets be. Where a
+    row or column keeps one level, a cell's cone runs back to where the
+    level last changed, so each band stops `budget` cells past that: the
+    row ends of lam and row len(lam) for the SPPs, the row ends from inside
+    for the one-leg RPP, len(lam) and len(mu) for the two-leg SPP, and row
+    and column 1 for the two-leg RPP.
     """
     if kind in ("plane", "one-leg-spp", "one-leg-rpp"):
         if budget > 12:
@@ -222,35 +214,36 @@ def _family(kind: str, legs, budget: int):
             cells = [(i, j) for i in range(len(lam), 0, -1)
                      for j in range(lam[i - 1],
                                     max(0, lam[i - 1] - budget), -1)]
-            return (cells, lambda x: 0 if contains(lam, x) else WALL,
-                    _down_right, partial(OneLegRPP, lam))
-        # a plane partition is the decreasing filling outside the empty shape
-        cells = [(i, j) for i in range(1, len(lam) + budget + 1)
-                 for j in range(part(lam, i) + 1, part(lam, i) + budget + 1)]
-
-        def level(x):
-            return 0 if min(x) >= 1 and not contains(lam, x) else WALL
-
-        return (cells, level, _up_left,
-                PlanePartition if kind == "plane" else partial(OneLegSPP, lam))
-    if kind not in ("two-leg-spp", "two-leg-rpp"):
+            make = partial(OneLegRPP, lam)
+        else:
+            # a plane partition is the one-leg SPP on the empty shape
+            cells = [(i, j) for i in range(1, len(lam) + budget + 1)
+                     for j in range(part(lam, i) + 1,
+                                    part(lam, i) + budget + 1)]
+            make = (PlanePartition if kind == "plane"
+                    else partial(OneLegSPP, lam))
+    elif kind in ("two-leg-spp", "two-leg-rpp"):
+        if budget > 8:
+            what = "excess" if kind == "two-leg-spp" else "deficit"
+            raise DomainError(f"two-leg enumeration capped at {what} 8")
+        lam, mu = (as_partition(legs[0]), as_partition(legs[1]))
+        if kind == "two-leg-spp":
+            cells = [(i, j) for i in range(1, len(mu) + budget + 1)
+                     for j in range(1, len(lam) + budget + 1)]
+            make = partial(TwoLegSPP, (lam, mu))
+        else:
+            # zero-ceiling cells hold no deficit and are left out
+            ceiling = TwoLegRPP((lam, mu)).at
+            cells = [(i, j) for i in range(len(mu), -budget, -1)
+                     for j in range(len(lam), -budget, -1)
+                     if 0 < ceiling(i, j) < WALL]
+            make = partial(TwoLegRPP, (lam, mu))
+    else:
         raise DomainError(f"unknown family {kind!r}")
-    if budget > 8:
-        what = "excess" if kind == "two-leg-spp" else "deficit"
-        raise DomainError(f"two-leg enumeration capped at {what} 8")
-    lam, mu = (as_partition(legs[0]), as_partition(legs[1]))
-    if kind == "two-leg-spp":
-        floor = partial(two_leg_floor, (lam, mu))
-        cells = [(i, j) for i in range(1, len(mu) + budget + 1)
-                 for j in range(1, len(lam) + budget + 1)]
-        return (cells, lambda x: floor(*x) if min(x) >= 1 else WALL,
-                _up_left, partial(TwoLegSPP, (lam, mu)))
-    # zero-ceiling cells hold no deficit and are left out
-    ceiling = partial(two_leg_ceiling, (lam, mu))
-    cells = [(i, j) for i in range(len(mu), -budget, -1)
-             for j in range(len(lam), -budget, -1) if ceiling(i, j)]
-    return (cells, lambda x: -ceiling(*x), _down_right,
-            partial(TwoLegRPP, (lam, mu)))
+    zero = make()
+    k, sign, _ = FILLINGS[type(zero)]
+    level = zero.at if sign > 0 else lambda i, j: -zero.at(i, j)
+    return cells, level, partial(bounding_cells, k), make
 
 
 def _enumerate(kind: str, legs, budget: int) -> list:

@@ -7,10 +7,10 @@ quadrant. SVG output is a static diagram (boxes plus entry labels).
 
 from __future__ import annotations
 
-from .configurations import (HookTableau, OneLegRPP, OneLegSPP, PlanePartition,
-                             TwoLegRPP, TwoLegSPP, two_leg_ceiling)
+from .configurations import (WALL, HookTableau, OneLegRPP, OneLegSPP,
+                             PlanePartition, TwoLegRPP, TwoLegSPP)
 from .errors import DomainError
-from .partitions import contains, part
+from .partitions import part
 
 
 # The most cells a picture's rectangle may hold. A picture is the requested
@@ -42,11 +42,12 @@ def _grid_lines(cells: dict) -> str:
     return "\n".join(lines)
 
 
-def _picture(cfg, rows: range, cols: range, shown=lambda i, j: True) -> str:
-    """The cells of rows x cols that `shown` admits, read through cfg.at."""
+def _picture(cfg, rows: range, cols: range) -> str:
+    """The cells of rows x cols where cfg.at reads no WALL."""
     _fits(len(rows), len(cols))
-    return _grid_lines({(i, j): cfg.at(i, j) for i in rows for j in cols
-                        if shown(i, j)})
+    at = cfg.at
+    return _grid_lines({(i, j): v for i in rows for j in cols
+                        if (v := at(i, j)) != WALL})
 
 
 def render_ascii(cfg) -> str:
@@ -57,13 +58,11 @@ def render_ascii(cfg) -> str:
         shape = cfg.shape
         side = range(1, max([max(c) for c in cfg.entries]
                             + [len(shape), part(shape, 1)], default=1) + 1)
-        return _picture(cfg, side, side,
-                        lambda i, j: not contains(shape, (i, j)))
+        return _picture(cfg, side, side)
     if isinstance(cfg, OneLegRPP):
         shape = cfg.shape
         return _picture(cfg, range(1, len(shape) + 1),
-                        range(1, part(shape, 1) + 1),
-                        lambda i, j: contains(shape, (i, j)))
+                        range(1, part(shape, 1) + 1))
     if isinstance(cfg, TwoLegSPP):
         lam, mu = cfg.legs
         # sized by the legs' lengths, not their parts: the rows past mu's
@@ -76,8 +75,7 @@ def render_ascii(cfg) -> str:
         ext = max([0] + [abs(i) + abs(j) for (i, j) in cfg.deficit])
         reach = 1 + ext + max(len(lam), len(mu), 1)
         side = range(1 - reach, reach + 1)
-        return _picture(cfg, side, side, lambda i, j: two_leg_ceiling(
-            cfg.legs, i, j) is not None)
+        return _picture(cfg, side, side)
     if isinstance(cfg, HookTableau):
         return _grid_lines(dict(cfg.values))
     raise DomainError(f"cannot render {type(cfg).__name__}")

@@ -118,10 +118,12 @@ class TruncatedSeries:
         return ({e: c for e, c in self.coeffs.items() if e <= bound2}
                 == {e: c for e, c in other.coeffs.items() if e <= bound2})
 
+    def __str__(self) -> str:
+        return " + ".join(f"{c}*q^{HalfInt(e)}"
+                          for e, c in sorted(self.coeffs.items())) or "0"
+
     def __repr__(self) -> str:
-        terms = " + ".join(f"{c}*q^{HalfInt(e)}"
-                           for e, c in sorted(self.coeffs.items())) or "0"
-        return f"<{terms} (mod q^>{HalfInt(self.bound2)})>"
+        return f"<{self} (mod q^>{HalfInt(self.bound2)})>"
 
 
 def geometric(step, bound) -> TruncatedSeries:

@@ -538,21 +538,25 @@ SUITES = {
 }
 
 
-def run_suites(names, **overrides) -> list[CheckResult]:
-    """Run the named suites (or all), one after another; rows come back in
-    suite-name order."""
+def suite_parameters(names) -> dict[str, tuple[str, ...]]:
+    """{suite: the bounds it takes} for the named suites (or all)."""
     if names in (None, "all"):
         names = sorted(SUITES)
     if isinstance(names, str):
         names = [names]
-    jobs = []
     for name in names:
         if name not in SUITES:
             raise DomainError(f"unknown suite {name!r}")
-        fn = SUITES[name]
-        kwargs = {k: v for k, v in overrides.items()
-                  if k in fn.__code__.co_varnames[:fn.__code__.co_argcount]}
-        jobs.append((name, fn, kwargs))
+    return {name: SUITES[name].__code__.co_varnames[
+        :SUITES[name].__code__.co_argcount] for name in names}
+
+
+def run_suites(names, **overrides) -> list[CheckResult]:
+    """Run the named suites (or all), one after another, each with the
+    overrides it takes; rows come back in suite-name order."""
+    jobs = [(name, SUITES[name], {k: v for k, v in overrides.items()
+                                  if k in taken})
+            for name, taken in suite_parameters(names).items()]
     results = [(name, fn(**kw)) for name, fn, kw in jobs]
     merged = []
     for name, rows in sorted(results, key=lambda r: r[0]):

@@ -295,6 +295,30 @@ def test_verify_suite_with_bounds(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--suite", "toggles", "--degree", "5"], "--degree"),
+    (["--suite", "macmahon", "--max-part", "2"], "--max-part"),
+    (["--suite", "configurations", "--max-weight", "3"], "--max-weight"),
+    (["--suite", "toggles", "--lambda", "2,1"], "--lambda"),
+    (["--census", "CENSUS", "--degree", "3"], "--degree"),
+    (["--census", "CENSUS", "--max-part", "2"], "--max-part"),
+    (["--census", "CENSUS", "--max-weight", "3"], "--max-weight"),
+    (["--census", "CENSUS", "--lambda", "2,1"], "--lambda"),
+], ids=["toggles-degree", "macmahon-max-part", "configurations-max-weight",
+        "toggles-lambda", "census-degree", "census-max-part",
+        "census-max-weight", "census-lambda"])
+def test_a_bound_no_requested_check_reads_is_a_usage_error(
+        tmp_path, capsys, argv, flag):
+    # the run would drop the bound and check at the defaults instead
+    census = tmp_path / "census.jsonl"
+    assert main(["enumerate", "--family", "plane", "--bound", "2",
+                 "--output", str(census)]) == 0
+    capsys.readouterr()
+    argv = [str(census) if a == "CENSUS" else a for a in argv]
+    assert main(["verify", *argv]) == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_report_determinism(capsys):
     code1, out1 = run(capsys, "series", "--macmahon", "--degree", "5", "--json")
     code2, out2 = run(capsys, "series", "--macmahon", "--degree", "5", "--json")

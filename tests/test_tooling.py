@@ -61,6 +61,40 @@ def test_the_diagonal_layout_lives_in_configurations():
     assert imported and not {"diagonal", "transpose"} & imported
 
 
+def _names(path: Path) -> set:
+    return {node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias) else None
+            for node in ast.walk(ast.parse(path.read_text()))}
+
+
+def _shifted_cells(node) -> bool:
+    """A tuple of two or more cells, each written with an index shifted by
+    arithmetic, such as ((i - 1, j), (i, j - 1)): a cell's neighbours."""
+    return (isinstance(node, ast.Tuple) and len(node.elts) >= 2
+            and all(isinstance(e, ast.Tuple) and len(e.elts) == 2
+                    and any(isinstance(x, ast.BinOp) for x in e.elts)
+                    for e in node.elts))
+
+
+def test_each_filling_order_is_written_in_configurations():
+    # a filling's domain is where its at reads WALL and its order is its
+    # row of configurations.FILLINGS: the oracle and render read those, and
+    # the neighbours that bound a cell are written once, in bounding_cells
+    package = ROOT / "src/pptoggle"
+    for stem in ("oracle", "render"):
+        assert not {"contains", "two_leg_floor",
+                    "two_leg_ceiling"} & _names(package / f"{stem}.py"), stem
+    written = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    _shifted_cells(node) for node in ast.walk(fn)):
+                written.append(f"{path.stem}.{fn.name}")
+    assert written == ["configurations.bounding_cells"]
+
+
 def _functions(path: Path) -> dict[str, ast.FunctionDef]:
     return {node.name: node for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.FunctionDef)}
