@@ -185,8 +185,8 @@ class TwoLegRPP:
 
     Lives on cells with row >= 1 or col >= 1; indices <= 0 read the other
     leg's ceiling as unbounded. Only the deficit below the ceiling is stored.
-    A deficit past its ceiling is refused as a cell out of order further
-    down its diagonal, where the values come back up to 0.
+    A deficit past its ceiling is refused as out of order: the negative
+    value it leaves lies under a neighbour's, there or further down-right.
     """
 
     legs: tuple[Partition, Partition]

@@ -104,19 +104,19 @@ def _runs(cells: list, level, before, budget: int) -> list[tuple[list, list]]:
             waiting.discard(x)
             lx, fixed, here, above, cone = level(*x), WALL, [], [], {x}
             for n in before(x):
-                s = level(*n) - lx
                 if n in waiting or n in kept and kept[n][0] < r - 1:
                     raise InvariantError("neighbour neither earlier in its run "
                                          "nor in the previous one", (x, n))
                 if n not in kept:
-                    fixed = min(fixed, s)
+                    fixed = min(fixed, level(*n) - lx)
                     continue
-                rn, pn, cn = kept[n]
+                rn, pn, cn, ln = kept[n]
+                s = ln - lx
                 (here if rn == r else above).append((pn, s))
                 if s == 0:
                     cone = cone | cn
             if fixed and len(cone) <= budget:
-                kept[x] = (r, len(run), cone)
+                kept[x] = (r, len(run), cone, lx)
                 run.append(x)
                 spec.append((fixed, here, above))
         if run:
@@ -232,15 +232,15 @@ def _family(kind: str, legs, budget: int):
                      for j in range(1, len(lam) + budget + 1)]
             make = partial(TwoLegSPP, (lam, mu))
         else:
-            # zero-ceiling cells hold no deficit and are left out
-            ceiling = TwoLegRPP((lam, mu)).at
             cells = [(i, j) for i in range(len(mu), -budget, -1)
-                     for j in range(len(lam), -budget, -1)
-                     if 0 < ceiling(i, j) < WALL]
+                     for j in range(len(lam), -budget, -1)]
             make = partial(TwoLegRPP, (lam, mu))
     else:
         raise DomainError(f"unknown family {kind!r}")
     zero = make()
+    if kind == "two-leg-rpp":
+        # zero-ceiling cells hold no deficit and are left out
+        cells = [x for x in cells if 0 < zero.at(*x) < WALL]
     k, sign, _ = FILLINGS[type(zero)]
     level = zero.at if sign > 0 else lambda i, j: -zero.at(i, j)
     return cells, level, partial(bounding_cells, k), make

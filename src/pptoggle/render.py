@@ -45,9 +45,8 @@ def _grid_lines(cells: dict) -> str:
 def _picture(cfg, rows: range, cols: range) -> str:
     """The cells of rows x cols where cfg.at reads no WALL."""
     _fits(len(rows), len(cols))
-    at = cfg.at
     return _grid_lines({(i, j): v for i in rows for j in cols
-                        if (v := at(i, j)) != WALL})
+                        if (v := cfg.at(i, j)) != WALL})
 
 
 def render_ascii(cfg) -> str:

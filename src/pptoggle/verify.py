@@ -547,8 +547,9 @@ def suite_parameters(names) -> dict[str, tuple[str, ...]]:
     for name in names:
         if name not in SUITES:
             raise DomainError(f"unknown suite {name!r}")
-    return {name: SUITES[name].__code__.co_varnames[
-        :SUITES[name].__code__.co_argcount] for name in names}
+    codes = {name: SUITES[name].__code__ for name in names}
+    return {name: code.co_varnames[:code.co_argcount]
+            for name, code in codes.items()}
 
 
 def run_suites(names, **overrides) -> list[CheckResult]:
