@@ -267,8 +267,8 @@ def cmd_verify(args) -> int:
         ("--lambda", "shapes", None if args.shape is None
          else (parse_partition(args.shape),))) if value is not None}
     if args.census:
-        for flag in given:
-            raise DomainError(f"{flag} is not read by --census")
+        if given:
+            raise DomainError(f"{next(iter(given))} is not read by --census")
         return _verify_census(args, report)
     if args.suite == "none":
         report.emit("no suites requested; vacuous pass")

@@ -73,6 +73,7 @@ def _check_order(cfg, cells):
     neighbours on or past theirs: checking the support suffices."""
     k, sign, _ = FILLINGS[type(cfg)]
     at = cfg.at
+    # the two bounding_cells, written inline: every object built runs this
     for (i, j) in cells:
         v = at(i, j)
         if v == WALL:
