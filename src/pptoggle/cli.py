@@ -274,10 +274,8 @@ def cmd_verify(args) -> int:
         report.emit("no suites requested; vacuous pass")
         return report.finish()
     names = "all" if args.suite == "all" else [args.suite]
-    taken = set().union(*vf.suite_parameters(names).values())
-    for flag, (key, _) in given.items():
-        if key not in taken:
-            raise DomainError(f"{flag} is read by no requested suite")
+    flags = {key: flag for flag, (key, _) in given.items()}
+    vf.refuse_unread(names, flags, flags.get)
     results = vf.run_suites(names, **dict(given.values()))
     for row in results:
         report.check(row.name, row.passed, row.text())

@@ -40,11 +40,18 @@ from .configurations import minimal_weight
 MAX_STATES = 1 << 14
 
 # Most operators a shape word may hold, checked before it is built: a word
-# grows with the degree and, for one leg, with lam_1 + len(lam), and one of
-# 2 * 10^8 operators runs out of memory. Every word of the tests, suites and
-# benchmark holds at most 164 (MacMahon's at degree 40), and `series
-# --one-leg 65536 --degree 2`, 131,086 operators, still runs in about 2 s.
+# grows with the degree and, for one leg, with max(lam_1, len(lam)), and one
+# of 2 * 10^8 operators runs out of memory. Every word of the tests, suites
+# and benchmark holds at most 44 (the doubled one-leg (3, 1) word of
+# `cutoff-stability` at degree 8), MacMahon's at degree 40 holds 80, and
+# `series --one-leg 65536 --degree 2`, 131,076 operators, runs in about 1 s.
 MAX_WORD_OPS = 1 << 18
+
+# Most entries a table of size floors may hold, (operators + 1) * (state
+# cap + 1), checked before it is built: the fold keeps the floors and their
+# limits, about 55 bytes an entry. The largest two-leg input it admits at
+# degree 2, `series --two-leg 1677720/1`, peaks at 457 MiB in 3.8 s.
+MAX_FLOOR_ENTRIES = 1 << 23
 
 
 class TruncatedSeries:
@@ -274,7 +281,13 @@ def _size_floors(word: OperatorWord, cap: int) -> list[list]:
     cap is one of these, and the least degree a size path adds bounds the
     degree of theirs from below. The fold's limit for a state of size s is
     therefore the bound less floors[i][s], which drops only terms that end
-    past the bound."""
+    past the bound. A table of more than MAX_FLOOR_ENTRIES entries raises
+    DomainError before it is built."""
+    entries = (len(word.ops) + 1) * (cap + 1)
+    if entries > MAX_FLOOR_ENTRIES:
+        raise DomainError(
+            f"a floor table of {len(word.ops)} operators by {cap + 1} sizes "
+            f"({entries} entries) is over the cap of {MAX_FLOOR_ENTRIES}")
     f = [float("inf")] * (cap + 1)
     f[weight(word.bra)] = 0
     floors = [f]
@@ -385,22 +398,41 @@ def shape_word(kind: str, legs, cutoff: int) -> OperatorWord:
 
 
 def initial_cutoff(kind: str, legs, bound: HalfInt) -> int:
-    """2 * degree + extent + 2, the extent being lam_1 + len(lam) for a
-    one-leg word, whose edges are lam's boundary, and 0 for MacMahon's word
-    and the two-leg words, whose exponents do not depend on the legs (a
-    two-leg word's bra and ket do)."""
+    """The cutoff stated from D = ceil(bound) past which a shape word's
+    operators move no path of degree <= bound: max(1, D) for MacMahon's word
+    and the two-leg words, max(1, D + max(lam_1, len(lam))) for a one-leg
+    word.
+
+    MacMahon's and the two-leg words hold the exponents (2k+1)/2, k below
+    the cutoff, all positive, so a path's degree is the sum over its
+    operators of e * |size change|, each term >= 0. A move at an operator
+    with e > bound alone puts the path past the bound, so below the bound
+    the operators with k >= D act as the identity. The legs only set the
+    bra and the ket.
+
+    A one-leg word's paths are the skew plane partitions outside lam, read
+    diagonal by diagonal, and a path's degree is the partition's weight; the
+    word at cutoff c holds those whose diagonals past c - 1 either way are
+    empty. A nonzero entry at (i, i + n) with n >= lam_1 forces the
+    i + n - lam_i >= n - lam_1 + 1 cells of its row outside lam to be
+    nonzero, and one with n < -len(lam) likewise the -n - len(lam) + 1 or
+    more of its column. So a partition of weight <= D has empty diagonals
+    outside [-(D + len(lam) - 1), D + lam_1 - 1], and the word at
+    D + max(lam_1, len(lam)) holds every one of them. For lam = () this is
+    MacMahon's cutoff."""
     degree = (bound.doubled + 1) // 2
-    extent = 0
     if kind == "one-leg":
         lam = as_partition(legs)
-        extent = part(lam, 1) + len(lam)
-    return 2 * degree + extent + 2
+        degree += max(part(lam, 1), len(lam))
+    return max(1, degree)
 
 
 def evaluate_stable(kind: str, legs, bound) -> TruncatedSeries:
     """The shape series truncated at the bound: `evaluate` of its word at
-    `initial_cutoff`, past which operators act trivially below the bound
-    (checked by the `cutoff-stability` suite)."""
+    `initial_cutoff`. Past that cutoff an operator moves no path of degree
+    <= bound (proved in `initial_cutoff`), so a longer word gives the same
+    series; the `cutoff-stability` suite checks the cutoff against its
+    double."""
     bound = HalfInt.of(bound)
     return evaluate(shape_word(kind, legs, initial_cutoff(kind, legs, bound)),
                     bound)

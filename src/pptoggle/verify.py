@@ -552,9 +552,20 @@ def suite_parameters(names) -> dict[str, tuple[str, ...]]:
             for name, code in codes.items()}
 
 
+def refuse_unread(names, keys, label=str) -> None:
+    """Raise DomainError, naming it as label(key), at the first of keys that
+    no named suite takes."""
+    taken = set().union(*suite_parameters(names).values())
+    for key in keys:
+        if key not in taken:
+            raise DomainError(f"{label(key)} is read by no requested suite")
+
+
 def run_suites(names, **overrides) -> list[CheckResult]:
     """Run the named suites (or all), one after another, each with the
-    overrides it takes; rows come back in suite-name order."""
+    overrides it takes; rows come back in suite-name order. An override
+    that no named suite takes raises DomainError before any suite runs."""
+    refuse_unread(names, overrides)
     jobs = [(name, SUITES[name], {k: v for k, v in overrides.items()
                                   if k in taken})
             for name, taken in suite_parameters(names).items()]

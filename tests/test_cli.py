@@ -668,6 +668,23 @@ def test_series_refuses_a_word_over_the_cap(argv):
     assert "operators is over the cap" in err
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["--macmahon", "--degree", "50000"], 2),
+    (["--macmahon", "--degree", "100000"], 2),
+    (["--two-leg", "1/1", "--degree", "100000"], 2),
+    (["--two-leg", "100000000/1", "--degree", "2"], 2),
+    (["--two-leg", "1000000/1", "--degree", "2"], 0),
+    (["--one-leg", "65536", "--degree", "2"], 0),
+], ids=["macmahon-5e4", "macmahon-1e5", "two-leg-1e5", "two-leg-row-of-1e8",
+        "two-leg-row-of-1e6", "one-leg-row-of-65536"])
+def test_series_refuses_a_floor_table_over_the_cap(argv, want):
+    # series.MAX_FLOOR_ENTRIES is checked before the size floors are built,
+    # so a word under MAX_WORD_OPS may still be refused for its state cap
+    code, out, err = run_capped("series", *argv)
+    assert code == want and "Traceback" not in err
+    assert ("floor table of" in err) == (want == 2)
+
+
 @pytest.mark.parametrize("flag", ["--two-leg", "--two-leg-rpp"])
 def test_two_leg_series_on_long_columns(flag):
     # a state's interlacers are built in one loop, not one call per part, so

@@ -11,7 +11,7 @@ from pptoggle.errors import DomainError, NonConvergenceError
 from pptoggle.halfint import HalfInt
 from pptoggle.oracle import partitions_up_to
 from pptoggle.partitions import (as_partition, interlacers_above,
-                                 interlacers_below, weight)
+                                 interlacers_below, part, weight)
 from pptoggle.series import (OperatorWord, TruncatedSeries, _evaluate_capped,
                              _state_cap, _successors, apply_vertex_op,
                              evaluate, evaluate_stable, geometric,
@@ -397,7 +397,7 @@ def test_two_leg_cutoff_does_not_depend_on_the_legs(monkeypatch):
     build = series.shape_word
 
     def spy(kind, legs, cutoff):
-        assert cutoff <= 2 * degree + 2, cutoff
+        assert cutoff <= degree, cutoff
         cutoffs.append(cutoff)
         return build(kind, legs, cutoff)
 
@@ -406,6 +406,53 @@ def test_two_leg_cutoff_does_not_depend_on_the_legs(monkeypatch):
         for kind in ("two-leg-spp", "two-leg-rpp"):
             evaluate_stable(kind, legs, degree)
     assert len(cutoffs) == 4
+
+
+def stated_cutoff_grid():
+    """(kind, legs, bound2): MacMahon to bound2 24, one-leg shapes of weight
+    <= 4 and leg pairs of weight <= 2 to bound2 12."""
+    pairs = itertools.product(partitions_up_to(2), repeat=2)
+    return ([("macmahon", None, b) for b in range(25)]
+            + [("one-leg", lam, b) for lam in partitions_up_to(4)
+               for b in range(13)]
+            + [(kind, legs, b) for legs in pairs
+               for kind in ("two-leg-spp", "two-leg-rpp") for b in range(13)])
+
+
+def test_stated_cutoff_matches_the_generous_one():
+    # the cutoff stated from the degree folds the same series as the
+    # 2 * degree + extent + 2 that it replaced
+    for kind, legs, bound2 in stated_cutoff_grid():
+        bound, degree = HalfInt(bound2), (bound2 + 1) // 2
+        extent = part(legs, 1) + len(legs) if kind == "one-leg" else 0
+        generous = shape_word(kind, legs, 2 * degree + extent + 2)
+        assert (evaluate_stable(kind, legs, bound) == evaluate(generous, bound)
+                ), (kind, legs, bound2)
+
+
+def test_stated_cutoff_is_tight():
+    # one operator pair less changes the series for some case of each kind
+    short = set()
+    for kind, legs, bound2 in stated_cutoff_grid():
+        bound = HalfInt(bound2)
+        cutoff = initial_cutoff(kind, legs, bound)
+        if kind not in short and cutoff > 1 and (
+                evaluate(shape_word(kind, legs, cutoff - 1), bound)
+                != evaluate_stable(kind, legs, bound)):
+            short.add(kind)
+    assert short == {"macmahon", "one-leg", "two-leg-spp", "two-leg-rpp"}
+
+
+def test_floor_table_over_the_cap_is_refused(monkeypatch):
+    # the table holds (operators + 1) * (cap + 1) entries, counted before
+    # it is built
+    word = macmahon_word(2)
+    monkeypatch.setattr(series, "MAX_FLOOR_ENTRIES", 5 * 4)
+    assert len(series._size_floors(word, 3)) == 5
+    with pytest.raises(DomainError, match="floor table .* over the cap of 20"):
+        series._size_floors(word, 4)
+    with pytest.raises(DomainError, match="over the cap"):
+        evaluate_stable("macmahon", None, 4)
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 from pptoggle import bijections, boundary, oracle, series, verify
 from pptoggle.cli import main
 from pptoggle.configurations import HookTableau
+from pptoggle.errors import DomainError
 from pptoggle.verify import (suite_hook_census, suite_partitions,
                              suite_ptdt_two_leg, suite_schedules,
                              suite_two_leg_width_stability)
@@ -135,3 +136,27 @@ def test_macmahon_count_reads_within_the_degree(capsys):
     assert "PASS macmahon/weight-4-count: 13 configurations" in out.splitlines()
     assert verify.suite_macmahon(6)[2].line() == \
         "PASS weight-6-count: 48 configurations"
+
+
+def test_run_suites_refuses_an_override_no_named_suite_takes(monkeypatch):
+    # the run would drop the override and check at the defaults instead, so
+    # it is refused, by name, before any suite runs
+    ran = []
+
+    def toggles(max_part=4, max_len=4):
+        ran.append("toggles")
+        return []
+
+    def macmahon(degree=12):
+        ran.append("macmahon")
+        return []
+
+    monkeypatch.setattr(verify, "SUITES", {"toggles": toggles,
+                                           "macmahon": macmahon})
+    with pytest.raises(DomainError, match="^degree is read by no requested"):
+        verify.run_suites(["toggles"], max_part=2, degree=5)
+    with pytest.raises(DomainError, match="^bogus is read by no requested"):
+        verify.run_suites("all", degree=5, bogus=1)
+    assert not ran
+    assert verify.run_suites("all", max_part=2, degree=5) == []
+    assert ran == ["macmahon", "toggles"]
