@@ -1,12 +1,12 @@
 """Brute-force enumeration and counting of configuration families.
 
 Everything here is deliberately independent of the series/bijection code
-paths. One table, `_family`, gives each family's band of cells, their level
-and the neighbours that cap each cell's cost over its level, both read off
-the family's zero member and its row of `configurations.FILLINGS`.
-`_runs` keeps the cells whose cone (the cells a nonzero cost forces nonzero)
-fits in the budget, one rule for every family, splits them into rows and
-reads each cell's caps, and one row walk reads that table two ways:
+paths. One table, `_family`, gives each family's band of cells and its zero
+member, whose `at` and row of `configurations.FILLINGS` give each cell's
+level and the neighbours that cap its cost over it. `_runs` keeps the cells
+whose cone (the cells a nonzero cost forces nonzero) fits in the budget, one
+rule for every family, splits them into rows and reads each cell's caps,
+and one row walk reads that table two ways:
 
 - `_fill` keeps every partial filling and builds the members, in
   lexicographic order along the cells. The `enum_*` functions and
@@ -55,10 +55,10 @@ def enum_partitions(n: int) -> list[Partition]:
 
 
 def partitions_up_to(n: int) -> list[Partition]:
-    out = []
-    for k in range(n + 1):
-        out.extend(enum_partitions(k))
-    return out
+    """All partitions of weight <= n, by weight. Weight n is listed first, so
+    `enum_partitions` refuses an n past its cap before any other is built."""
+    heaviest_first = [enum_partitions(k) for k in range(n, -1, -1)]
+    return [lam for lams in reversed(heaviest_first) for lam in lams]
 
 
 def count_partitions_pentagonal(n: int) -> int:
@@ -81,12 +81,13 @@ def count_partitions_pentagonal(n: int) -> int:
     return p[n]
 
 
-def _runs(cells: list, level, before, budget: int) -> list[tuple[list, list]]:
+def _runs(cells: list, zero, budget: int) -> list[tuple[list, list]]:
     """(run, caps) for each run, by row index, of the cells that can be
-    nonzero at cost <= budget. A cell's caps are the cap from its neighbours
-    off the runs (cost 0), then (position, slack) of its neighbours earlier
-    in its run and of those in the previous run; every n in before(x) must
-    be one of these.
+    nonzero at cost <= budget, level(x) = sign * zero.at(x) and before(x) =
+    bounding_cells(k, x) read off zero's row (k, sign) of FILLINGS. A cell's
+    caps are the cap from its neighbours off the runs (cost 0), then
+    (position, slack) of its neighbours earlier in its run and of those in
+    the previous run; every n in before(x) must be one of these.
 
     The cone rule picks the cells. n in before(x) is tied to x when its
     slack level(n) - level(x) is 0: then c(x) <= c(n), so c(x) >= 1 forces
@@ -97,18 +98,19 @@ def _runs(cells: list, level, before, budget: int) -> list[tuple[list, list]]:
     neighbours. So x can be nonzero exactly when each tied neighbour can be
     (none is off the runs) and its cone holds at most `budget` cells.
     """
-    waiting, kept, table = set(cells), {}, []
+    k, sign, _ = FILLINGS[type(zero)]
+    at, waiting, kept, table = zero.at, set(cells), {}, []
     for _, band in groupby(cells, key=lambda x: x[0]):
         r, run, spec = len(table), [], []
         for x in band:
             waiting.discard(x)
-            lx, fixed, here, above, cone = level(*x), WALL, [], [], {x}
-            for n in before(x):
+            lx, fixed, here, above, cone = sign * at(*x), WALL, [], [], {x}
+            for n in bounding_cells(k, x):
                 if n in waiting or n in kept and kept[n][0] < r - 1:
                     raise InvariantError("neighbour neither earlier in its run "
                                          "nor in the previous one", (x, n))
                 if n not in kept:
-                    fixed = min(fixed, level(*n) - lx)
+                    fixed = min(fixed, sign * at(*n) - lx)
                     continue
                 rn, pn, cn, ln = kept[n]
                 s = ln - lx
@@ -124,7 +126,7 @@ def _runs(cells: list, level, before, budget: int) -> list[tuple[list, list]]:
     return table
 
 
-def _fill(cells: list, level, before, budget: int, emit) -> list:
+def _fill(cells: list, zero, budget: int, emit) -> list:
     """emit(costs) for every assignment of costs c >= 0 to `cells` with total
     <= budget and c(x) <= level(n) + c(n) - level(x) for each n in before(x),
     in lexicographic order along `cells`; `costs` holds the nonzero ones.
@@ -136,7 +138,7 @@ def _fill(cells: list, level, before, budget: int, emit) -> list:
     growing.
     """
     filled = [((), (), 0)]  # (nonzero (cell, cost) pairs, last run, spent)
-    for run, spec in _runs(cells, level, before, budget):
+    for run, spec in _runs(cells, zero, budget):
         grown = []
         for pairs, prev, spent in filled:
             if spent == budget:
@@ -149,7 +151,7 @@ def _fill(cells: list, level, before, budget: int, emit) -> list:
     return [emit(dict(pairs)) for pairs, _, _ in filled]
 
 
-def _count(cells: list, level, before, budget: int) -> list[int]:
+def _count(cells: list, zero, budget: int) -> list[int]:
     """Entry k is the number of assignments `_fill` emits with total cost k.
 
     The same walk over runs, as a transfer over rows (Stanley, Enumerative
@@ -158,7 +160,7 @@ def _count(cells: list, level, before, budget: int) -> list[int]:
     """
     out = [0] * (budget + 1)
     partials = {((), 0): 1}
-    for _, spec in _runs(cells, level, before, budget):
+    for _, spec in _runs(cells, zero, budget):
         grown: dict = {}
         for (prev, spent), n in partials.items():
             if spent == budget:
@@ -191,19 +193,19 @@ def _run_fillings(spec: list, prev: tuple, left: int) -> list[tuple[tuple, int]]
 
 
 def _family(kind: str, legs, budget: int):
-    """(cells, level, before, constructor) of a family whose members cost at
-    most `budget` over their level: the table `_fill` enumerates from and
+    """(cells, zero, constructor) of a family whose members cost at most
+    `budget` over their level: the table `_fill` enumerates from and
     `_count` counts from.
 
-    level(i, j) is the family's sign times its zero member's value (0, the
-    two-leg floor or ceiling; WALL off its domain), and before(x) the two
-    cells that bound x. `cells` is a band, in rows, holding every cell that
-    can be nonzero, and `_runs` keeps those its cone rule lets be. Where a
-    row or column keeps one level, a cell's cone runs back to where the
-    level last changed, so each band stops `budget` cells past that: the
-    row ends of lam and row len(lam) for the SPPs, the row ends from inside
-    for the one-leg RPP, len(lam) and len(mu) for the two-leg SPP, and row
-    and column 1 for the two-leg RPP.
+    zero is the family's zero member, whose values (0, the two-leg floor or
+    ceiling; WALL off its domain) give each cell's level and whose row of
+    FILLINGS names the two cells that bound it. `cells` is a band, in rows,
+    holding every cell that can be nonzero, and `_runs` keeps those its cone
+    rule lets be. Where a row or column keeps one level, a cell's cone runs
+    back to where the level last changed, so each band stops `budget` cells
+    past that: the row ends of lam and row len(lam) for the SPPs, the row
+    ends from inside for the one-leg RPP, len(lam) and len(mu) for the
+    two-leg SPP, and row and column 1 for the two-leg RPP.
     """
     if kind in ("plane", "one-leg-spp", "one-leg-rpp"):
         if budget > 12:
@@ -241,14 +243,12 @@ def _family(kind: str, legs, budget: int):
     if kind == "two-leg-rpp":
         # zero-ceiling cells hold no deficit and are left out
         cells = [x for x in cells if 0 < zero.at(*x) < WALL]
-    k, sign, _ = FILLINGS[type(zero)]
-    level = zero.at if sign > 0 else lambda i, j: -zero.at(i, j)
-    return cells, level, partial(bounding_cells, k), make
+    return cells, zero, make
 
 
 def _enumerate(kind: str, legs, budget: int) -> list:
-    cells, level, before, make = _family(kind, legs, budget)
-    return _fill(cells, level, before, budget, make)
+    cells, zero, make = _family(kind, legs, budget)
+    return _fill(cells, zero, budget, make)
 
 
 def enum_plane_partitions(max_weight: int) -> list[PlanePartition]:
@@ -301,9 +301,9 @@ class WeightCensus:
         bound = HalfInt.of(bound)
         base = _base_weight(kind, legs)
         budget = _budget(base, bound)
-        cells, level, before, _ = _family(kind, legs, budget)
+        cells, zero, _ = _family(kind, legs, budget)
         counts = {base + k: n
-                  for k, n in enumerate(_count(cells, level, before, budget))
+                  for k, n in enumerate(_count(cells, zero, budget))
                   if n and base + k <= bound}
         return WeightCensus(kind, legs, counts, bound)
 

@@ -4,14 +4,14 @@ evaluator for words of raising/lowering vertex operators.
 Coefficients are plain Python ints throughout; exponents are stored doubled.
 A word is evaluated by folding its operators from the ket side over a state
 map (partition -> series). Each step keeps a state's terms up to one limit
-per size: the bound less the least degree the rest of the word must still
-add from that size (`_size_floors`). The limit lies past the bound where
-negative exponents are still to come and below it where positive ones are,
-and a size with no way to the bra keeps nothing. Raising and lowering steps
-alike take a size budget from each state's lowest exponent, so successors
-that could only contribute past every limit are never generated, and the
-successor lists of a (partition, sign, budget) query come from a size-bounded
-memo.
+per size, read off one table (`_size_limits`): the bound less the least
+degree the rest of the word must still add from that size. It lies past
+the bound where negative exponents are still to come and below it where
+positive ones are, and a size with no way to the bra keeps nothing. Raising
+and lowering steps alike take a size budget from each state's lowest
+exponent, so successors that could only contribute past every limit are
+never generated, and the successor lists of a (partition, sign, budget)
+query come from a size-bounded memo.
 
 A word is folded once, over states no larger than a cap stated from the word
 and the bound (`_state_cap`). A word whose layers of size may cost nothing
@@ -47,10 +47,10 @@ MAX_STATES = 1 << 14
 # `series --one-leg 65536 --degree 2`, 131,076 operators, runs in about 1 s.
 MAX_WORD_OPS = 1 << 18
 
-# Most entries a table of size floors may hold, (operators + 1) * (state
-# cap + 1), checked before it is built: the fold keeps the floors and their
-# limits, about 55 bytes an entry. The largest two-leg input it admits at
-# degree 2, `series --two-leg 1677720/1`, peaks at 457 MiB in 3.8 s.
+# Most entries the table of per-size limits may hold, (operators + 1) *
+# (state cap + 1), checked before it is built: about 14 bytes an entry. The
+# largest two-leg input it admits at degree 2, `series --two-leg 1677720/1`,
+# peaks at 136 MiB in 3.4-4.9 s (CPython 3.11 on a 2-vCPU VM).
 MAX_FLOOR_ENTRIES = 1 << 23
 
 
@@ -192,7 +192,7 @@ def apply_vertex_op(state: dict[Partition, TruncatedSeries], sign: int,
     lowest term caps how far its size may move, so successors that could
     only produce terms past max(limits) are never generated; with e <= 0
     raising is capped by size_cap alone and lowering is not capped.
-    Successor lists come from a bounded memo keyed by (kappa, sign, cap).
+    Successor lists come from a bounded memo keyed by (kappa, sign, budget).
     """
     e2 = HalfInt.of(exponent).doubled
     bound2 = max(limits)
@@ -228,11 +228,11 @@ def evaluate(word: OperatorWord, bound) -> TruncatedSeries:
     from one fold over the states `_state_cap` allows.
 
     Each step keeps a state's terms only up to the bound less the least
-    degree the rest of the word must still add from the state's size
-    (`_size_floors`). That limit sits past the bound where negative
-    exponents are still to come and below it where positive ones are, and a
-    size with no way to the bra keeps nothing. A divergent word is reported
-    whatever the bound.
+    degree the rest of the word must still add from the state's size, read
+    off one table (`_size_limits`). That limit sits past the bound where
+    negative exponents are still to come and below it where positive ones
+    are, and a size with no way to the bra keeps nothing. A divergent word
+    is reported whatever the bound.
     """
     bound2 = HalfInt.of(bound).doubled
     return _evaluate_capped(word, bound2, _state_cap(word, bound2))
@@ -246,10 +246,11 @@ def _state_cap(word: OperatorWord, bound2: int) -> int:
     its left, and a run adds e_raise + e_lower + the weigh scales between.
     With rho the least such sum, a path reaching size h + k has degree at
     least L + k * rho, L being the least degree of a size path capped at h
-    (its clipping). With no such pair the cap is h. With rho <= 0 adding
-    cells to row 1 across that run gives infinitely many paths from any one,
-    and clipping each part to bra | ket keeps a path, so the word diverges
-    exactly when it has a path of states of size <= |bra| + |ket|.
+    (its clipping, read off `_size_limits` at h). With no such pair the cap
+    is h. With rho <= 0 adding cells to row 1 across that run gives
+    infinitely many paths from any one, and clipping each part to bra | ket
+    keeps a path, so the word diverges exactly when it has a path of states
+    of size <= |bra| + |ket|.
     """
     h = max(weight(word.bra), weight(word.ket))
     rho = best = float("inf")  # best: least raise-plus-weighs open so far
@@ -263,8 +264,8 @@ def _state_cap(word: OperatorWord, bound2: int) -> int:
     if rho == float("inf"):
         return h
     if rho > 0:
-        low = _size_floors(word, h)[-1][weight(word.ket)]
-        return h if low > bound2 else h + (bound2 - low) // rho
+        room = _size_limits(word, h, bound2)[-1][weight(word.ket)]
+        return h if room < 0 else h + room // rho
     paths = OperatorWord(tuple(step_op(op[1], 0) for op in word.ops
                                if op[0] == "step"), word.bra, word.ket)
     if _evaluate_capped(paths, 0, weight(word.bra) + weight(word.ket)).coeffs:
@@ -273,14 +274,13 @@ def _state_cap(word: OperatorWord, bound2: int) -> int:
     return h
 
 
-def _size_floors(word: OperatorWord, cap: int) -> list[list]:
-    """floors[i][s]: the least degree a size path adds from size s, with
-    ops[:i] still to come, on the way to the bra (inf if it cannot get
-    there). A raise moves a size s to any s' in [s, cap], a lower to any s'
-    in [0, s], and a weigh adds scale * s, so every path of states up to the
-    cap is one of these, and the least degree a size path adds bounds the
-    degree of theirs from below. The fold's limit for a state of size s is
-    therefore the bound less floors[i][s], which drops only terms that end
+def _size_limits(word: OperatorWord, cap: int, bound2: int) -> list[list]:
+    """limits[i][s]: bound2 less the least degree a size path adds from size
+    s, with ops[:i] still to come, on the way to the bra (-inf if it cannot
+    get there). A raise moves a size s to any s' in [s, cap], a lower to any
+    s' in [0, s], and a weigh adds scale * s, so every path of states up to
+    the cap is one of these, and the least degree a size path adds bounds
+    the degree of theirs from below. A term past limits[i][s] therefore ends
     past the bound. A table of more than MAX_FLOOR_ENTRIES entries raises
     DomainError before it is built."""
     entries = (len(word.ops) + 1) * (cap + 1)
@@ -288,33 +288,33 @@ def _size_floors(word: OperatorWord, cap: int) -> list[list]:
         raise DomainError(
             f"a floor table of {len(word.ops)} operators by {cap + 1} sizes "
             f"({entries} entries) is over the cap of {MAX_FLOOR_ENTRIES}")
-    f = [float("inf")] * (cap + 1)
-    f[weight(word.bra)] = 0
-    floors = [f]
+    lim = [float("-inf")] * (cap + 1)
+    lim[weight(word.bra)] = bound2
+    limits = [lim]
     for op in word.ops:
         if op[0] == "weigh":
-            f = [op[1].doubled * s + v for s, v in enumerate(f)]
+            lim = [v - op[1].doubled * s for s, v in enumerate(lim)]
         else:
             _, sign, exponent = op
-            e2, f = exponent.doubled, list(f)
+            e2, lim = exponent.doubled, list(lim)
             sizes = range(cap - 1, -1, -1) if sign == RAISE else range(1, cap + 1)
             for s in sizes:
-                f[s] = min(f[s], e2 + f[s + sign])
-        floors.append(f)
-    return floors
+                lim[s] = max(lim[s], lim[s + sign] - e2)
+        limits.append(lim)
+    return limits
 
 
 def _evaluate_capped(word: OperatorWord, bound2: int, cap: int
                      ) -> TruncatedSeries:
     """Fold the word from its ket over states of size <= cap. While ops[:i]
     are still to come, a state of size s keeps a term x only if
-    x <= bound2 - floors[i][s]: every way on to the bra adds at least
-    floors[i][s], so a term past that limit ends past the bound, and a size
-    with no way to the bra (floor inf) keeps nothing. A step that carries
-    more than MAX_STATES states forward raises NonConvergenceError; the check
-    runs once the step's output is built, so memory is bounded by one step's
-    growth past the cap."""
-    limits = [[bound2 - v for v in f] for f in _size_floors(word, cap)]
+    x <= limits[i][s] (`_size_limits`): every way on to the bra adds at
+    least bound2 - limits[i][s], so a term past that limit ends past the
+    bound, and a size with no way to the bra (limit -inf) keeps nothing. A
+    step that carries more than MAX_STATES states forward raises
+    NonConvergenceError; the check runs once the step's output is built, so
+    memory is bounded by one step's growth past the cap."""
+    limits = _size_limits(word, cap, bound2)
     state: dict[Partition, TruncatedSeries] = {
         word.ket: TruncatedSeries(limits[-1][weight(word.ket)], {0: 1})}
     for idx in range(len(word.ops) - 1, -1, -1):

@@ -629,6 +629,42 @@ def test_enumerate_on_a_long_leg(family, legs, corner):
     assert tallies[0] == tallies[1] and tallies[0][2]
 
 
+BIG = 10 ** 8
+BIG_PP = {"type": "plane-partition", "legs": [], "entries": [[1, 1, 1]]}
+
+
+# a leg part of 10^8 on the payload verbs: each ends in a result or a usage
+# error, never a traceback or a blown memory cap. Exit codes are not pinned
+# where a box or picture cap refuses the input today
+@pytest.mark.parametrize("argv, payload", [
+    (["biject", "two-leg", "--round-trip"],
+     {"type": "two-leg-spp", "legs": [[BIG], [1]], "excess": [[1, 1, 1]]}),
+    (["biject", "two-leg", "--direction", "inverse", "--round-trip"],
+     {"rho": {"type": "two-leg-rpp", "legs": [[BIG], [1]], "deficit": []},
+      "pi": BIG_PP}),
+    (["biject", "one-leg", "--direction", "inverse", "--round-trip"],
+     {"rho": {"type": "one-leg-rpp", "legs": [[BIG]], "entries": []},
+      "pi": BIG_PP}),
+    (["render"], {"type": "one-leg-spp", "legs": [[BIG]],
+                  "entries": [[2, 1, 1]]}),
+    (["render"], {"type": "one-leg-rpp", "legs": [[BIG]],
+                  "entries": [[1, BIG, 1]]}),
+    (["render"], {"type": "two-leg-spp", "legs": [[BIG], [1]],
+                  "excess": [[1, 1, 1]]}),
+    (["render"], {"type": "two-leg-rpp", "legs": [[BIG], [1]],
+                  "deficit": [[1, 1, 1]]}),
+], ids=["two-leg-forward", "two-leg-inverse", "one-leg-inverse",
+        "render-one-leg-spp", "render-one-leg-rpp", "render-two-leg-spp",
+        "render-two-leg-rpp"])
+def test_payload_verbs_on_a_huge_leg_part(tmp_path, argv, payload):
+    src = tmp_path / "cfg.json"
+    src.write_text(json.dumps(payload))
+    code, out, err = run_capped(*argv, "--input", str(src))
+    assert code in (0, 2) and "Traceback" not in err
+    if code == 0 and "--round-trip" in argv:
+        assert "PASS round-trip\nPASS weight" in out
+
+
 # the one-leg maps and a tableau's hook lengths count the shape's columns
 # from its rows, so a row of 10^8 costs what a short one does
 @pytest.mark.parametrize("argv, payload, want, says", [

@@ -56,6 +56,13 @@ def test_enum_partitions_bound():
         enum_partitions(41)
 
 
+def test_partitions_up_to_refuses_the_requested_weight():
+    # the cap is checked before weights 0..40 are enumerated, and the
+    # message names the weight asked for, not the first one past the cap
+    with pytest.raises(DomainError, match="capped at weight 40: 400$"):
+        partitions_up_to(400)
+
+
 def test_plane_partition_counts_small():
     # the census and the enumeration share one walk, so the members are
     # checked against a fill of their own: every plane partition of weight
@@ -153,10 +160,10 @@ FAMILIES = st.one_of(
 @given(FAMILIES, st.integers(0, 6), st.integers(-1, 13))
 def test_count_matches_the_enumeration(family, budget, doubled):
     kind, legs = family
-    cells, level, before, _ = _family(kind, legs, budget)
-    enumerated = Counter(_fill(cells, level, before, budget,
+    cells, zero, _ = _family(kind, legs, budget)
+    enumerated = Counter(_fill(cells, zero, budget,
                                lambda costs: sum(costs.values())))
-    counted = _count(cells, level, before, budget)
+    counted = _count(cells, zero, budget)
     assert {k: n for k, n in enumerate(counted) if n} == enumerated
     # the census counts what the members' own weights tally, key for key
     bound = _base_weight(kind, legs) + HalfInt(doubled)
@@ -182,9 +189,8 @@ def test_the_cone_rule_keeps_exactly_the_cells_members_use():
                 for lam in SHAPES for mu in SHAPES for budget in range(5)])
     assert len(cases) == 642
     for kind, legs, budget in cases:
-        cells, level, before, _ = _family(kind, legs, budget)
-        kept = {x for run, _ in _runs(cells, level, before, budget)
-                for x in run}
+        cells, zero, _ = _family(kind, legs, budget)
+        kept = {x for run, _ in _runs(cells, zero, budget) for x in run}
         used = {x for cfg in enum_configs(kind, legs, budget)
                 for x in _support(cfg)}
         assert kept == used, (kind, legs, budget)

@@ -13,11 +13,11 @@ from pptoggle.oracle import partitions_up_to
 from pptoggle.partitions import (as_partition, interlacers_above,
                                  interlacers_below, part, weight)
 from pptoggle.series import (OperatorWord, TruncatedSeries, _evaluate_capped,
-                             _state_cap, _successors, apply_vertex_op,
-                             evaluate, evaluate_stable, geometric,
-                             hook_product, initial_cutoff, macmahon_series,
-                             macmahon_word, minimal_exponent, one_leg_word,
-                             shape_word, step_op,
+                             _size_limits, _state_cap, _successors,
+                             apply_vertex_op, evaluate, evaluate_stable,
+                             geometric, hook_product, initial_cutoff,
+                             macmahon_series, macmahon_word, minimal_exponent,
+                             one_leg_word, shape_word, step_op,
                              two_leg_spp_word, weigh_op)
 
 H = HalfInt.halves
@@ -163,6 +163,46 @@ def test_capped_fold_matches_untruncated_fold(ops, bra, ket, bound2):
     cap = max(0, bound2 // 2 + 1) + weight(bra) + weight(ket)
     want = TruncatedSeries(bound2, untruncated_fold(word, cap))
     assert _evaluate_capped(word, bound2, cap).pairs() == want.pairs()
+
+
+def least_path_degree(ops, start: int, end: int, cap: int):
+    """The least doubled degree over every sequence of sizes <= cap that
+    runs from `start` through ops from the right to `end`: a raise may go to
+    any size at or above, a lower to any at or below, each adding e times the
+    change, and a weigh keeps the size and adds scale * size; None if no
+    sequence gets there."""
+    degrees = []
+    for path in itertools.product(range(cap + 1), repeat=len(ops)):
+        sizes, degree = (start,) + path, 0
+        for op, s, t in zip(reversed(ops), sizes, sizes[1:]):
+            if op[0] == "weigh":
+                degree = None if t != s else degree + op[1].doubled * s
+            elif (t - s) * op[1] >= 0:
+                degree += op[2].doubled * abs(t - s)
+            else:
+                degree = None
+            if degree is None:
+                break
+        if degree is not None and sizes[-1] == end:
+            degrees.append(degree)
+    return min(degrees, default=None)
+
+
+@settings(deadline=None)
+@given(st.lists(word_ops, max_size=5), tiny_partitions, st.integers(0, 4),
+       st.integers(-2, 6))
+def test_size_limits_match_every_size_path(ops, bra, cap, bound2):
+    # limits[i][s] is bound2 less the least degree a path adds from size s
+    # through ops[:i] to the bra, and -inf where no path gets there
+    cap = max(cap, weight(bra))
+    limits = _size_limits(OperatorWord(tuple(ops), bra=bra), cap, bound2)
+    assert len(limits) == len(ops) + 1
+    for i, lim in enumerate(limits):
+        assert len(lim) == cap + 1
+        for s, got in enumerate(lim):
+            low = least_path_degree(ops[:i], s, weight(bra), cap)
+            assert got == (float("-inf") if low is None else bound2 - low), (
+                i, s)
 
 
 # a raise, a weigh taking back half its exponent, and a lower: sum of q^(n/2)
@@ -448,9 +488,9 @@ def test_floor_table_over_the_cap_is_refused(monkeypatch):
     # it is built
     word = macmahon_word(2)
     monkeypatch.setattr(series, "MAX_FLOOR_ENTRIES", 5 * 4)
-    assert len(series._size_floors(word, 3)) == 5
+    assert len(series._size_limits(word, 3, 0)) == 5
     with pytest.raises(DomainError, match="floor table .* over the cap of 20"):
-        series._size_floors(word, 4)
+        series._size_limits(word, 4, 0)
     with pytest.raises(DomainError, match="over the cap"):
         evaluate_stable("macmahon", None, 4)
 
