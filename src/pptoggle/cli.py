@@ -68,10 +68,11 @@ class Report:
     """Collects outputs and named checks for one command run."""
 
     def __init__(self, args):
-        self.command = " ".join(sys.argv[1:])
-        # the handler's repr carries a memory address, so it stays out
+        self.command = " ".join(args.argv)
+        # the handler's repr carries a memory address, so it stays out, and
+        # the digest is of what the argv parsed to, not of its spelling
         self.inputs_digest = _digest({k: v for k, v in vars(args).items()
-                                      if k != "fn"})
+                                      if k not in ("fn", "argv")})
         self.outputs: list[str] = []
         self.checks: list[dict] = []
         self.started = time.monotonic()
@@ -258,6 +259,10 @@ def cmd_toggle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # --suite reads None when not given, so that --census can refuse it
+    # when it is; the run and the report's inputs digest read all
+    given_suite = args.suite is not None
+    args.suite = args.suite if given_suite else "all"
     report = Report(args)
     # each bound flag given, with the suite parameter it sets
     given = {flag: (key, value) for flag, key, value in (
@@ -267,15 +272,17 @@ def cmd_verify(args) -> int:
         ("--lambda", "shapes", None if args.shape is None
          else (parse_partition(args.shape),))) if value is not None}
     if args.census:
-        if given:
-            raise DomainError(f"{next(iter(given))} is not read by --census")
+        if given or given_suite:
+            flag = next(iter(given), "--suite")
+            raise DomainError(f"{flag} is not read by --census")
         return _verify_census(args, report)
-    if args.suite == "none":
-        report.emit("no suites requested; vacuous pass")
-        return report.finish()
-    names = "all" if args.suite == "all" else [args.suite]
+    names = ("all" if args.suite == "all"
+             else [] if args.suite == "none" else [args.suite])
     flags = {key: flag for flag, (key, _) in given.items()}
     vf.refuse_unread(names, flags, flags.get)
+    if not names:
+        report.emit("no suites requested; vacuous pass")
+        return report.finish()
     results = vf.run_suites(names, **dict(given.values()))
     for row in results:
         report.check(row.name, row.passed, row.text())
@@ -391,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_toggle)
 
     p = sub.add_parser("verify", parents=[shared], help="run invariant suites")
-    p.add_argument("--suite", default="all")
+    p.add_argument("--suite", default=None, help="a suite, all (the "
+                   "default) or none")
     p.add_argument("--degree", type=_non_negative(int))
     p.add_argument("--max-part", type=_non_negative(int), dest="max_part")
     p.add_argument("--max-weight", type=_non_negative(int), dest="max_weight")
@@ -410,10 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
+    args.argv = argv  # the command a --json report names
     try:
         return args.fn(args)
     except NonConvergenceError as exc:

@@ -1,9 +1,10 @@
 """Brute-force enumeration and counting of configuration families.
 
 Everything here is deliberately independent of the series/bijection code
-paths. One table, `_family`, gives each family's band of cells and its zero
-member, whose `at` and row of `configurations.FILLINGS` give each cell's
-level and the neighbours that cap its cost over it. `_runs` keeps the cells
+paths. One table, `_family`, gives each family's zero member, whose `at` and
+row of `configurations.FILLINGS` give each cell's level and the neighbours
+that cap its cost over it, and a band of cells grown, by one expression for
+every family, from the corners of that level. `_runs` keeps the cells
 whose cone (the cells a nonzero cost forces nonzero) fits in the budget, one
 rule for every family, splits them into rows and reads each cell's caps,
 and one row walk reads that table two ways:
@@ -29,7 +30,8 @@ from .configurations import (FILLINGS, WALL, OneLegRPP, OneLegSPP,
                              bounding_cells, cfg_weight, minimal_weight)
 from .errors import DomainError, InvariantError
 from .halfint import ZERO, HalfInt
-from .partitions import Partition, as_partition, part
+from .partitions import (Partition, as_partition, outer_corners,
+                         removable_corners)
 from .series import TruncatedSeries
 
 
@@ -84,7 +86,8 @@ def count_partitions_pentagonal(n: int) -> int:
 def _runs(cells: list, zero, budget: int) -> list[tuple[list, list]]:
     """(run, caps) for each run, by row index, of the cells that can be
     nonzero at cost <= budget, level(x) = sign * zero.at(x) and before(x) =
-    bounding_cells(k, x) read off zero's row (k, sign) of FILLINGS. A cell's
+    bounding_cells(k, x) read off zero's row (k, sign) of FILLINGS; a cell
+    where zero reads WALL is off the family's domain and skipped. A cell's
     caps are the cap from its neighbours off the runs (cost 0), then
     (position, slack) of its neighbours earlier in its run and of those in
     the previous run; every n in before(x) must be one of these.
@@ -104,7 +107,9 @@ def _runs(cells: list, zero, budget: int) -> list[tuple[list, list]]:
         r, run, spec = len(table), [], []
         for x in band:
             waiting.discard(x)
-            lx, fixed, here, above, cone = sign * at(*x), WALL, [], [], {x}
+            if (level := at(*x)) == WALL:
+                continue
+            lx, fixed, here, above, cone = sign * level, WALL, [], [], {x}
             for n in bounding_cells(k, x):
                 if n in waiting or n in kept and kept[n][0] < r - 1:
                     raise InvariantError("neighbour neither earlier in its run "
@@ -198,14 +203,32 @@ def _family(kind: str, legs, budget: int):
     `_count` counts from.
 
     zero is the family's zero member, whose values (0, the two-leg floor or
-    ceiling; WALL off its domain) give each cell's level and whose row of
-    FILLINGS names the two cells that bound it. `cells` is a band, in rows,
-    holding every cell that can be nonzero, and `_runs` keeps those its cone
-    rule lets be. Where a row or column keeps one level, a cell's cone runs
-    back to where the level last changed, so each band stops `budget` cells
-    past that: the row ends of lam and row len(lam) for the SPPs, the row
-    ends from inside for the one-leg RPP, len(lam) and len(mu) for the
-    two-leg SPP, and row and column 1 for the two-leg RPP.
+    ceiling; WALL off its domain) give each cell's level and whose row
+    (k, sign) of FILLINGS names the two cells that bound it. `cells` is a
+    band, in row order, holding every cell that can be nonzero, and `_runs`
+    keeps those its cone rule lets be.
+
+    The band is grown from that rule. Call a cell of the level a corner when
+    no bounding neighbour is tied to it (at slack 0). A kept cell x with a
+    tied neighbour n needs n kept, and cone(n) lies in cone(x) without x.
+    So, by induction on |cone|, a kept cell is a corner or one step past a
+    kept cell of smaller cone: it lies at most |cone| - 1 <= budget - 1
+    steps from a corner c, each away from the cells that bound it, at
+    c + k * (a, b) with a + b < budget. Any superset of the corners serves, since `_runs`
+    drops every extra cell, those off the domain included:
+
+    - plane and one-leg SPP: the outer corners of lam, whose bounding
+      neighbours both lie on lam or off the quadrant ((1, 1) for a plane
+      partition);
+    - one-leg RPP: the removable corners of lam, past both of whose
+      bounding neighbours lam ends;
+    - two-leg SPP: (i, j) with i = 1 or mu_(i-1) > mu_i, and j = 1 or
+      lam_(j-1) > lam_j, the rows of each leg's outer corners: elsewhere
+      the floor max(lam_j, mu_i) keeps its value from a bounding neighbour;
+    - two-leg RPP: (i, j) with i = 0 or mu_i > mu_(i+1), and j = 0 or
+      lam_j > lam_(j+1), the rows of each leg's removable corners:
+      elsewhere the ceiling min(lam_j, mu_i), read as lam_j in rows <= 0
+      and as mu_i in columns <= 0, keeps its value at a bounding neighbour.
     """
     if kind in ("plane", "one-leg-spp", "one-leg-rpp"):
         if budget > 12:
@@ -213,15 +236,10 @@ def _family(kind: str, legs, budget: int):
             raise DomainError(f"{what} enumeration capped at weight 12")
         lam = () if kind == "plane" else as_partition(legs)
         if kind == "one-leg-rpp":
-            cells = [(i, j) for i in range(len(lam), 0, -1)
-                     for j in range(lam[i - 1],
-                                    max(0, lam[i - 1] - budget), -1)]
-            make = partial(OneLegRPP, lam)
+            corners, make = removable_corners(lam), partial(OneLegRPP, lam)
         else:
             # a plane partition is the one-leg SPP on the empty shape
-            cells = [(i, j) for i in range(1, len(lam) + budget + 1)
-                     for j in range(part(lam, i) + 1,
-                                    part(lam, i) + budget + 1)]
+            corners = outer_corners(lam)
             make = (PlanePartition if kind == "plane"
                     else partial(OneLegSPP, lam))
     elif kind in ("two-leg-spp", "two-leg-rpp"):
@@ -230,19 +248,20 @@ def _family(kind: str, legs, budget: int):
             raise DomainError(f"two-leg enumeration capped at {what} 8")
         lam, mu = (as_partition(legs[0]), as_partition(legs[1]))
         if kind == "two-leg-spp":
-            cells = [(i, j) for i in range(1, len(mu) + budget + 1)
-                     for j in range(1, len(lam) + budget + 1)]
+            rows, cols = outer_corners(mu), outer_corners(lam)
             make = partial(TwoLegSPP, (lam, mu))
         else:
-            cells = [(i, j) for i in range(len(mu), -budget, -1)
-                     for j in range(len(lam), -budget, -1)]
+            rows = [(0, 0)] + removable_corners(mu)
+            cols = [(0, 0)] + removable_corners(lam)
             make = partial(TwoLegRPP, (lam, mu))
+        corners = [(i, j) for i, _ in rows for j, _ in cols]
     else:
         raise DomainError(f"unknown family {kind!r}")
     zero = make()
-    if kind == "two-leg-rpp":
-        # zero-ceiling cells hold no deficit and are left out
-        cells = [x for x in cells if 0 < zero.at(*x) < WALL]
+    k = FILLINGS[type(zero)][0]
+    cells = sorted({(i + k * a, j + k * b) for i, j in corners
+                    for a in range(budget) for b in range(budget - a)},
+                   reverse=k < 0)
     return cells, zero, make
 
 

@@ -238,8 +238,10 @@ def evaluate(word: OperatorWord, bound) -> TruncatedSeries:
     return _evaluate_capped(word, bound2, _state_cap(word, bound2))
 
 
-def _state_cap(word: OperatorWord, bound2: int) -> int:
-    """The largest state size on a fold path of degree <= bound2.
+def _state_cap(word: OperatorWord, bound2: int) -> list[list]:
+    """The size limits (`_size_limits`) at the largest state size on a fold
+    path of degree <= bound2: the table the fold reads, one row of cap + 1
+    limits per operator.
 
     Cut a path's sizes into unit layers. Above h = max(|bra|, |ket|) each
     layer is made of runs, each entered by a raise and left by a lower to
@@ -261,17 +263,18 @@ def _state_cap(word: OperatorWord, bound2: int) -> int:
             best = min(best, op[2].doubled)
         else:
             rho = min(rho, best + op[2].doubled)
-    if rho == float("inf"):
-        return h
-    if rho > 0:
-        room = _size_limits(word, h, bound2)[-1][weight(word.ket)]
-        return h if room < 0 else h + room // rho
-    paths = OperatorWord(tuple(step_op(op[1], 0) for op in word.ops
-                               if op[0] == "step"), word.bra, word.ket)
-    if _evaluate_capped(paths, 0, weight(word.bra) + weight(word.ket)).coeffs:
-        raise NonConvergenceError(
-            "word has unboundedly many states below the degree bound")
-    return h
+    if rho <= 0:
+        paths = OperatorWord(tuple(step_op(op[1], 0) for op in word.ops
+                                   if op[0] == "step"), word.bra, word.ket)
+        small = _size_limits(paths, weight(word.bra) + weight(word.ket), 0)
+        if _evaluate_capped(paths, 0, small).coeffs:
+            raise NonConvergenceError(
+                "word has unboundedly many states below the degree bound")
+    limits = _size_limits(word, h, bound2)
+    room = limits[-1][weight(word.ket)]
+    if rho <= 0 or room < rho:
+        return limits
+    return _size_limits(word, h + room // rho, bound2)
 
 
 def _size_limits(word: OperatorWord, cap: int, bound2: int) -> list[list]:
@@ -304,17 +307,18 @@ def _size_limits(word: OperatorWord, cap: int, bound2: int) -> list[list]:
     return limits
 
 
-def _evaluate_capped(word: OperatorWord, bound2: int, cap: int
+def _evaluate_capped(word: OperatorWord, bound2: int, limits: list[list]
                      ) -> TruncatedSeries:
-    """Fold the word from its ket over states of size <= cap. While ops[:i]
-    are still to come, a state of size s keeps a term x only if
-    x <= limits[i][s] (`_size_limits`): every way on to the bra adds at
-    least bound2 - limits[i][s], so a term past that limit ends past the
-    bound, and a size with no way to the bra (limit -inf) keeps nothing. A
+    """Fold the word from its ket over states of size <= cap, the last
+    size of `limits` (`_size_limits(word, cap, bound2)`). While ops[:i] are
+    still to come, a state of size s keeps a term x only if x <=
+    limits[i][s]: every way on to the bra adds at least bound2 -
+    limits[i][s], so a term past that limit ends past the bound, and a
+    size with no way to the bra (limit -inf) keeps nothing. A
     step that carries more than MAX_STATES states forward raises
     NonConvergenceError; the check runs once the step's output is built, so
     memory is bounded by one step's growth past the cap."""
-    limits = _size_limits(word, cap, bound2)
+    cap = len(limits[0]) - 1
     state: dict[Partition, TruncatedSeries] = {
         word.ket: TruncatedSeries(limits[-1][weight(word.ket)], {0: 1})}
     for idx in range(len(word.ops) - 1, -1, -1):

@@ -304,9 +304,11 @@ def test_verify_suite_with_bounds(capsys):
     (["--census", "CENSUS", "--max-part", "2"], "--max-part"),
     (["--census", "CENSUS", "--max-weight", "3"], "--max-weight"),
     (["--census", "CENSUS", "--lambda", "2,1"], "--lambda"),
+    (["--suite", "none", "--degree", "3"], "--degree"),
+    (["--census", "CENSUS", "--suite", "toggles"], "--suite"),
 ], ids=["toggles-degree", "macmahon-max-part", "configurations-max-weight",
         "toggles-lambda", "census-degree", "census-max-part",
-        "census-max-weight", "census-lambda"])
+        "census-max-weight", "census-lambda", "none-degree", "census-suite"])
 def test_a_bound_no_requested_check_reads_is_a_usage_error(
         tmp_path, capsys, argv, flag):
     # the run would drop the bound and check at the defaults instead
@@ -317,6 +319,14 @@ def test_a_bound_no_requested_check_reads_is_a_usage_error(
     argv = [str(census) if a == "CENSUS" else a for a in argv]
     assert main(["verify", *argv]) == 2
     assert flag in capsys.readouterr().err
+
+
+def test_json_report_names_the_argv_main_parsed(capsys, monkeypatch):
+    # main(argv) reports argv, not the arguments of the process it runs in
+    monkeypatch.setattr(sys, "argv", ["host", "unrelated", "--flag"])
+    code, out = run(capsys, "--json", "series", "--macmahon", "--degree", "2")
+    assert code == 0
+    assert json.loads(out)["command"] == "--json series --macmahon --degree 2"
 
 
 def test_report_determinism(capsys):
@@ -627,6 +637,18 @@ def test_enumerate_on_a_long_leg(family, legs, corner):
         tallies.append(Counter(sum(v for *_, v in m["entries"])
                                for m in members))
     assert tallies[0] == tallies[1] and tallies[0][2]
+
+
+@pytest.mark.parametrize("family", ["two-leg-spp", "two-leg-rpp"])
+def test_enumerate_two_legs_of_many_rows(family):
+    # the bands grow from the few corners of the level, not over the
+    # 400 x 400 box the legs span
+    leg = ",".join(["1"] * 400)
+    code, out, err = run_capped("enumerate", "--family", family,
+                                "--legs", f"{leg}/{leg}", "--bound", "2")
+    assert code == 0 and "Traceback" not in err
+    head, *members = map(json.loads, out.splitlines())
+    assert head["count"] == len(members) and members
 
 
 BIG = 10 ** 8

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pptoggle.configurations import TwoLegSPP, cfg_weight
+from pptoggle.configurations import WALL, TwoLegSPP, cfg_weight
 from pptoggle.errors import DomainError
 from pptoggle.halfint import HalfInt
 from pptoggle.oracle import (WeightCensus, _base_weight, _count, _family,
@@ -17,6 +17,7 @@ from pptoggle.oracle import (WeightCensus, _base_weight, _count, _family,
                              enum_partitions, enum_plane_partitions,
                              enum_two_leg_rpp, enum_two_leg_spp,
                              partitions_up_to, weighed_members)
+from pptoggle.partitions import part
 from pptoggle.serialize import config_to_json
 from pptoggle.series import geometric, hook_product, macmahon_series
 
@@ -194,6 +195,54 @@ def test_the_cone_rule_keeps_exactly_the_cells_members_use():
         used = {x for cfg in enum_configs(kind, legs, budget)
                 for x in _support(cfg)}
         assert kept == used, (kind, legs, budget)
+
+
+def box_band(kind, legs, budget):
+    """The band each family scanned before its band grew from the level's
+    corners, written out as a reference: a box per family, each side
+    `budget` cells past where its level last changes, in row order, and for
+    the two-leg RPP only the cells under a positive ceiling."""
+    if kind == "one-leg-rpp":
+        return [(i, j) for i in range(len(legs), 0, -1)
+                for j in range(legs[i - 1], max(0, legs[i - 1] - budget), -1)]
+    if kind in ("plane", "one-leg-spp"):
+        lam = legs or ()
+        return [(i, j) for i in range(1, len(lam) + budget + 1)
+                for j in range(part(lam, i) + 1, part(lam, i) + budget + 1)]
+    lam, mu = legs
+    if kind == "two-leg-spp":
+        return [(i, j) for i in range(1, len(mu) + budget + 1)
+                for j in range(1, len(lam) + budget + 1)]
+    zero = _family(kind, legs, 0)[1]
+    return [(i, j) for i in range(len(mu), -budget, -1)
+            for j in range(len(lam), -budget, -1)
+            if 0 < zero.at(i, j) < WALL]
+
+
+def test_the_corner_band_keeps_the_box_band_table():
+    # growing each band from its level's corners changes what `_runs`
+    # scans, never what it returns: the same runs, cells and caps
+    cases = ([("plane", None, budget) for budget in range(7)]
+             + [(kind, lam, budget) for kind in ("one-leg-spp", "one-leg-rpp")
+                for lam in partitions_up_to(4) for budget in range(7)]
+             + [(kind, (lam, mu), budget)
+                for kind in ("two-leg-spp", "two-leg-rpp")
+                for lam in SHAPES for mu in SHAPES for budget in range(6)])
+    assert len(cases) == 763
+    for kind, legs, budget in cases:
+        cells, zero, _ = _family(kind, legs, budget)
+        assert (_runs(cells, zero, budget)
+                == _runs(box_band(kind, legs, budget), zero, budget)), (
+                    kind, legs, budget)
+
+
+@pytest.mark.parametrize("kind", ["two-leg-spp", "two-leg-rpp"])
+def test_a_two_leg_band_grows_with_the_corners_not_the_legs(kind):
+    # legs of 1,500 rows of 1 have two corners each: their box held 2.26
+    # million cells, of which the cone rule kept a handful
+    leg = (1,) * 1500
+    cells, _, _ = _family(kind, (leg, leg), 2)
+    assert len(cells) <= 50
 
 
 def test_oracle_is_independent_of_series_and_bijections():

@@ -162,7 +162,8 @@ def test_capped_fold_matches_untruncated_fold(ops, bra, ket, bound2):
     word = OperatorWord(tuple(ops), bra=bra, ket=ket)
     cap = max(0, bound2 // 2 + 1) + weight(bra) + weight(ket)
     want = TruncatedSeries(bound2, untruncated_fold(word, cap))
-    assert _evaluate_capped(word, bound2, cap).pairs() == want.pairs()
+    limits = _size_limits(word, cap, bound2)
+    assert _evaluate_capped(word, bound2, limits).pairs() == want.pairs()
 
 
 def least_path_degree(ops, start: int, end: int, cap: int):
@@ -226,11 +227,13 @@ def test_state_cap_holds_every_contributing_state(ops, bra, ket, bound2):
         assert "unboundedly many" in str(exc)
         small = weight(bra) + weight(ket)
         top2 = small * sum(abs(op[-1].doubled) for op in ops)
-        totals = [sum(_evaluate_capped(word, top2, small + k).coeffs.values())
+        totals = [sum(_evaluate_capped(word, top2, _size_limits(
+                      word, small + k, top2)).coeffs.values())
                   for k in range(3)]
         assert totals[0] < totals[1] < totals[2]
         return
-    wider = _evaluate_capped(word, bound2, _state_cap(word, bound2) + 6)
+    cap = len(_state_cap(word, bound2)[0]) - 1
+    wider = _evaluate_capped(word, bound2, _size_limits(word, cap + 6, bound2))
     assert got.pairs() == wider.pairs()
 
 
@@ -379,11 +382,12 @@ def test_state_cap_counts_after_truncation(monkeypatch):
     # forward
     from pptoggle import series
     word = OperatorWord((step_op(-1, HalfInt(-3)), step_op(1, HalfInt(7))))
+    limits = series._size_limits(word, 6, 10)
     monkeypatch.setattr(series, "MAX_STATES", 3)
-    assert series._evaluate_capped(word, 10, 6).coeffs == {0: 1, 4: 1, 8: 1}
+    assert series._evaluate_capped(word, 10, limits).coeffs == {0: 1, 4: 1, 8: 1}
     monkeypatch.setattr(series, "MAX_STATES", 2)
     with pytest.raises(NonConvergenceError, match="holds 3 states"):
-        series._evaluate_capped(word, 10, 6)
+        series._evaluate_capped(word, 10, limits)
 
 
 def test_state_cap_counts_the_pruned_macmahon_fold(monkeypatch):

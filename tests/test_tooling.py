@@ -85,6 +85,9 @@ def test_each_filling_order_is_written_in_configurations():
     for stem in ("oracle", "render"):
         assert not {"contains", "two_leg_floor",
                     "two_leg_ceiling"} & _names(package / f"{stem}.py"), stem
+    # the oracle reads a shape only through its corners, so no band is
+    # sized from a leg's parts
+    assert "part" not in _names(package / "oracle.py")
     written = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
