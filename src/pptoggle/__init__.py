@@ -9,7 +9,7 @@ from .boundary import (HookTarget, edge_power, edge_sign, n_quotient,
                        redistribute, redistribute_inverse)
 from .configurations import (HookTableau, OneLegRPP, OneLegSPP, PlanePartition,
                              TwoLegRPP, TwoLegSPP, cfg_weight, diagonal,
-                             minimal_config, minimal_weight)
+                             minimal_weight)
 from .series import (OperatorWord, TruncatedSeries, apply_vertex_op, evaluate,
                      evaluate_stable, geometric, hook_product, macmahon_series,
                      shape_word)

@@ -10,9 +10,10 @@ off its domain, and FILLINGS gives its order: nothing else states either.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 from .errors import DomainError, InvariantError
 from .halfint import HalfInt
@@ -241,9 +242,6 @@ class HookTableau:
         return self.values.get((i, j), 0)
 
 
-Configuration = (PlanePartition | OneLegSPP | OneLegRPP | TwoLegSPP
-                 | TwoLegRPP | HookTableau)
-
 # Each filling's order, (k, sign, stored): sign * at(cell) may not exceed
 # sign * at(n) for the two bounding_cells(k, cell) n, above and to the left
 # (k = 1) or below and to the right (k = -1); `stored` names the field that
@@ -366,32 +364,40 @@ def diagonal(cfg, n: int) -> Partition:
 
 
 def minimal_weight(kind: str, legs) -> HalfInt:
-    """Weight of the zero-excess (zero-deficit) configuration.
+    """Weight of the zero-excess (zero-deficit) configuration on legs
+    (lam, mu), the same for both kinds:
 
-    Telescopes the operator weights over the stabilised diagonals: the step
-    between consecutive diagonals n and n+1 costs (2n+1)/2 per unit of size
-    difference, outward from the centre on both sides. Past a leg's length
-    each level diagonal on its side is that leg, so the steps stop at
-    max(len(lam), len(mu)). The value depends only on (kind, legs), so it
-    is memoised on the normalised legs.
+        n(lam) + n(mu) + (|lam| + |mu|)/2 - sum_{i,j} min(lam_i, mu_j),
+
+    where n(lam) = sum (i - 1) lam_i. The min-sum bisects mu's rising parts
+    once per part of lam, so the cost follows the legs' lengths.
+
+    The weight telescopes the operator weights over the level diagonals:
+    the step between diagonals n and n+1 costs (2n+1)/2 per unit of size
+    difference, outward from the centre on both sides, with the sign -1
+    for an RPP. Let s_d be the size of level diagonal d and R =
+    max(len(lam), len(mu)) + 1; s_R and s_-R are the legs, so summation by
+    parts turns the doubled telescope into
+    2 sum_{|d|<R} s_d - (2R - 1)(|lam| + |mu|). For the SPP, the floor on
+    the quadrant is lam_j + mu_i - min(lam_j, mu_i), and column
+    j <= len(lam) meets the diagonals |d| < R in j + R - 1 cells (row i
+    likewise). For the RPP, the ceiling is min(lam_j, mu_i) on the
+    quadrant, plus lam_j on the R - j cells of column j in rows <= 0 and
+    mu_i on the R - i cells of row i in columns <= 0, read with the sign
+    -1. Both give the value above.
     """
-    lam, mu = legs
-    return _minimal_weight(kind, (as_partition(lam), as_partition(mu)))
-
-
-@lru_cache(maxsize=1 << 10)
-def _minimal_weight(kind: str, legs: tuple[Partition, Partition]) -> HalfInt:
     if kind not in ("spp", "rpp"):
         raise DomainError(f"kind must be 'spp' or 'rpp': {kind!r}")
-    cls = TwoLegSPP if kind == "spp" else TwoLegRPP
-    reach = max(len(legs[0]), len(legs[1])) + 1
-    size = {d: sum(nu) for d, nu in _level_diagonals(
-        cls, legs, range(-reach, reach + 1)).items()}
-    doubled = 0
-    for n in range(reach):
-        doubled += (2 * n + 1) * (size[n] - size[n + 1])
-        doubled += (2 * n + 1) * (size[-n] - size[-n - 1])
-    return HalfInt(FILLINGS[cls][1] * doubled)
+    lam, mu = as_partition(legs[0]), as_partition(legs[1])
+    rising = mu[::-1]
+    below = (0, *accumulate(rising))  # below[k]: sum of mu's k smallest parts
+    meets = 0
+    for a in lam:
+        k = bisect_left(rising, a)
+        meets += below[k] + a * (len(mu) - k)
+    doubled = sum((2 * i - 1) * p for leg in (lam, mu)
+                  for i, p in enumerate(leg, start=1))
+    return HalfInt(doubled - 2 * meets)
 
 
 def cfg_weight(cfg) -> HalfInt:
@@ -405,15 +411,3 @@ def cfg_weight(cfg) -> HalfInt:
     if isinstance(cfg, HookTableau):
         return HalfInt.of(cfg.hook_weight())
     raise DomainError(f"no weight for {type(cfg).__name__}")
-
-
-def minimal_config(kind: str, legs) -> tuple[Configuration, HalfInt]:
-    """The zero-excess/deficit configuration and the minimal exponent of the
-    matching vertex-operator series (computed from the series itself)."""
-    from . import series  # local import: series imports this module
-
-    legs = (as_partition(legs[0]), as_partition(legs[1]))
-    cfg = TwoLegSPP(legs) if kind == "spp" else TwoLegRPP(legs)
-    low = series.minimal_exponent(kind, legs)
-    return cfg, low
-

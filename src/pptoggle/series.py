@@ -444,7 +444,8 @@ def evaluate_stable(kind: str, legs, bound) -> TruncatedSeries:
 
 def minimal_exponent(kind: str, legs) -> HalfInt:
     """Lowest exponent with a nonzero coefficient of a two-leg shape series,
-    read off the series truncated at the telescoped `minimal_weight`."""
+    read off the series truncated at `minimal_weight`, the weight of the
+    zero filling stated from the legs."""
     word_kind = "two-leg-spp" if kind == "spp" else "two-leg-rpp"
     low = evaluate_stable(word_kind, legs,
                           minimal_weight(kind, legs)).min_exponent()

@@ -493,10 +493,9 @@ def suite_two_leg_width_stability(two_leg_excess: int = 3) -> list[CheckResult]:
 def suite_configurations(bound: int = 8) -> list[CheckResult]:
     legs_list = [((2,), (1,)), ((2, 2), (3, 1)), ((1,), (1,)), ((), (2, 1))]
     return [
-        _row("minimal-config-weight", "series exponent != telescoped weight",
+        _row("minimal-config-weight", "series exponent != minimal weight",
              ((kind, legs) for legs in legs_list for kind in ("spp", "rpp")
-              for cfg, low in [cf.minimal_config(kind, legs)]
-              if cf.cfg_weight(cfg) != low or cf.minimal_weight(kind, legs) != low)),
+              if sr.minimal_exponent(kind, legs) != cf.minimal_weight(kind, legs))),
         _row("deficit-reconstruction", "rebuild differs",
              (rho.deficit for rho in oc.enum_two_leg_rpp(((2,), (1,)), min(bound, 5))
               if cf.TwoLegRPP(rho.legs, dict(rho.deficit)) != rho)),
@@ -512,7 +511,8 @@ def suite_oracle(bound: int = 10) -> list[CheckResult]:
     small = oc.census_series(oc.WeightCensus.take("plane", None, 3))
     want = sr.TruncatedSeries.from_terms(HalfInt.of(3),
                                          list(enumerate(PLANE_COUNTS[:4])))
-    return [_row(f"partition-counts(w<={bound})", "recursion vs recurrence",
+    return [_row(f"partition-counts(w<={bound})",
+                 "enumeration vs pentagonal recurrence",
                  (n for n in range(bound + 1)
                   if len(oc.enum_partitions(n)) != oc.count_partitions_pentagonal(n))),
             _row("plane-counts-0-3", "census minus counts", (small - want).pairs())]

@@ -13,8 +13,10 @@ import pptoggle
 from pptoggle import series
 from pptoggle.cli import main
 from pptoggle.errors import NonConvergenceError
-from pptoggle.serialize import config_to_json
-from pptoggle.configurations import OneLegSPP, PlanePartition, TwoLegSPP
+from pptoggle.halfint import HalfInt
+from pptoggle.serialize import config_from_json, config_to_json
+from pptoggle.configurations import (OneLegSPP, PlanePartition, TwoLegSPP,
+                                     cfg_weight)
 
 FIG_SIGMA_JSON = config_to_json(
     OneLegSPP((2, 1), {(1, 3): 3, (2, 2): 4, (2, 3): 2,
@@ -642,13 +644,17 @@ def test_enumerate_on_a_long_leg(family, legs, corner):
 @pytest.mark.parametrize("family", ["two-leg-spp", "two-leg-rpp"])
 def test_enumerate_two_legs_of_many_rows(family):
     # the bands grow from the few corners of the level, not over the
-    # 400 x 400 box the legs span
-    leg = ",".join(["1"] * 400)
-    code, out, err = run_capped("enumerate", "--family", family,
-                                "--legs", f"{leg}/{leg}", "--bound", "2")
+    # 1500 x 1500 box the legs span, and the level's weight is stated from
+    # the legs: the members weigh what those of legs 1,1,1/1,1,1 weigh
+    tally = {"two-leg-spp": {0: 1, 1: 2, 2: 6},
+             "two-leg-rpp": {0: 1, 1: 1, 2: 2}}[family]
+    code, out, err = run_capped("enumerate", "--family", family, "--legs",
+                                f"{LONG_COLUMN}/{LONG_COLUMN}", "--bound", "2")
     assert code == 0 and "Traceback" not in err
     head, *members = map(json.loads, out.splitlines())
-    assert head["count"] == len(members) and members
+    assert head["count"] == len(members)
+    assert Counter(cfg_weight(config_from_json(m)) for m in members) == {
+        HalfInt.of(w): n for w, n in tally.items()}
 
 
 BIG = 10 ** 8

@@ -1,16 +1,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pptoggle.configurations import (HookTableau, OneLegRPP, OneLegSPP,
-                                     PlanePartition, TwoLegRPP, TwoLegSPP,
-                                     cfg_weight, diagonal, diagonals,
-                                     from_diagonals,
-                                     minimal_config, minimal_weight,
-                                     two_leg_ceiling, two_leg_floor)
+from pptoggle import configurations
+from pptoggle.configurations import (FILLINGS, HookTableau, OneLegRPP,
+                                     OneLegSPP, PlanePartition, TwoLegRPP,
+                                     TwoLegSPP, _level_diagonals, cfg_weight,
+                                     diagonal, diagonals, from_diagonals,
+                                     minimal_weight, two_leg_ceiling,
+                                     two_leg_floor)
 from pptoggle.errors import DomainError, InvariantError
-from pptoggle.partitions import part
+from pptoggle.oracle import partitions_up_to
+from pptoggle.partitions import as_partition, part
 from pptoggle.halfint import HalfInt
 from pptoggle.serialize import config_from_json, config_to_json
+from pptoggle.series import minimal_exponent
 
 # the weight-31 grid: rows (5,4,3,3)/(4,4,2)/(2,1)/(2,1)
 BIG_PP = PlanePartition.from_rows([[5, 4, 3, 3], [4, 4, 2], [2, 1], [2, 1]])
@@ -87,11 +90,12 @@ def test_all_zero_configurations():
 
 
 def test_minimal_config_examples():
-    cfg, v0 = minimal_config("spp", ((2, 2), (3, 1)))
-    assert v0 == HalfInt.of(1) and cfg.excess == {}
-    cfg, w0 = minimal_config("rpp", ((3, 1), (2, 2)))
-    assert w0 == HalfInt.of(1) and cfg.deficit == {}
-    assert minimal_config("spp", ((), ()))[1] == HalfInt.of(0)
+    # the zero filling weighs the lowest exponent of its series
+    spp, rpp = TwoLegSPP(((2, 2), (3, 1))), TwoLegRPP(((3, 1), (2, 2)))
+    assert minimal_exponent("spp", spp.legs) == cfg_weight(spp) == HalfInt.of(1)
+    assert minimal_exponent("rpp", rpp.legs) == cfg_weight(rpp) == HalfInt.of(1)
+    assert (minimal_exponent("spp", ((), ())) == minimal_weight("spp", ((), ()))
+            == HalfInt.of(0))
     # the one-leg shape read as a column leg starts at a half step
     assert minimal_weight("spp", ((1,), ())) == HalfInt(1)
 
@@ -99,12 +103,65 @@ def test_minimal_config_examples():
 def test_minimal_weight_matches_series_exponent():
     for kind in ("spp", "rpp"):
         for legs in (((2,), (1,)), ((1, 1), (2,)), ((), (1,))):
-            assert minimal_config(kind, legs)[1] == minimal_weight(kind, legs)
+            assert minimal_exponent(kind, legs) == minimal_weight(kind, legs)
 
 
 def test_weight_of_minimal_equals_lowest_exponent():
-    cfg, v0 = minimal_config("spp", ((2,), (1, 1)))
-    assert cfg_weight(cfg) == v0
+    zero = TwoLegSPP(((2,), (1, 1)))
+    assert cfg_weight(zero) == minimal_exponent("spp", zero.legs)
+
+
+def telescoped_weight(kind, legs):
+    """The zero filling's weight as a telescope over its level diagonals:
+    the step between diagonals n and n+1 costs (2n+1)/2 per unit of size
+    difference, outward from the centre on both sides, with the filling's
+    sign. Past a leg's length each level diagonal on its side is that leg,
+    so the steps stop at max(len(lam), len(mu))."""
+    cls = TwoLegSPP if kind == "spp" else TwoLegRPP
+    legs = (as_partition(legs[0]), as_partition(legs[1]))
+    reach = max(len(legs[0]), len(legs[1])) + 1
+    size = {d: sum(nu) for d, nu in _level_diagonals(
+        cls, legs, range(-reach, reach + 1)).items()}
+    doubled = 0
+    for n in range(reach):
+        doubled += (2 * n + 1) * (size[n] - size[n + 1])
+        doubled += (2 * n + 1) * (size[-n] - size[-n - 1])
+    return HalfInt(FILLINGS[cls][1] * doubled)
+
+
+def test_minimal_weight_is_the_level_telescope():
+    legs = partitions_up_to(7)
+    cases = [(lam, mu) for lam in legs for mu in legs]
+    cases += [((10 ** 8, 5), (3,)), ((1,) * 300, (2, 1))]
+    for kind in ("spp", "rpp"):
+        for pair in cases:
+            assert minimal_weight(kind, pair) == telescoped_weight(kind, pair), (
+                kind, pair)
+    assert len(cases) == 45 * 45 + 2
+    with pytest.raises(DomainError, match="kind must be"):
+        minimal_weight("pp", ((1,), ()))
+
+
+def test_minimal_weight_reads_no_level(monkeypatch):
+    # the weight is stated from the legs' parts: on legs of 1,500 rows it
+    # reads no level diagonal and no cell
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(configurations, "_level_diagonal",
+                        spy("_level_diagonal", configurations._level_diagonal))
+    for cls in (TwoLegSPP, TwoLegRPP):
+        monkeypatch.setattr(cls, "at", spy(f"{cls.__name__}.at", cls.at))
+    leg = (1,) * 1500
+    for kind in ("spp", "rpp"):
+        # as for legs 1,1,1/1,1,1, the level weighs 0
+        assert minimal_weight(kind, (leg, leg)) == HalfInt.of(0)
+    assert not calls
 
 
 def test_reconstruction_round_trip():

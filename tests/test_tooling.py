@@ -61,6 +61,22 @@ def test_the_diagonal_layout_lives_in_configurations():
     assert imported and not {"diagonal", "transpose"} & imported
 
 
+def test_configurations_imports_no_higher_layer():
+    # the fillings, their codec and their weights sit under the series, the
+    # oracle, the bijections and the front ends: configurations imports
+    # none of them, at module top or inside a function
+    tree = ast.parse((ROOT / "src/pptoggle/configurations.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.rsplit(".", 1)[-1])
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {a.name.rsplit(".", 1)[-1] for a in node.names}
+    assert "partitions" in imported
+    assert not {"series", "oracle", "bijections", "verify", "cli",
+                "render"} & imported
+
+
 def _names(path: Path) -> set:
     return {node.id if isinstance(node, ast.Name)
             else node.attr if isinstance(node, ast.Attribute)
