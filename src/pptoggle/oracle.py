@@ -10,10 +10,18 @@ rule for every family, splits them into rows and reads each cell's caps,
 and one row walk reads that table two ways:
 
 - `_fill` keeps every partial filling and builds the members, in
-  lexicographic order along the cells. The `enum_*` functions and
-  `weighed_members` use it.
+  lexicographic order along the cells. The partials that share their last
+  run's costs are grown from one filling of the next run, made at the
+  budget left by the least spent of them, and each takes the fillings that
+  fit its own budget. Costs are nonnegative, so every prefix of a filling
+  costs at most its total: these are exactly, and in order, the fillings
+  it would make at its own budget. The partials keep their order, so the
+  members do too, and a verify row still names the first counterexample
+  in that order. The `enum_*` functions and `weighed_members` use it.
 - `_count` merges the partial fillings that can complete alike into one
-  count. `WeightCensus.take` uses it, so a census builds no member.
+  count, keyed by the last run's costs and mapped to {spent: count}, and
+  fills each key's next run once in the same way. `WeightCensus.take`
+  uses it, so a census builds no member.
 
 These counts are the ground truth the generating-function identities are
 checked against.
@@ -33,6 +41,18 @@ from .halfint import ZERO, HalfInt
 from .partitions import (Partition, as_partition, outer_corners,
                          removable_corners)
 from .series import TruncatedSeries
+
+
+# Most cost over the level a plane-partition or one-leg enumeration or
+# census may reach. The members grow with the outer corners: at the cap,
+# `enum_configs("one-leg-spp", (2, 1), 12)` builds 20,723 members in 0.29 s,
+# and (3, 2, 1) 52,893 in 0.77 s (2-vCPU VM, CPython 3.11).
+MAX_ONE_LEG_WEIGHT = 12
+
+# Most excess or deficit a two-leg enumeration or census may reach: at the
+# cap, `enum_configs("two-leg-spp", ((2, 1), (1, 1)), 8)` builds 2,216
+# members in 0.03 s, and ((3, 2, 1), (3, 2, 1)) 7,291 in 0.12 s.
+MAX_TWO_LEG_EXCESS = 8
 
 
 def enum_partitions(n: int) -> list[Partition]:
@@ -141,17 +161,38 @@ def _fill(cells: list, zero, budget: int, emit) -> list:
     budget left allow. Levels must not fall from before(x) to x, so a partial
     that has spent the budget can only be completed by zeros, and stops
     growing.
+
+    The partials that share their last run's costs are filled once, at the
+    budget left by the least spent of them, and each of them takes, in
+    order, the fillings that fit its own budget left. That is exact: costs
+    are nonnegative, so every prefix of a filling costs at most its total,
+    and the fillings within L are, in the same order, those within any
+    L' >= L whose total is at most L. A filling's nonzero (cell, cost)
+    pairs are built once per such group. The partials grow in their own
+    order, not the groups', so the members come out in lexicographic
+    order, the order a verify row reads its first counterexample in.
     """
     filled = [((), (), 0)]  # (nonzero (cell, cost) pairs, last run, spent)
     for run, spec in _runs(cells, zero, budget):
+        # the least spent of the partials with budget left, by last run
+        least: dict = {}
+        for _, prev, spent in filled:
+            if spent < least.get(prev, budget):
+                least[prev] = spent
+        made = {}
+        for prev, spent in least.items():
+            made[prev] = [(costs, c, tuple((x, v) for x, v in zip(run, costs)
+                                           if v))
+                          for costs, c in _run_fillings(spec, prev,
+                                                        budget - spent)]
         grown = []
         for pairs, prev, spent in filled:
             if spent == budget:
                 grown.append((pairs, prev, spent))
                 continue
-            for costs, c in _run_fillings(spec, prev, budget - spent):
-                nonzero = tuple((x, v) for x, v in zip(run, costs) if v)
-                grown.append((pairs + nonzero, costs, spent + c))
+            left = budget - spent
+            grown += [(pairs + nonzero, costs, spent + c)
+                      for costs, c, nonzero in made[prev] if c <= left]
         filled = grown
     return [emit(dict(pairs)) for pairs, _, _ in filled]
 
@@ -162,21 +203,30 @@ def _count(cells: list, zero, budget: int) -> list[int]:
     The same walk over runs, as a transfer over rows (Stanley, Enumerative
     Combinatorics I, 4.7): partial fillings that agree on their last run's
     costs and the cost spent complete alike, so each such class is one count.
+    The state is the last run's costs, mapped to {spent: count}, and each
+    state's run is filled once, at the budget left by its least spent
+    class; each class takes the fillings that fit its own budget left. As
+    in `_fill`, that is exact, since every prefix of a filling costs at
+    most its total. A class that has spent the budget can only be
+    completed by zeros, so it is counted at once and stops growing.
     """
     out = [0] * (budget + 1)
-    partials = {((), 0): 1}
+    partials = {(): {0: 1}}
     for _, spec in _runs(cells, zero, budget):
         grown: dict = {}
-        for (prev, spent), n in partials.items():
-            if spent == budget:
-                out[spent] += n
+        for prev, by_spent in partials.items():
+            out[budget] += by_spent.pop(budget, 0)
+            if not by_spent:
                 continue
-            for costs, c in _run_fillings(spec, prev, budget - spent):
-                key = (costs, spent + c)
-                grown[key] = grown.get(key, 0) + n
+            for costs, c in _run_fillings(spec, prev, budget - min(by_spent)):
+                tally = grown.setdefault(costs, {})
+                for spent, n in by_spent.items():
+                    if spent + c <= budget:
+                        tally[spent + c] = tally.get(spent + c, 0) + n
         partials = grown
-    for (_, spent), n in partials.items():
-        out[spent] += n
+    for by_spent in partials.values():
+        for spent, n in by_spent.items():
+            out[spent] += n
     return out
 
 
@@ -231,9 +281,10 @@ def _family(kind: str, legs, budget: int):
       and as mu_i in columns <= 0, keeps its value at a bounding neighbour.
     """
     if kind in ("plane", "one-leg-spp", "one-leg-rpp"):
-        if budget > 12:
+        if budget > MAX_ONE_LEG_WEIGHT:
             what = "plane-partition" if kind == "plane" else "one-leg"
-            raise DomainError(f"{what} enumeration capped at weight 12")
+            raise DomainError(f"{what} enumeration capped at weight "
+                              f"{MAX_ONE_LEG_WEIGHT}")
         lam = () if kind == "plane" else as_partition(legs)
         if kind == "one-leg-rpp":
             corners, make = removable_corners(lam), partial(OneLegRPP, lam)
@@ -243,9 +294,10 @@ def _family(kind: str, legs, budget: int):
             make = (PlanePartition if kind == "plane"
                     else partial(OneLegSPP, lam))
     elif kind in ("two-leg-spp", "two-leg-rpp"):
-        if budget > 8:
+        if budget > MAX_TWO_LEG_EXCESS:
             what = "excess" if kind == "two-leg-spp" else "deficit"
-            raise DomainError(f"two-leg enumeration capped at {what} 8")
+            raise DomainError(f"two-leg enumeration capped at {what} "
+                              f"{MAX_TWO_LEG_EXCESS}")
         lam, mu = (as_partition(legs[0]), as_partition(legs[1]))
         if kind == "two-leg-spp":
             rows, cols = outer_corners(mu), outer_corners(lam)

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from pptoggle.configurations import WALL, TwoLegSPP, cfg_weight
 from pptoggle.errors import DomainError
 from pptoggle.halfint import HalfInt
+from pptoggle import oracle
 from pptoggle.oracle import (WeightCensus, _base_weight, _count, _family,
-                             _fill, _runs, census_series,
+                             _fill, _run_fillings, _runs, census_series,
                              count_partitions_pentagonal,
                              enum_configs, enum_one_leg_rpp, enum_one_leg_spp,
                              enum_partitions, enum_plane_partitions,
@@ -295,3 +296,73 @@ def _pinned_rows():
 def test_members_and_counts_match_the_pin():
     blob = "\n".join(_pinned_rows()).encode()
     assert hashlib.sha256(blob).hexdigest() == ORACLE_PIN
+
+
+def _partials_by_run(kind, legs, budget):
+    """(spec, partials) for each run of a family's walk: partials counts, by
+    (last run's costs, spent), the partial fillings with budget left that
+    reach the run. The walk is the ungrouped one, which fills the run once
+    for each of them."""
+    cells, zero, _ = _family(kind, legs, budget)
+    partials, out = Counter({((), 0): 1}), []
+    for _, spec in _runs(cells, zero, budget):
+        partials = Counter({key: n for key, n in partials.items()
+                            if key[1] < budget})
+        out.append((spec, partials))
+        grown = Counter()
+        for (prev, spent), n in partials.items():
+            for costs, c in _run_fillings(spec, prev, budget - spent):
+                grown[costs, spent + c] += n
+        partials = grown
+    return out
+
+
+def test_a_run_filled_within_more_holds_the_fillings_within_less():
+    # the grouped walks fill a run once, at the budget left by the least
+    # spent partial, and hand each partial the fillings within its own:
+    # exact when those are the larger fill's fillings of total <= its
+    # budget, in the same order
+    states = 0
+    for kind, legs, budget in PINNED_FAMILIES:
+        for spec, partials in _partials_by_run(kind, legs, budget):
+            for prev in {prev for prev, _ in partials}:
+                states += 1
+                for big in range(budget + 1):
+                    made = _run_fillings(spec, prev, big)
+                    for small in range(big + 1):
+                        assert (_run_fillings(spec, prev, small)
+                                == [f for f in made if f[1] <= small]), (
+                                    kind, legs, spec, prev, small, big)
+    assert states == 642  # over 176 runs
+
+
+@pytest.mark.parametrize("walk", ["count", "fill"])
+@pytest.mark.parametrize("kind, legs, budget", [
+    ("one-leg-spp", (2, 1), 8), ("two-leg-spp", ((2, 1), (1, 1)), 5)])
+def test_each_run_is_filled_once_per_last_run_state(monkeypatch, walk, kind,
+                                                     legs, budget):
+    index, calls = {}, []
+
+    def runs_spy(*args):
+        table = _runs(*args)
+        index.update((id(spec), r) for r, (_, spec) in enumerate(table))
+        return table
+
+    def run_fillings_spy(spec, prev, left):
+        calls.append((index[id(spec)], prev))
+        return _run_fillings(spec, prev, left)
+
+    monkeypatch.setattr(oracle, "_runs", runs_spy)
+    monkeypatch.setattr(oracle, "_run_fillings", run_fillings_spy)
+    cells, zero, make = _family(kind, legs, budget)
+    if walk == "count":
+        oracle._count(cells, zero, budget)
+    else:
+        oracle._fill(cells, zero, budget, make)
+    ungrouped = _partials_by_run(kind, legs, budget)
+    states = {(r, prev) for r, (_, partials) in enumerate(ungrouped)
+              for prev, _ in partials}
+    assert len(calls) == len(set(calls)) and set(calls) == states
+    # the ungrouped walk fills once per partial
+    assert len(calls) < sum(sum(partials.values())
+                            for _, partials in ungrouped)
