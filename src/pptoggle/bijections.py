@@ -382,7 +382,9 @@ def two_leg_remnant(sigma: TwoLegSPP, width: int
     """Pop the width-sized square off a two-leg filling; returns what is
     left of diagonals -width..width, in order, and the popped hook tableau.
     The window's end diagonals must be the legs, which every diagonal past
-    them equals."""
+    them equals. A square of over MAX_BOX_CELLS cells raises DomainError
+    before any of it is read."""
+    _box(width, width)
     grid = _two_leg_grid(sigma, width)
     tab = _pop_region(grid, (), width, width, DEFAULT_SCHEDULE)
     window = tuple(grid.diags[d] for d in range(-width, width + 1))
@@ -421,7 +423,6 @@ def two_leg_forward(sigma: TwoLegSPP) -> tuple[TwoLegRPP, PlanePartition]:
     agrees and that the pops settle.
     """
     n = stabilization_index(sigma)
-    _box(n + 1, n + 1)
     window, tab = two_leg_remnant(sigma, n + 1)
     if any(max(c) > n for c in tab.values):
         raise InvariantError("nonzero pop past the stabilised square",
@@ -431,6 +432,7 @@ def two_leg_forward(sigma: TwoLegSPP) -> tuple[TwoLegRPP, PlanePartition]:
 
 def _two_leg_inverse_at(rho: TwoLegRPP, pi: PlanePartition, width: int
                         ) -> TwoLegSPP:
+    _box(width, width)
     lam, mu = rho.legs
     # read transposed (diagonal d as -d), as the forward map wrote it
     diags = diagonals(rho, range(-width, width + 1))
@@ -458,6 +460,4 @@ def _two_leg_inverse_width(rho: TwoLegRPP, pi: PlanePartition) -> int:
 
 
 def two_leg_inverse(rho: TwoLegRPP, pi: PlanePartition) -> TwoLegSPP:
-    width = _two_leg_inverse_width(rho, pi)
-    _box(width, width)
-    return _two_leg_inverse_at(rho, pi, width)
+    return _two_leg_inverse_at(rho, pi, _two_leg_inverse_width(rho, pi))

@@ -375,6 +375,18 @@ def test_a_window_narrower_than_the_legs_is_an_invariant_failure():
     assert bijections._two_leg_inverse_at(rho, pi, 2) == sigma
 
 
+def test_a_two_leg_square_over_the_box_cap_is_refused():
+    # each map checks its square where it builds the grid, so a public
+    # call at a chosen width is capped like the maps' own widths
+    from pptoggle.bijections import two_leg_remnant
+    sigma = TwoLegSPP(((1,), (1,)), {(1, 1): 1})
+    rho, pi = two_leg_forward(sigma)
+    with pytest.raises(DomainError, match="300x300 box .* over the cap"):
+        two_leg_remnant(sigma, 300)
+    with pytest.raises(DomainError, match="300x300 box .* over the cap"):
+        bijections._two_leg_inverse_at(rho, pi, 300)
+
+
 # ---------------------------------------------------------------------------
 # the grid's step memos
 

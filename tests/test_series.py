@@ -51,14 +51,14 @@ def test_geometric():
 def test_apply_vertex_op_examples():
     # a uniform limit of degree 1 on every size up to the raise's cap of 2
     state = {(): TruncatedSeries.one(HalfInt.of(1))}
-    out = apply_vertex_op(state, 1, H(1), 2, [2] * 3)
+    out = apply_vertex_op(state, 1, H(1), [2] * 3)
     assert set(out) == {(), (1,), (2,)}
     assert out[()].pairs() == [[0, 1]]
     assert out[(1,)].pairs() == [[1, 1]]
     assert out[(2,)].pairs() == [[2, 1]]
 
     state = {(1,): TruncatedSeries.one(HalfInt.of(1))}
-    out = apply_vertex_op(state, -1, H(1), 2, [2] * 3)
+    out = apply_vertex_op(state, -1, H(1), [2] * 3)
     assert out[(1,)].pairs() == [[0, 1]]
     assert out[()].pairs() == [[1, 1]]
 
@@ -66,18 +66,18 @@ def test_apply_vertex_op_examples():
 def test_apply_vertex_op_drops_cancelled_terms():
     # signed inputs that cancel at () leave no () state
     state = {(1,): TruncatedSeries(4, {0: 1}), (): TruncatedSeries(4, {0: -1})}
-    out = apply_vertex_op(state, -1, 0, 3, [4] * 4)
+    out = apply_vertex_op(state, -1, 0, [4] * 4)
     assert set(out) == {(1,)}
     assert out[(1,)].pairs() == [[0, 1]]
 
 
-def unpruned_step(state, sign, e2, bound2, size_cap):
+def unpruned_step(state, sign, e2, bound2, cap):
     """apply_vertex_op without budgets or memo: every successor the plain
-    generators give (raising capped by size_cap only), truncated afterwards."""
+    generators give (raising capped by cap only), truncated afterwards."""
     out = {}
     for kappa, ser in state.items():
         w = weight(kappa)
-        succ = (interlacers_above(kappa, size_cap - w) if sign == 1
+        succ = (interlacers_above(kappa, cap - w) if sign == 1
                 else interlacers_below(kappa))
         for mu in succ:
             delta = weight(mu) - w if sign == 1 else w - weight(mu)
@@ -104,11 +104,12 @@ def test_apply_vertex_op_matches_unpruned_fold(terms, sign, e2, bound2,
                                                slack, size_cap):
     # states may carry terms past this step's bound, as they do mid-fold
     state = {k: TruncatedSeries(bound2 + slack, t) for k, t in terms.items()}
-    # a uniform limit on every size the step can reach: up to size_cap
-    # raising, and up to the largest state (weight <= 16) lowering
-    limits = [bound2] * 17
-    got = apply_vertex_op(state, sign, HalfInt(e2), size_cap, limits)
-    want = unpruned_step(state, sign, e2, bound2, size_cap)
+    # a uniform limit on every size up to the step's cap, which covers
+    # every state, as a fold's table does
+    cap = max([size_cap] + [weight(k) for k in state])
+    limits = [bound2] * (cap + 1)
+    got = apply_vertex_op(state, sign, HalfInt(e2), limits)
+    want = unpruned_step(state, sign, e2, bound2, cap)
     assert ({k: (s.bound2, s.pairs()) for k, s in got.items()}
             == {k: (s.bound2, s.pairs()) for k, s in want.items()})
     assert _successors.cache_info().maxsize is not None
@@ -163,7 +164,7 @@ def test_capped_fold_matches_untruncated_fold(ops, bra, ket, bound2):
     cap = max(0, bound2 // 2 + 1) + weight(bra) + weight(ket)
     want = TruncatedSeries(bound2, untruncated_fold(word, cap))
     limits = _size_limits(word, cap, bound2)
-    assert _evaluate_capped(word, bound2, limits).pairs() == want.pairs()
+    assert _evaluate_capped(word, limits).pairs() == want.pairs()
 
 
 def least_path_degree(ops, start: int, end: int, cap: int):
@@ -227,13 +228,13 @@ def test_state_cap_holds_every_contributing_state(ops, bra, ket, bound2):
         assert "unboundedly many" in str(exc)
         small = weight(bra) + weight(ket)
         top2 = small * sum(abs(op[-1].doubled) for op in ops)
-        totals = [sum(_evaluate_capped(word, top2, _size_limits(
+        totals = [sum(_evaluate_capped(word, _size_limits(
                       word, small + k, top2)).coeffs.values())
                   for k in range(3)]
         assert totals[0] < totals[1] < totals[2]
         return
     cap = len(_state_cap(word, bound2)[0]) - 1
-    wider = _evaluate_capped(word, bound2, _size_limits(word, cap + 6, bound2))
+    wider = _evaluate_capped(word, _size_limits(word, cap + 6, bound2))
     assert got.pairs() == wider.pairs()
 
 
@@ -384,10 +385,21 @@ def test_state_cap_counts_after_truncation(monkeypatch):
     word = OperatorWord((step_op(-1, HalfInt(-3)), step_op(1, HalfInt(7))))
     limits = series._size_limits(word, 6, 10)
     monkeypatch.setattr(series, "MAX_STATES", 3)
-    assert series._evaluate_capped(word, 10, limits).coeffs == {0: 1, 4: 1, 8: 1}
+    assert series._evaluate_capped(word, limits).coeffs == {0: 1, 4: 1, 8: 1}
     monkeypatch.setattr(series, "MAX_STATES", 2)
     with pytest.raises(NonConvergenceError, match="holds 3 states"):
-        series._evaluate_capped(word, 10, limits)
+        series._evaluate_capped(word, limits)
+
+
+def test_state_cap_stops_a_step_as_it_grows(monkeypatch):
+    # one raise from () over 101 sizes at exponent 0 has 101 successors,
+    # each kept; the step stops as the sixth enters, not once all are built
+    from pptoggle import series
+    state = {(): TruncatedSeries(0, {0: 1})}
+    assert len(apply_vertex_op(state, 1, 0, [0] * 101)) == 101
+    monkeypatch.setattr(series, "MAX_STATES", 5)
+    with pytest.raises(NonConvergenceError, match="holds 6 states"):
+        apply_vertex_op(state, 1, 0, [0] * 101)
 
 
 def test_state_cap_counts_the_pruned_macmahon_fold(monkeypatch):

@@ -4,12 +4,15 @@ The benchmark tracer finds its probe targets by name, so a renamed or
 deleted function would only show up when a traced run fails. `python -O`
 strips `assert` statements, so an invariant written as one would go
 unchecked. A memo without a size cap grows with every distinct input, and a
-shape table built outside its memo is rebuilt on every call.
+shape table built outside its memo is rebuilt on every call. The README
+quotes the caps the command line enforces, so a changed cap must change
+those quotes too.
 """
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -192,3 +195,19 @@ def test_every_memo_names_its_maxsize():
             if not (size and _integer_expression(size[0])):
                 unbounded.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert memos and not unbounded
+
+
+README_CAPS = [("series", "MAX_STATES"), ("series", "MAX_WORD_OPS"),
+               ("series", "MAX_FLOOR_ENTRIES"), ("bijections", "MAX_BOX_CELLS"),
+               ("render", "MAX_PICTURE_CELLS")]
+
+
+def test_readme_quotes_each_cap_at_its_value():
+    # every "`module.NAME` (value)" or "`module.NAME` = value" in the
+    # README quotes the constant's value, and each cap is quoted once at least
+    readme = (ROOT / "README.md").read_text()
+    for module, name in README_CAPS:
+        value = getattr(importlib.import_module(f"pptoggle.{module}"), name)
+        quoted = re.findall(
+            rf"`{module}\.{name}`\s*[(=]\s*(\d+(?:,\d{{3}})*)", readme)
+        assert quoted and set(quoted) == {f"{value:,}"}, (name, quoted)
