@@ -10,19 +10,18 @@ emptied object (the palindromic pass) and transposes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .boundary import HookTarget, redistribute, redistribute_inverse
 from .configurations import (HookTableau, OneLegRPP, OneLegSPP, PlanePartition,
                              TwoLegRPP, TwoLegSPP, diagonals, from_diagonals)
-from .errors import DomainError, InvariantError, ScheduleError
+from .errors import (DomainError, FrozenRecord, InvariantError,
+                     ScheduleError, set_field)
 from .partitions import Cell, Partition, as_partition, contains, part
 from .toggles import ToggleResult, toggle_between, toggle_pop, toggle_push
 
 
-@dataclass(frozen=True)
-class ToggleSchedule:
+class ToggleSchedule(FrozenRecord):
     """Order in which corners are popped.
 
     Any order is allowed as long as each cell follows its upper and left
@@ -30,8 +29,11 @@ class ToggleSchedule:
     (the canonical order), lexicographic, or seeded:<n>.
     """
 
-    kind: str = "off-diagonal"
-    seed: int = 0
+    _fields = ("kind", "seed")
+
+    def __init__(self, kind: str = "off-diagonal", seed: int = 0):
+        set_field(self, "kind", kind)
+        set_field(self, "seed", seed)
 
     @staticmethod
     def parse(text: str) -> "ToggleSchedule":

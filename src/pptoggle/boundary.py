@@ -20,10 +20,9 @@ once, in a bounded private memo keyed by the shape and n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, InvariantError
+from .errors import DomainError, FrozenRecord, InvariantError, set_field
 from .halfint import HalfInt
 from .partitions import (Cell, Partition, as_partition, contains, hook_length,
                          part, rows_past)
@@ -102,12 +101,14 @@ def hook_pivots_inside(lam: Partition, n: int) -> list[Cell]:
     return pivots
 
 
-@dataclass(frozen=True)
-class HookTarget:
+class HookTarget(FrozenRecord):
     """Where an outside hook lands: a box of the diagram or of the quadrant."""
 
-    region: str  # "in-lambda" | "in-plane"
-    cell: Cell
+    _fields = ("region", "cell")
+
+    def __init__(self, region: str, cell: Cell):
+        set_field(self, "region", region)  # "in-lambda" | "in-plane"
+        set_field(self, "cell", cell)
 
 
 def redistribute(lam: Partition, cell: Cell) -> HookTarget:

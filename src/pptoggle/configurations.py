@@ -11,11 +11,10 @@ off its domain, and FILLINGS gives its order: nothing else states either.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, zip_longest
 
-from .errors import DomainError, InvariantError
+from .errors import DomainError, FrozenRecord, InvariantError, set_field
 from .halfint import HalfInt
 from .partitions import (Cell, Partition, as_partition, hook_length, part,
                          rows_past)
@@ -83,13 +82,13 @@ def _check_order(cfg, cells):
             raise DomainError(f"cell out of order: {(i, j)}")
 
 
-@dataclass(frozen=True)
-class PlanePartition:
+class PlanePartition(FrozenRecord):
     """Finite-support filling of the quadrant, weakly decreasing both ways."""
 
-    entries: dict[Cell, int] = field(default_factory=dict)
+    _fields = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: dict[Cell, int] | None = None):
+        set_field(self, "entries", {} if entries is None else entries)
         _check_support(self.entries, "plane partition")
         _check_order(self, self.entries)
 
@@ -118,14 +117,14 @@ def part_width(pp: PlanePartition, i: int) -> int:
     return max(cols) if cols else 0
 
 
-@dataclass(frozen=True)
-class OneLegSPP:
+class OneLegSPP(FrozenRecord):
     """Decreasing filling of the region outside `shape`, finitely supported."""
 
-    shape: Partition
-    entries: dict[Cell, int] = field(default_factory=dict)
+    _fields = ("shape", "entries")
 
-    def __post_init__(self):
+    def __init__(self, shape: Partition, entries: dict[Cell, int] | None = None):
+        set_field(self, "shape", shape)
+        set_field(self, "entries", {} if entries is None else entries)
         _normalise(self, "shape")
         _check_support(self.entries, "skew plane partition")
         _check_order(self, self.entries)
@@ -137,14 +136,14 @@ class OneLegSPP:
         return self.entries.get((i, j), 0)
 
 
-@dataclass(frozen=True)
-class OneLegRPP:
+class OneLegRPP(FrozenRecord):
     """Increasing filling of the boxes of `shape` (zero entries omitted)."""
 
-    shape: Partition
-    entries: dict[Cell, int] = field(default_factory=dict)
+    _fields = ("shape", "entries")
 
-    def __post_init__(self):
+    def __init__(self, shape: Partition, entries: dict[Cell, int] | None = None):
+        set_field(self, "shape", shape)
+        set_field(self, "entries", {} if entries is None else entries)
         _normalise(self, "shape")
         _check_support(self.entries, "reverse plane partition")
         _check_order(self, self.entries)
@@ -156,18 +155,19 @@ class OneLegRPP:
         return self.entries.get((i, j), 0)
 
 
-@dataclass(frozen=True)
-class TwoLegSPP:
+class TwoLegSPP(FrozenRecord):
     """Filling sitting on the two-leg floor max(lam_col, mu_row).
 
     Only the excess over the floor is stored, on cells of the quadrant; the
     reconstructed values must still decrease along rows and columns.
     """
 
-    legs: tuple[Partition, Partition]  # (lam indexes columns, mu indexes rows)
-    excess: dict[Cell, int] = field(default_factory=dict)
+    _fields = ("legs", "excess")
 
-    def __post_init__(self):
+    def __init__(self, legs: tuple[Partition, Partition],
+                 excess: dict[Cell, int] | None = None):
+        set_field(self, "legs", legs)  # (lam indexes columns, mu indexes rows)
+        set_field(self, "excess", {} if excess is None else excess)
         _normalise(self, "legs")
         _check_support(self.excess, "excess")
         _check_order(self, self.excess)
@@ -181,8 +181,7 @@ class TwoLegSPP:
         return sum(self.excess.values())
 
 
-@dataclass(frozen=True)
-class TwoLegRPP:
+class TwoLegRPP(FrozenRecord):
     """Filling under the two-leg ceiling min(lam_col, mu_row).
 
     Lives on cells with row >= 1 or col >= 1; indices <= 0 read the other
@@ -191,10 +190,12 @@ class TwoLegRPP:
     value it leaves lies under a neighbour's, there or further down-right.
     """
 
-    legs: tuple[Partition, Partition]
-    deficit: dict[Cell, int] = field(default_factory=dict)
+    _fields = ("legs", "deficit")
 
-    def __post_init__(self):
+    def __init__(self, legs: tuple[Partition, Partition],
+                 deficit: dict[Cell, int] | None = None):
+        set_field(self, "legs", legs)
+        set_field(self, "deficit", {} if deficit is None else deficit)
         _normalise(self, "legs")
         _check_support(self.deficit, "deficit")
         _check_order(self, self.deficit)
@@ -209,19 +210,20 @@ class TwoLegRPP:
         return sum(self.deficit.values())
 
 
-@dataclass(frozen=True)
-class HookTableau:
+class HookTableau(FrozenRecord):
     """Unconstrained filling weighted by hook length.
 
     region is "plane" (hooks of the quadrant, which has no shape), "inside"
     (hooks of shape), or "outside" (hooks of the quadrant minus shape).
     """
 
-    region: str
-    shape: Partition = ()
-    values: dict[Cell, int] = field(default_factory=dict)
+    _fields = ("region", "shape", "values")
 
-    def __post_init__(self):
+    def __init__(self, region: str, shape: Partition = (),
+                 values: dict[Cell, int] | None = None):
+        set_field(self, "region", region)
+        set_field(self, "shape", shape)
+        set_field(self, "values", {} if values is None else values)
         if self.region not in ("plane", "inside", "outside"):
             raise DomainError(f"unknown tableau region {self.region!r}")
         _normalise(self, "shape")

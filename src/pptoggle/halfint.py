@@ -7,16 +7,19 @@ store the doubled value as a plain int. That keeps bucketing by exponent exact
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import total_ordering
+from .errors import FrozenRecord, set_field
 
 
-@total_ordering
-@dataclass(frozen=True)
-class HalfInt:
+class HalfInt(FrozenRecord):
     """The number ``doubled / 2``."""
 
-    doubled: int
+    __slots__ = ("doubled",)
+
+    def __init__(self, doubled: int):
+        set_field(self, "doubled", doubled)
+
+    def __reduce__(self):  # pickle and copy: a frozen slot takes no setattr
+        return HalfInt, (self.doubled,)
 
     @staticmethod
     def of(value) -> "HalfInt":
@@ -70,6 +73,15 @@ class HalfInt:
     def __lt__(self, other) -> bool:
         return self.doubled < HalfInt.of(other).doubled
 
+    def __le__(self, other) -> bool:
+        return self.doubled <= HalfInt.of(other).doubled
+
+    def __gt__(self, other) -> bool:
+        return self.doubled > HalfInt.of(other).doubled
+
+    def __ge__(self, other) -> bool:
+        return self.doubled >= HalfInt.of(other).doubled
+
     def __eq__(self, other) -> bool:
         try:
             return self.doubled == HalfInt.of(other).doubled
@@ -77,7 +89,9 @@ class HalfInt:
             return NotImplemented
 
     def __hash__(self):
-        return hash(("HalfInt", self.doubled))
+        # a whole value hashes like its int, which it equals
+        d = self.doubled
+        return hash(("HalfInt", d)) if d & 1 else hash(d >> 1)
 
     def __str__(self) -> str:
         if self.doubled % 2 == 0:

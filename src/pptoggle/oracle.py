@@ -29,14 +29,13 @@ checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
 
 from .configurations import (FILLINGS, WALL, OneLegRPP, OneLegSPP,
                              PlanePartition, TwoLegRPP, TwoLegSPP,
                              bounding_cells, cfg_weight, minimal_weight)
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, Record
 from .halfint import ZERO, HalfInt
 from .partitions import (Partition, as_partition, outer_corners,
                          removable_corners)
@@ -354,18 +353,21 @@ def enum_configs(kind: str, legs, max_weight) -> list:
     return _enumerate(kind, legs, int(max_weight))
 
 
-@dataclass
-class WeightCensus:
+class WeightCensus(Record):
     """Counts of a family's members by weight, complete up to the bound.
 
     The counts come from `_count`, row by row, without building a member;
     `weighed_members` lists the members themselves.
     """
 
-    family: str
-    legs: tuple
-    counts: dict[HalfInt, int]
-    bound: HalfInt
+    _fields = ("family", "legs", "counts", "bound")
+
+    def __init__(self, family: str, legs: tuple, counts: dict[HalfInt, int],
+                 bound: HalfInt):
+        self.family = family
+        self.legs = legs
+        self.counts = counts
+        self.bound = bound
 
     @staticmethod
     def take(kind: str, legs, bound) -> "WeightCensus":

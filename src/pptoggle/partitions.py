@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from operator import lt, neg
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import DomainError
 

@@ -21,11 +21,10 @@ it diverges; a divergent word is reported at every bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, FrozenRecord, NonConvergenceError, set_field
 from .halfint import HalfInt
 from .partitions import (Partition, as_partition, interlacers_above,
                          interlacers_below, part, weight)
@@ -151,17 +150,19 @@ def geometric(step, bound) -> TruncatedSeries:
 RAISE, LOWER = 1, -1
 
 
-@dataclass(frozen=True)
-class OperatorWord:
+class OperatorWord(FrozenRecord):
     """A finite product of vertex operators read left (bra side) to right.
 
     ops entries are ("step", sign, exponent) for an interlacing sum marked by
     q^exponent, or ("weigh", scale) multiplying a state by q^(scale * weight).
     """
 
-    ops: tuple
-    bra: Partition = ()
-    ket: Partition = ()
+    _fields = ("ops", "bra", "ket")
+
+    def __init__(self, ops: tuple, bra: Partition = (), ket: Partition = ()):
+        set_field(self, "ops", ops)
+        set_field(self, "bra", bra)
+        set_field(self, "ket", ket)
 
 
 def step_op(sign: int, exponent) -> tuple:

@@ -11,15 +11,14 @@ These functions are not memoised: every call runs its checks. The grids in
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DomainError, InvariantError
 from .partitions import Partition, as_partition, interlaces, weight
 
 
-class ToggleResult(NamedTuple):
-    toggled: Partition
-    popped: int
+# toggled: the toggled partition; popped: the int popped off
+ToggleResult = namedtuple("ToggleResult", ["toggled", "popped"])
 
 
 def _require(cond: bool, lam, nu, mu, pattern: str):

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 
 from . import bijections as bj
 from . import boundary as bd
 from . import configurations as cf
 from . import oracle as oc
 from . import series as sr
-from .errors import DomainError
+from .errors import DomainError, Record
 from .halfint import HalfInt
 from .partitions import (conjugate, contains, hook_cells,
                          hook_length, interlaces, interlacers_below,
@@ -25,12 +24,19 @@ from .partitions import (conjugate, contains, hook_cells,
 from .toggles import toggle_between, toggle_pop, toggle_push
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-    counterexample: object = None
+class CheckResult(Record):
+    """One row of a suite's report: its name, whether it passed, a detail,
+    and a failed row's first counterexample. `run_suites` renames rows in
+    place, so a row is mutable."""
+
+    _fields = ("name", "passed", "detail", "counterexample")
+
+    def __init__(self, name: str, passed: bool, detail: str = "",
+                 counterexample: object = None):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.counterexample = counterexample
 
     def text(self) -> str:
         """The detail, then a failed row's counterexample."""

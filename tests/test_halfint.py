@@ -1,6 +1,7 @@
 import pytest
 
 from pptoggle.halfint import HALF, ONE, ZERO, HalfInt
+from pptoggle.oracle import WeightCensus
 
 
 def test_construction():
@@ -33,3 +34,16 @@ def test_parse_and_str():
     assert str(HalfInt.of(4)) == "4"
     with pytest.raises(ValueError):
         HalfInt.parse("7/3")
+
+
+def test_a_whole_half_integer_hashes_like_its_int():
+    # equal values must hash alike, so a whole HalfInt finds its int in a
+    # set or dict and the other way round
+    for k in range(-40, 41):
+        assert HalfInt(2 * k) == k
+        assert hash(HalfInt(2 * k)) == hash(k)
+        assert hash(HalfInt(2 * k + 1)) != hash(HalfInt(2 * k))
+    assert HalfInt(4) in {2}
+    assert 2 in {HalfInt(4)}
+    counts = WeightCensus.take("plane", None, 3).counts
+    assert counts.get(2) == counts.get(HalfInt.of(2)) == 3

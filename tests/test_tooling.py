@@ -6,14 +6,21 @@ strips `assert` statements, so an invariant written as one would go
 unchecked. A memo without a size cap grows with every distinct input, and a
 shape table built outside its memo is rebuilt on every call. The README
 quotes the caps the command line enforces, so a changed cap must change
-those quotes too.
+those quotes too, and its command lines must parse. Every command-line run
+pays the package's import, so that import stays free of `dataclasses`,
+`inspect` and `typing`.
 """
 
 import ast
 import importlib
 import importlib.util
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -211,3 +218,33 @@ def test_readme_quotes_each_cap_at_its_value():
         quoted = re.findall(
             rf"`{module}\.{name}`\s*[(=]\s*(\d+(?:,\d{{3}})*)", readme)
         assert quoted and set(quoted) == {f"{value:,}"}, (name, quoted)
+
+
+HEAVY_MODULES = ("dataclasses", "inspect", "typing")
+
+
+def test_the_command_line_imports_no_heavy_module():
+    # every run starts in a fresh interpreter, so what the package imports
+    # is paid on each one; -S keeps site's own imports out of the count
+    probe = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+             "import pptoggle.cli; "
+             f"print(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]", out
+
+
+def test_each_readme_command_line_parses():
+    # nothing is run: a renamed flag or verb fails here until README follows
+    from pptoggle.cli import build_parser
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("pptoggle ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
