@@ -166,10 +166,10 @@ def _two_leg_grid(sigma: TwoLegSPP, width: int) -> ToggleGrid:
     return ToggleGrid((), diagonals(sigma, range(-width, width + 1)))
 
 
-def _pop_region(grid: ToggleGrid, shape: Partition, rows: int, cols: int,
+def _pop_region(grid: ToggleGrid, rows: int, cols: int,
                 schedule: ToggleSchedule) -> dict[Cell, int]:
     values = {}
-    for cell in schedule.order(shape, rows, cols):
+    for cell in schedule.order(grid.shape, rows, cols):
         n = grid.pop(*cell)
         if n:
             values[cell] = n
@@ -229,7 +229,7 @@ def _pop_all(cfg, schedule: ToggleSchedule) -> HookTableau:
     shape = () if type(cfg) is PlanePartition else cfg.shape
     rows, cols = _bounding_box(cfg.entries)
     grid = ToggleGrid(shape, diagonals(cfg, range(1 - rows, cols)))
-    values = _pop_region(grid, shape, rows, cols, schedule)
+    values = _pop_region(grid, rows, cols, schedule)
     if any(grid.diags.values()):
         raise InvariantError("popping box did not exhaust the object",
                              (shape, cfg.entries))
@@ -388,7 +388,7 @@ def two_leg_remnant(sigma: TwoLegSPP, width: int
     before any of it is read."""
     _box(width, width)
     grid = _two_leg_grid(sigma, width)
-    tab = _pop_region(grid, (), width, width, DEFAULT_SCHEDULE)
+    tab = _pop_region(grid, width, width, DEFAULT_SCHEDULE)
     window = tuple(grid.diags[d] for d in range(-width, width + 1))
     if window[0] != sigma.legs[0] or window[-1] != sigma.legs[1]:
         raise InvariantError("pop window too small for the leg tails",

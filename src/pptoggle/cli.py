@@ -293,6 +293,9 @@ def _verify_census(args, report) -> int:
     with open(args.census) as fh:
         family, legs, bound, count, members = sz.census_from_json(
             [json.loads(line) for line in fh if line.strip()])
+    # `enumerate` writes no census past the oracle's caps, and the reference
+    # series at such a bound may not fit in time or memory: refuse it first
+    oc.cost_budget(family, legs, bound)
     if family == "plane":
         want = sr.macmahon_series(bound)
     elif family == "one-leg-spp":

@@ -82,6 +82,19 @@ def _check_order(cfg, cells):
             raise DomainError(f"cell out of order: {(i, j)}")
 
 
+def _init_legged(cfg, key, support, what: str):
+    """The body of a legged filling's `__init__`: its class's `_fields` name
+    the shape or legs, set to key and stored as partitions, and the support,
+    checked to hold positive values (`what` names them) in order."""
+    name, stored = cfg._fields
+    support = {} if support is None else support
+    set_field(cfg, name, key)
+    set_field(cfg, stored, support)
+    _normalise(cfg, name)
+    _check_support(support, what)
+    _check_order(cfg, support)
+
+
 class PlanePartition(FrozenRecord):
     """Finite-support filling of the quadrant, weakly decreasing both ways."""
 
@@ -105,16 +118,14 @@ class PlanePartition(FrozenRecord):
         return self.entries.get((i, j), 0)
 
     def rows(self) -> list[list[int]]:
-        if not self.entries:
-            return []
-        depth = max(i for i, _ in self.entries)
-        return [[self.at(i, j) for j in range(1, part_width(self, i) + 1)]
-                for i in range(1, depth + 1)]
-
-
-def part_width(pp: PlanePartition, i: int) -> int:
-    cols = [j for (r, j) in pp.entries if r == i]
-    return max(cols) if cols else 0
+        """The entries row by row; the support is an order ideal, so each
+        row up to the last holds a nonzero entry."""
+        widths: dict[int, int] = {}
+        for i, j in self.entries:
+            if j > widths.get(i, 0):
+                widths[i] = j
+        return [[self.at(i, j) for j in range(1, widths[i] + 1)]
+                for i in range(1, len(widths) + 1)]
 
 
 class OneLegSPP(FrozenRecord):
@@ -123,11 +134,7 @@ class OneLegSPP(FrozenRecord):
     _fields = ("shape", "entries")
 
     def __init__(self, shape: Partition, entries: dict[Cell, int] | None = None):
-        set_field(self, "shape", shape)
-        set_field(self, "entries", {} if entries is None else entries)
-        _normalise(self, "shape")
-        _check_support(self.entries, "skew plane partition")
-        _check_order(self, self.entries)
+        _init_legged(self, shape, entries, "skew plane partition")
 
     def at(self, i: int, j: int) -> int:
         """The entry at (i, j); WALL on the shape and off the quadrant."""
@@ -142,11 +149,7 @@ class OneLegRPP(FrozenRecord):
     _fields = ("shape", "entries")
 
     def __init__(self, shape: Partition, entries: dict[Cell, int] | None = None):
-        set_field(self, "shape", shape)
-        set_field(self, "entries", {} if entries is None else entries)
-        _normalise(self, "shape")
-        _check_support(self.entries, "reverse plane partition")
-        _check_order(self, self.entries)
+        _init_legged(self, shape, entries, "reverse plane partition")
 
     def at(self, i: int, j: int) -> int:
         """The entry at (i, j); WALL off the shape's boxes."""
@@ -166,11 +169,7 @@ class TwoLegSPP(FrozenRecord):
 
     def __init__(self, legs: tuple[Partition, Partition],
                  excess: dict[Cell, int] | None = None):
-        set_field(self, "legs", legs)  # (lam indexes columns, mu indexes rows)
-        set_field(self, "excess", {} if excess is None else excess)
-        _normalise(self, "legs")
-        _check_support(self.excess, "excess")
-        _check_order(self, self.excess)
+        _init_legged(self, legs, excess, "excess")  # lam: columns, mu: rows
 
     def at(self, i: int, j: int) -> int:
         if i < 1 or j < 1:
@@ -194,11 +193,7 @@ class TwoLegRPP(FrozenRecord):
 
     def __init__(self, legs: tuple[Partition, Partition],
                  deficit: dict[Cell, int] | None = None):
-        set_field(self, "legs", legs)
-        set_field(self, "deficit", {} if deficit is None else deficit)
-        _normalise(self, "legs")
-        _check_support(self.deficit, "deficit")
-        _check_order(self, self.deficit)
+        _init_legged(self, legs, deficit, "deficit")
 
     def at(self, i: int, j: int) -> int:
         c = two_leg_ceiling(self.legs, i, j)

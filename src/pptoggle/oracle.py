@@ -279,11 +279,8 @@ def _family(kind: str, legs, budget: int):
       elsewhere the ceiling min(lam_j, mu_i), read as lam_j in rows <= 0
       and as mu_i in columns <= 0, keeps its value at a bounding neighbour.
     """
+    _refuse_past_cap(kind, budget)
     if kind in ("plane", "one-leg-spp", "one-leg-rpp"):
-        if budget > MAX_ONE_LEG_WEIGHT:
-            what = "plane-partition" if kind == "plane" else "one-leg"
-            raise DomainError(f"{what} enumeration capped at weight "
-                              f"{MAX_ONE_LEG_WEIGHT}")
         lam = () if kind == "plane" else as_partition(legs)
         if kind == "one-leg-rpp":
             corners, make = removable_corners(lam), partial(OneLegRPP, lam)
@@ -292,11 +289,7 @@ def _family(kind: str, legs, budget: int):
             corners = outer_corners(lam)
             make = (PlanePartition if kind == "plane"
                     else partial(OneLegSPP, lam))
-    elif kind in ("two-leg-spp", "two-leg-rpp"):
-        if budget > MAX_TWO_LEG_EXCESS:
-            what = "excess" if kind == "two-leg-spp" else "deficit"
-            raise DomainError(f"two-leg enumeration capped at {what} "
-                              f"{MAX_TWO_LEG_EXCESS}")
+    else:
         lam, mu = (as_partition(legs[0]), as_partition(legs[1]))
         if kind == "two-leg-spp":
             rows, cols = outer_corners(mu), outer_corners(lam)
@@ -306,8 +299,6 @@ def _family(kind: str, legs, budget: int):
             cols = [(0, 0)] + removable_corners(lam)
             make = partial(TwoLegRPP, (lam, mu))
         corners = [(i, j) for i, _ in rows for j, _ in cols]
-    else:
-        raise DomainError(f"unknown family {kind!r}")
     zero = make()
     k = FILLINGS[type(zero)][0]
     cells = sorted({(i + k * a, j + k * b) for i, j in corners
@@ -316,41 +307,55 @@ def _family(kind: str, legs, budget: int):
     return cells, zero, make
 
 
-def _enumerate(kind: str, legs, budget: int) -> list:
-    cells, zero, make = _family(kind, legs, budget)
-    return _fill(cells, zero, budget, make)
+def _refuse_past_cap(kind: str, budget: int) -> None:
+    """Raise DomainError for an unknown family, or for a cost budget past
+    its family's cap, MAX_ONE_LEG_WEIGHT or MAX_TWO_LEG_EXCESS."""
+    if kind in ("plane", "one-leg-spp", "one-leg-rpp"):
+        if budget > MAX_ONE_LEG_WEIGHT:
+            what = "plane-partition" if kind == "plane" else "one-leg"
+            raise DomainError(f"{what} enumeration capped at weight "
+                              f"{MAX_ONE_LEG_WEIGHT}")
+    elif kind in ("two-leg-spp", "two-leg-rpp"):
+        if budget > MAX_TWO_LEG_EXCESS:
+            what = "excess" if kind == "two-leg-spp" else "deficit"
+            raise DomainError(f"two-leg enumeration capped at {what} "
+                              f"{MAX_TWO_LEG_EXCESS}")
+    else:
+        raise DomainError(f"unknown family {kind!r}")
 
 
 def enum_plane_partitions(max_weight: int) -> list[PlanePartition]:
     """All plane partitions of weight <= max_weight."""
-    return _enumerate("plane", None, max_weight)
+    return enum_configs("plane", None, max_weight)
 
 
 def enum_one_leg_spp(lam: Partition, max_weight: int) -> list[OneLegSPP]:
     """All decreasing fillings outside lam with weight <= max_weight."""
-    return _enumerate("one-leg-spp", lam, max_weight)
+    return enum_configs("one-leg-spp", lam, max_weight)
 
 
 def enum_one_leg_rpp(lam: Partition, max_weight: int) -> list[OneLegRPP]:
     """All increasing fillings of lam with weight <= max_weight."""
-    return _enumerate("one-leg-rpp", lam, max_weight)
+    return enum_configs("one-leg-rpp", lam, max_weight)
 
 
 def enum_two_leg_spp(legs, max_excess: int) -> list[TwoLegSPP]:
     """All two-leg SPPs with excess sum <= max_excess: the excess is the cost
     over the floor."""
-    return _enumerate("two-leg-spp", legs, max_excess)
+    return enum_configs("two-leg-spp", legs, max_excess)
 
 
 def enum_two_leg_rpp(legs, max_deficit: int) -> list[TwoLegRPP]:
     """All two-leg RPPs with deficit sum <= max_deficit: the deficit is the
     cost over the negated ceiling, so values fall down and right."""
-    return _enumerate("two-leg-rpp", legs, max_deficit)
+    return enum_configs("two-leg-rpp", legs, max_deficit)
 
 
 def enum_configs(kind: str, legs, max_weight) -> list:
     """Complete list of configurations of a family, by weight/excess bound."""
-    return _enumerate(kind, legs, int(max_weight))
+    budget = int(max_weight)
+    cells, zero, make = _family(kind, legs, budget)
+    return _fill(cells, zero, budget, make)
 
 
 class WeightCensus(Record):
@@ -385,10 +390,18 @@ def weighed_members(kind: str, legs, bound) -> list[tuple[HalfInt, object]]:
     """(weight, configuration) for each member of a family with weight <=
     bound, in enumeration order."""
     bound = HalfInt.of(bound)
-    budget = _budget(_base_weight(kind, legs), bound)
-    weighed = ((cfg_weight(cfg), cfg)
-               for cfg in enum_configs(kind, legs, budget))
+    members = enum_configs(kind, legs, cost_budget(kind, legs, bound))
+    weighed = ((cfg_weight(cfg), cfg) for cfg in members)
     return [(w, cfg) for w, cfg in weighed if w <= bound]
+
+
+def cost_budget(kind: str, legs, bound) -> int:
+    """The largest cost over the level that a member of the family with
+    weight <= bound can have. A budget past the family's cap raises
+    DomainError, as its enumeration and census would."""
+    budget = _budget(_base_weight(kind, legs), HalfInt.of(bound))
+    _refuse_past_cap(kind, budget)
+    return budget
 
 
 def _base_weight(kind: str, legs) -> HalfInt:

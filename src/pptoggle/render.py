@@ -7,6 +7,7 @@ quadrant. SVG output is a static diagram (boxes plus entry labels).
 
 from __future__ import annotations
 
+from .bijections import stabilization_index
 from .configurations import (WALL, HookTableau, OneLegRPP, OneLegSPP,
                              PlanePartition, TwoLegRPP, TwoLegSPP)
 from .errors import DomainError
@@ -63,11 +64,10 @@ def render_ascii(cfg) -> str:
         return _picture(cfg, range(1, len(shape) + 1),
                         range(1, part(shape, 1) + 1))
     if isinstance(cfg, TwoLegSPP):
-        lam, mu = cfg.legs
-        # sized by the legs' lengths, not their parts: the rows past mu's
-        # length read lam and the columns past lam's read mu
-        side = range(1, 2 + max([len(lam), len(mu), 1]
-                                + [max(c) for c in cfg.excess]) + 1)
+        # the square of side N + 2, N the stabilisation index, which the
+        # legs' lengths size, not their parts: the two rows and columns
+        # past [1,N]^2 show the leg tails
+        side = range(1, stabilization_index(cfg) + 3)
         return _picture(cfg, side, side)
     if isinstance(cfg, TwoLegRPP):
         lam, mu = cfg.legs

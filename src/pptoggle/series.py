@@ -9,9 +9,10 @@ degree the rest of the word must still add from that size. It lies past
 the bound where negative exponents are still to come and below it where
 positive ones are, and a size with no way to the bra keeps nothing. Raising
 and lowering steps alike take a size budget from each state's lowest
-exponent, so successors that could only contribute past every limit are
-never generated, and the successor lists of a (partition, sign, budget)
-query come from a size-bounded memo.
+exponent and the step's limits, so successors that could only contribute
+past their limits are never generated, and the successor lists of a
+(partition, sign, budget) query come from a memo bounded in its entries and
+in each entry's length.
 
 A word is folded once, over states no larger than a cap stated from the word
 and the bound (`_state_cap`). A word whose layers of size may cost nothing
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import lru_cache
+from itertools import islice
 
 from .errors import DomainError, FrozenRecord, NonConvergenceError, set_field
 from .halfint import HalfInt
@@ -37,8 +39,8 @@ from .configurations import minimal_weight
 # step's output, so a step stops at MAX_STATES + 1 states and its memory is
 # bounded while it is built. `verify --suite all` stays at 60 states, and
 # MacMahon's word peaks at 2,070 at degree 40 and 11,619 at degree 60. Under
-# a 1 GiB address-space limit degree 60 prints its series in 15 s, and
-# degrees 70 to 100 stop at this cap in 13-19 s (CPython 3.11, 2-vCPU VM).
+# a 1 GiB address-space limit degree 60 prints its series in 6 s, and
+# degrees 70 to 100 stop at this cap in 4-7 s (CPython 3.11, 2-vCPU VM).
 MAX_STATES = 1 << 14
 
 # Most operators a shape word may hold, checked before it is built: a word
@@ -96,15 +98,16 @@ class TruncatedSeries:
         return TruncatedSeries(min(self.bound2, bound2), self.coeffs)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return TruncatedSeries(min(self.bound2, other.bound2), out)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
+        """self + sign * other, to the lower of the two bounds."""
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
+            out[e] = out.get(e, 0) + sign * c
         return TruncatedSeries(min(self.bound2, other.bound2), out)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -172,16 +175,25 @@ def weigh_op(scale) -> tuple:
     return ("weigh", HalfInt.of(scale))
 
 
-@lru_cache(maxsize=1 << 12)
+# A series pass fills at most 156 entries and a gate pass 143 (seeds 1-3),
+# so no benchmark workload evicts; each entry holds at most MAX_STATES
+# successors.
+@lru_cache(maxsize=1 << 8)
 def _successors(kappa: Partition, sign: int, budget: int
                 ) -> tuple[tuple[Partition, int], ...]:
     """(mu, size change) for each mu interlacing kappa on the sign's side
-    whose size moves by at most budget, in the generator's order."""
+    whose size moves by at most budget, in the generator's order. More than
+    MAX_STATES of them raises NonConvergenceError as the one past the cap is
+    built, so one state's list is bounded as one step's output is."""
     w = weight(kappa)
-    if sign == RAISE:
-        return tuple((mu, weight(mu) - w)
-                     for mu in interlacers_above(kappa, budget))
-    return tuple((mu, w - weight(mu)) for mu in interlacers_below(kappa, budget))
+    near = interlacers_above if sign == RAISE else interlacers_below
+    out = tuple(islice(((mu, sign * (weight(mu) - w))
+                        for mu in near(kappa, budget)), MAX_STATES + 1))
+    if len(out) > MAX_STATES:
+        raise NonConvergenceError(
+            f"transfer step fans one state out to {MAX_STATES + 1} or more "
+            f"states, over the cap of {MAX_STATES}")
+    return out
 
 
 def apply_vertex_op(state: dict[Partition, TruncatedSeries], sign: int,
@@ -192,16 +204,19 @@ def apply_vertex_op(state: dict[Partition, TruncatedSeries], sign: int,
     over mu -< kappa with q^(e*(|kappa|-|mu|)). limits holds one limit per
     size up to the step's cap, len(limits) - 1, which is as far as raising
     goes, so it must cover every state's size. A successor of size s keeps
-    its terms up to limits[s]. For e > 0 a state's lowest term caps how far
-    its size may move, so successors that could only produce terms past
-    max(limits) are never generated; with e <= 0 raising is capped by the
-    cap alone and lowering is not capped. Successor lists come from a
-    bounded memo keyed by (kappa, sign, budget).
+    its terms up to limits[s]. For e > 0 the size moves by at most the
+    largest delta at which the state's lowest term, shifted by e * delta,
+    stays within the limit of its new size: the test each successor is kept
+    by, so the successors not generated are ones that keep nothing. With
+    e <= 0 raising is capped by the cap alone and lowering is not capped.
+    Successor lists come from a bounded memo keyed by (kappa, sign, budget).
 
     A successor enters the output only once it keeps a term, and the step
     raises NonConvergenceError as state number MAX_STATES + 1 would enter,
-    so a step never holds more than MAX_STATES states. A fold's coefficients
-    are positive, so every state that enters is carried forward.
+    so a step never holds more than MAX_STATES states; a state with more
+    than MAX_STATES successors raises from `_successors` before its list is
+    built. A fold's coefficients are positive, so every state that enters
+    is carried forward.
     """
     e2 = HalfInt.of(exponent).doubled
     cap, bound2 = len(limits) - 1, max(limits)
@@ -214,6 +229,9 @@ def apply_vertex_op(state: dict[Partition, TruncatedSeries], sign: int,
         budget = cap - w if sign == RAISE else w
         if e2 > 0:
             budget = min(budget, (bound2 - low) // e2)
+            while budget >= 0 and (low + e2 * budget
+                                   > limits[w + sign * budget]):
+                budget -= 1
         if budget < 0:
             continue
         for mu, delta in _successors(kappa, sign, budget):

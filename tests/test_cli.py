@@ -657,6 +657,23 @@ def test_enumerate_two_legs_of_many_rows(family):
         HalfInt.of(w): n for w, n in tally.items()}
 
 
+@pytest.mark.parametrize("head, says", [
+    ({"family": "plane", "legs": [], "bound": {"doubled": 26}, "count": 0},
+     "plane-partition enumeration capped at weight 12"),
+    ({"family": "one-leg-rpp", "legs": [[3, 1]],
+      "bound": {"doubled": 10 ** 8}, "count": 0},
+     "one-leg enumeration capped at weight 12"),
+], ids=["plane", "one-leg-rpp"])
+def test_verify_census_refuses_a_header_past_the_oracle_cap(tmp_path, head,
+                                                             says):
+    # `enumerate` refuses these bounds, so no census of them exists; the
+    # reference series is not built
+    path = tmp_path / "census.jsonl"
+    path.write_text(json.dumps(head) + "\n")
+    code, _, err = run_capped("verify", "--census", str(path), seconds=10)
+    assert code == 2 and says in err and "Traceback" not in err
+
+
 BIG = 10 ** 8
 BIG_PP = {"type": "plane-partition", "legs": [], "entries": [[1, 1, 1]]}
 

@@ -402,6 +402,16 @@ def test_state_cap_stops_a_step_as_it_grows(monkeypatch):
         apply_vertex_op(state, 1, 0, [0] * 101)
 
 
+def test_successors_stop_at_the_state_cap(monkeypatch):
+    # a memo entry holds at most MAX_STATES successors: () has 101 above it
+    # within a size budget of 100, and the list stops as the sixth is built
+    from pptoggle import series
+    monkeypatch.setattr(series, "MAX_STATES", 5)
+    _successors.cache_clear()
+    with pytest.raises(NonConvergenceError, match="over the cap of 5"):
+        _successors((), 1, 100)
+
+
 def test_state_cap_counts_the_pruned_macmahon_fold(monkeypatch):
     # MacMahon's word at degree 12 carries at most 51 states forward once a
     # state keeps only the terms the rest of the word can bring within the

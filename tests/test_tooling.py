@@ -8,7 +8,8 @@ shape table built outside its memo is rebuilt on every call. The README
 quotes the caps the command line enforces, so a changed cap must change
 those quotes too, and its command lines must parse. Every command-line run
 pays the package's import, so that import stays free of `dataclasses`,
-`inspect` and `typing`.
+`inspect` and `typing`. The four legged fillings set their fields in one
+body, so a field's normalisation and checks are written once.
 """
 
 import ast
@@ -85,6 +86,22 @@ def test_configurations_imports_no_higher_layer():
     assert "partitions" in imported
     assert not {"series", "oracle", "bijections", "verify", "cli",
                 "render"} & imported
+
+
+def test_a_legged_filling_sets_its_fields_in_one_place():
+    # the one-leg and two-leg fillings share _init_legged, which reads the
+    # field names off the class's _fields; only the plane partition and the
+    # hook tableau, whose fields differ, set their own
+    tree = ast.parse((ROOT / "src/pptoggle/configurations.py").read_text())
+    scopes = [(node.name, node) for node in tree.body
+              if isinstance(node, ast.FunctionDef)]
+    scopes += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for fn in cls.body
+               if isinstance(fn, ast.FunctionDef)]
+    setting = sorted(name for name, fn in scopes
+                     if "set_field" in _called(fn))
+    assert setting == ["HookTableau.__init__", "PlanePartition.__init__",
+                       "_init_legged"]
 
 
 def _names(path: Path) -> set:

@@ -160,3 +160,12 @@ def test_run_suites_refuses_an_override_no_named_suite_takes(monkeypatch):
     assert not ran
     assert verify.run_suites("all", max_part=2, degree=5) == []
     assert ran == ["macmahon", "toggles"]
+
+
+@pytest.mark.parametrize("suite, key", [("configurations", "bound"),
+                                        ("q-commutation", "max_n")])
+def test_suites_take_no_bound_that_nothing_sets(suite, key):
+    # the configurations suite's deficits and the q-commutation grid sizes
+    # are constants, named in the suites' row names
+    with pytest.raises(DomainError, match=f"^{key} is read by no requested"):
+        verify.run_suites([suite], **{key: 3})
