@@ -50,23 +50,32 @@ class ToggleSchedule(FrozenRecord):
     def order(self, shape: Partition, rows: int, cols: int
               ) -> tuple[Cell, ...]:
         """The cells of [1,rows]x[1,cols] outside shape in this schedule's
-        order."""
-        if self.kind == "seeded":
-            return _seeded_order(self.seed, tuple(shape), rows, cols)
-        if self.kind not in ("off-diagonal", "lexicographic"):
+        order. An unknown kind raises ScheduleError on every call; a known
+        one reads the order memo, shared by every schedule and grid."""
+        if self.kind not in ("off-diagonal", "lexicographic", "seeded"):
             raise ScheduleError(f"unknown schedule kind {self.kind!r}")
-        region = [(i, j) for i in range(1, rows + 1)
-                  for j in range(part(shape, i) + 1, cols + 1)]
-        diagonal_first = self.kind == "off-diagonal"
-        key = (lambda c: (c[0] + c[1], c[0])) if diagonal_first else None
-        return tuple(sorted(region, key=key))
+        return _order(self.kind, self.seed, tuple(shape), rows, cols)
 
 
-@lru_cache(maxsize=1 << 8)
+@lru_cache(maxsize=1 << 10)
+def _order(kind: str, seed: int, shape: Partition, rows: int, cols: int
+           ) -> tuple[Cell, ...]:
+    """The one memo of cell orders: an order depends only on the schedule,
+    the shape and the box, and a pass pops or pushes many objects in the
+    same few boxes. Orders are tuples, so every caller may share one."""
+    if kind == "seeded":
+        return _seeded_order(seed, shape, rows, cols)
+    region = [(i, j) for i in range(1, rows + 1)
+              for j in range(part(shape, i) + 1, cols + 1)]
+    key = (lambda c: (c[0] + c[1], c[0])) if kind == "off-diagonal" else None
+    return tuple(sorted(region, key=key))
+
+
 def _seeded_order(seed: int, shape: Partition, rows: int, cols: int
                   ) -> tuple[Cell, ...]:
-    """Each next corner picked uniformly at random. Memoised because the
-    schedule suites replay the same seeds on every object of a size."""
+    """Each next corner picked uniformly at random, from Random(seed); read
+    through _order's memo, since the schedule suites replay the same seeds
+    on every object of a size."""
     rng = random.Random(seed)
     extra = [0] * (rows + 1)  # popped cells beyond the shape, per row
     total = sum(max(0, cols - part(shape, i)) for i in range(1, rows + 1))
@@ -206,9 +215,15 @@ def _box(rows: int, cols: int) -> tuple[int, int]:
 
 
 def _bounding_box(cells) -> tuple[int, int]:
-    """Rows and columns of the smallest [1,r]x[1,c] holding the cells."""
-    return _box(max((i for i, _ in cells), default=0),
-                max((j for _, j in cells), default=0))
+    """Rows and columns of the smallest [1,r]x[1,c] holding the cells, read
+    in one pass."""
+    rows = cols = 0
+    for i, j in cells:
+        if i > rows:
+            rows = i
+        if j > cols:
+            cols = j
+    return _box(rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -359,22 +374,29 @@ def stabilization_index(sigma: TwoLegSPP) -> int:
     return max([len(lam), len(mu), 1] + [max(c) for c in sigma.excess])
 
 
-def _palindromic_slots(width: int) -> list[int]:
+@lru_cache(maxsize=1 << 4)
+def _palindromic_slots(width: int) -> tuple[int, ...]:
     """The adjacent swaps that reverse each same-sign block of the emptied
     word, lowest exponent first, as slots p (swapping operators p, p + 1).
     Each swap is an involution that leaves its neighbours alone, so running
-    the list backwards undoes it."""
-    return ([p for tgt in range(width, 2 * width - 1)
-             for p in range(2 * width - 2, tgt - 1, -1)]
-            + [p for lim in range(width - 2, -1, -1) for p in range(lim + 1)])
+    the slots backwards undoes them. Memoised for the few widths a pass
+    repeats; a width's slots number about width², hence the small bound."""
+    return tuple([p for tgt in range(width, 2 * width - 1)
+                  for p in range(2 * width - 2, tgt - 1, -1)]
+                 + [p for lim in range(width - 2, -1, -1)
+                    for p in range(lim + 1)])
 
 
 def _toggle_slots(chain: list, slots, width: int):
     """Swap the operators at each slot in turn by toggling the diagonal
     between them: left >- mid >- right in the raising block (p < width),
-    right >- mid >- left in the lowering one."""
+    right >- mid >- left in the lowering one. Three equal diagonals are
+    skipped, as ToggleGrid.pop skips them: toggle_between leaves the middle
+    one fixed, since each entry's interval is the entry itself."""
     for p in slots:
         left, mid, right = chain[p:p + 3]
+        if left == mid == right:
+            continue
         chain[p + 1] = (_between_step(left, mid, right) if p < width
                         else _between_step(right, mid, left))
 

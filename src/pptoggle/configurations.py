@@ -16,8 +16,8 @@ from itertools import accumulate, zip_longest
 
 from .errors import DomainError, FrozenRecord, InvariantError, set_field
 from .halfint import HalfInt
-from .partitions import (Cell, Partition, as_partition, hook_length, part,
-                         rows_past)
+from .partitions import (Cell, Partition, as_partition, contains, hook_length,
+                         part, rows_past)
 
 WALL = 1 << 60  # the value read off a filling's domain: it caps nothing
 
@@ -225,8 +225,12 @@ class HookTableau(FrozenRecord):
         if self.region == "plane" and self.shape:
             raise DomainError(f"a plane tableau has no shape: {self.shape}")
         _check_support(self.values, "tableau")
+        # a cell's side of the shape is read off its row's length alone;
+        # only a cell on the wrong side asks for its hook, which raises
+        inside, shape = self.region == "inside", self.shape
         for cell in self.values:
-            self.cell_hook(cell)  # raises if the cell is off-region
+            if contains(shape, cell) is not inside:
+                self.cell_hook(cell)
 
     def cell_hook(self, cell: Cell) -> int:
         return hook_length(self.shape, cell,
@@ -274,21 +278,35 @@ def _layout(cls, key):
 
 
 def _level_diagonals(cls, legs, ds) -> dict[int, Partition]:
-    """The diagonals ds of the zero filling cls(legs) as {d: partition}."""
+    """The diagonals ds of the zero filling cls(legs) as {d: partition},
+    picked out of the window min(ds)..max(ds). Every ds the package passes
+    is such a window already: range(-w, w + 1), a grid's keys or (n,)."""
+    if not ds:
+        return {}
     legs = (as_partition(legs[0]), as_partition(legs[1]))  # memo keys
-    return {d: _level_diagonal(cls, legs, d) for d in ds}
+    first = min(ds)
+    window = _level_window(cls, legs, first, max(ds))
+    return {d: window[d - first] for d in ds}
 
 
-@lru_cache(maxsize=1 << 12)
-def _level_diagonal(cls, legs, d: int) -> Partition:
-    """Diagonal d of the zero filling cls(legs): its values, the cell
-    levels, read through `at` from d's first cell, as _layout places it, up
-    to the first 0. The level decreases along the reading and is 0 once the
-    leg indices it reads pass the legs' lengths, so the walk stops within
-    max(len(lam), len(mu)) cells, whatever the size of the parts. Memoised because every filling
-    on the same legs reads the same level diagonals."""
-    level = cls(legs).at
-    i, run = _layout(cls, legs)(d), []
+@lru_cache(maxsize=1 << 10)
+def _level_window(cls, legs, first: int, last: int
+                  ) -> tuple[Partition, ...]:
+    """Level diagonals first..last of cls(legs), read off one zero filling.
+    Memoised because every filling on the same legs, popped or pushed in
+    the same window, reads the same level diagonals."""
+    level, start = cls(legs).at, _layout(cls, legs)
+    return tuple(_level_diagonal(level, start(d), d)
+                 for d in range(first, last + 1))
+
+
+def _level_diagonal(level, i: int, d: int) -> Partition:
+    """Diagonal d of a zero filling whose `at` is level: its values, the
+    cell levels, read from d's first cell, in row i as _layout places it,
+    up to the first 0. The level decreases along the reading and is 0 once
+    the leg indices it reads pass the legs' lengths, so the walk stops
+    within max(len(lam), len(mu)) cells, whatever the size of the parts."""
+    run = []
     while v := level(i, i + d):
         run.append(v)
         i += 1

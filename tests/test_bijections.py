@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pptoggle import bijections, toggles
@@ -13,7 +15,9 @@ from pptoggle.configurations import (HookTableau, OneLegRPP, OneLegSPP,
 from pptoggle.errors import DomainError, InvariantError, ScheduleError
 from pptoggle.halfint import HalfInt
 from pptoggle.oracle import (enum_one_leg_rpp, enum_one_leg_spp,
-                             enum_plane_partitions, enum_two_leg_spp)
+                             enum_plane_partitions, enum_two_leg_spp,
+                             partitions_up_to)
+from pptoggle.partitions import part
 from pptoggle.verify import run_suites
 
 FIG_SIGMA = OneLegSPP((2, 1), {(1, 3): 3, (2, 2): 4, (2, 3): 2,
@@ -119,6 +123,52 @@ def test_schedules_agree():
         assert pp_to_tableau(pi, plan).values == base
 
 
+def _reference_order(schedule, shape, rows, cols):
+    """Each schedule's order of [1,rows]x[1,cols] outside shape, built
+    directly: sorted by diagonal or lexicographically, or, for a seeded
+    schedule, each next corner drawn from Random(seed)."""
+    region = [(i, j) for i in range(1, rows + 1)
+              for j in range(part(shape, i) + 1, cols + 1)]
+    if schedule.kind == "off-diagonal":
+        return tuple(sorted(region, key=lambda c: (c[0] + c[1], c[0])))
+    if schedule.kind == "lexicographic":
+        return tuple(sorted(region))
+    rng, extra, order = random.Random(schedule.seed), [0] * (rows + 1), []
+    while len(order) < len(region):
+        avail = []
+        for i in range(1, rows + 1):
+            j = part(shape, i) + extra[i] + 1
+            if j <= cols and (i == 1 or part(shape, i - 1) + extra[i - 1] >= j):
+                avail.append((i, j))
+        cell = avail[rng.randrange(len(avail))]
+        order.append(cell)
+        extra[cell[0]] += 1
+    return tuple(order)
+
+
+def test_every_schedule_reads_one_order_memo():
+    plans = ([ToggleSchedule("off-diagonal"), ToggleSchedule("lexicographic")]
+             + [ToggleSchedule.parse(f"seeded:{s}") for s in range(5)])
+    for plan in plans:
+        for shape in partitions_up_to(3):
+            for rows in range(5):
+                for cols in range(5):
+                    order = plan.order(shape, rows, cols)
+                    assert order == _reference_order(plan, shape, rows, cols)
+                    region = {(i, j) for i in range(1, rows + 1)
+                              for j in range(part(shape, i) + 1, cols + 1)}
+                    assert len(order) == len(region) and set(order) == region
+                    at = {cell: k for k, cell in enumerate(order)}
+                    for (i, j), k in at.items():
+                        assert at.get((i - 1, j), -1) < k
+                        assert at.get((i, j - 1), -1) < k
+                    assert plan.order(shape, rows, cols) is order
+    # an unknown kind is refused on every call, not only on the first
+    for _ in range(2):
+        with pytest.raises(ScheduleError, match="unknown schedule kind"):
+            ToggleSchedule("bogus").order((), 2, 2)
+
+
 def test_list_shape_is_accepted():
     # shapes built in Python may be lists; the seeded order memo must not
     # require them to be hashable
@@ -199,6 +249,59 @@ def test_two_leg_round_trip_small():
         rho, pi = two_leg_forward(sigma)
         assert cfg_weight(rho) + sum(pi.entries.values()) == cfg_weight(sigma)
         assert two_leg_inverse(rho, pi) == sigma
+
+
+def _toggle_every_slot(chain, slots, width):
+    """The palindromic pass with no skip: every slot toggles its diagonal."""
+    for p in slots:
+        left, mid, right = chain[p:p + 3]
+        chain[p + 1] = (toggles.toggle_between(left, mid, right) if p < width
+                        else toggles.toggle_between(right, mid, left))
+
+
+def test_the_palindromic_pass_skips_equal_triples(monkeypatch):
+    # toggle_between leaves three equal diagonals as they are, so the pass
+    # skips them; on legs of 200 rows of 1 every slot is such a triple
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return toggles.toggle_between(*args)
+
+    monkeypatch.setattr(bijections, "_between_step", spy)
+    for legs, toggled in [(((1,) * 200, (1,) * 200), 0),
+                          (((3, 2) + (1,) * 200, (2,) + (1,) * 150), 9027)]:
+        sigma = TwoLegSPP(legs, {(1, 1): 2})
+        calls.clear()
+        rho, pi = two_leg_forward(sigma)
+        assert len(calls) == toggled
+        calls.clear()
+        assert two_leg_inverse(rho, pi) == sigma
+        assert len(calls) == toggled
+
+
+def test_the_palindromic_pass_equals_a_pass_without_skips(monkeypatch):
+    # on every filling with legs of weight <= 2 and excess <= 3, in both
+    # directions, the chain each pass leaves is the one that toggling
+    # every slot leaves
+    passes = []
+    skipping = bijections._toggle_slots
+
+    def compared(chain, slots, width):
+        slots = tuple(slots)
+        expected = list(chain)
+        _toggle_every_slot(expected, slots, width)
+        skipping(chain, slots, width)
+        assert chain == expected
+        passes.append(width)
+
+    monkeypatch.setattr(bijections, "_toggle_slots", compared)
+    fillings = [sigma for lam in partitions_up_to(2)
+                for mu in partitions_up_to(2)
+                for sigma in enum_two_leg_spp((lam, mu), 3)]
+    for sigma in fillings:
+        assert two_leg_inverse(*two_leg_forward(sigma)) == sigma
+    assert len(passes) == 2 * len(fillings)
 
 
 def test_two_leg_inverse_direction_small():

@@ -10,7 +10,7 @@ from pptoggle.configurations import (FILLINGS, HookTableau, OneLegRPP,
                                      two_leg_floor)
 from pptoggle.errors import DomainError, InvariantError
 from pptoggle.oracle import partitions_up_to
-from pptoggle.partitions import as_partition, part
+from pptoggle.partitions import as_partition, hook_length, part
 from pptoggle.halfint import HalfInt
 from pptoggle.serialize import config_from_json, config_to_json
 from pptoggle.series import minimal_exponent
@@ -162,6 +162,26 @@ def test_minimal_weight_reads_no_level(monkeypatch):
         # as for legs 1,1,1/1,1,1, the level weighs 0
         assert minimal_weight(kind, (leg, leg)) == HalfInt.of(0)
     assert not calls
+
+
+@pytest.mark.parametrize("region", ["inside", "outside", "plane"])
+def test_a_tableau_refuses_a_cell_as_hook_length_does(region):
+    # the constructor reads a cell's side off its row's length, and only a
+    # cell on the wrong side asks for its hook: it raises hook_length's
+    # error, with its message, and accepts every other cell
+    side = "inside" if region == "inside" else "outside"
+    shapes = [()] if region == "plane" else partitions_up_to(4)
+    for shape in shapes:
+        for cell in [(i, j) for i in range(7) for j in range(7)]:
+            try:
+                hook_length(shape, cell, side)
+            except DomainError as refusal:
+                with pytest.raises(DomainError) as got:
+                    HookTableau(region, shape, {cell: 1})
+                assert str(got.value) == str(refusal), (shape, cell)
+            else:
+                assert HookTableau(region, shape, {cell: 1}).values == {
+                    cell: 1}
 
 
 def test_reconstruction_round_trip():

@@ -3,13 +3,14 @@
 The benchmark tracer finds its probe targets by name, so a renamed or
 deleted function would only show up when a traced run fails. `python -O`
 strips `assert` statements, so an invariant written as one would go
-unchecked. A memo without a size cap grows with every distinct input, and a
-shape table built outside its memo is rebuilt on every call. The README
-quotes the caps the command line enforces, so a changed cap must change
-those quotes too, and its command lines must parse. Every command-line run
-pays the package's import, so that import stays free of `dataclasses`,
-`inspect` and `typing`. The four legged fillings set their fields in one
-body, so a field's normalisation and checks are written once.
+unchecked. A memo without a size cap grows with every distinct input, a
+shape table built outside its memo is rebuilt on every call, and a second
+memo of cell orders or level diagonals would hold what the first holds.
+The README quotes the caps the command line enforces, so a changed cap must
+change those quotes too, and its command lines must parse. Every
+command-line run pays the package's import, so that import stays free of
+`dataclasses`, `inspect` and `typing`. The four legged fillings set their
+fields in one body, so a field's normalisation and checks are written once.
 """
 
 import ast
@@ -177,6 +178,28 @@ def test_each_shape_table_is_built_in_one_place():
     assert [a.arg for a in boundary["_runner_tops"].args.args] == ["lam", "n"]
     assert "column_length" in _called(partitions["_lengths"])
     assert "column_length" in _called(partitions["conjugate"])
+
+
+def test_each_cell_order_and_level_window_has_one_memo():
+    # every schedule's cell order is read through bijections._order, and
+    # every level diagonal through configurations._level_window: neither a
+    # seeded order nor a single level diagonal keeps a memo of its own
+    memos, callers = set(), {}
+    for stem in ("bijections", "configurations"):
+        for name, fn in _functions(ROOT / f"src/pptoggle/{stem}.py").items():
+            if _memoised(fn):
+                memos.add((stem, name))
+            for called in _called(fn):
+                callers.setdefault(called, set()).add(name)
+    assert memos == {("bijections", "_order"), ("bijections", "_pop_step"),
+                     ("bijections", "_push_step"),
+                     ("bijections", "_between_step"),
+                     ("bijections", "_palindromic_slots"),
+                     ("configurations", "_level_window")}
+    assert callers["_order"] == {"order"}
+    assert callers["_seeded_order"] == {"_order"}
+    assert callers["_level_window"] == {"_level_diagonals"}
+    assert callers["_level_diagonal"] == {"_level_window"}
 
 
 def test_no_function_calls_itself():
